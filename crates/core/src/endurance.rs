@@ -23,10 +23,10 @@ use crate::rotation::agree_shifts;
 use crate::Placer;
 use decor_geom::Disk;
 use decor_net::{
-    silent_too_long, ChaosEngine, Message, Network, NodeId, RotationConfig, ShiftSchedule, Time,
+    silent_too_long, ChaosEngine, Network, NodeId, RotationConfig, ShiftSchedule, Time, WatchTable,
 };
 use decor_trace::TraceEvent;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Endurance scenario knobs, orthogonal to [`DeploymentConfig`] (which
 /// carries the rotation knobs themselves in
@@ -224,19 +224,10 @@ pub fn run_endurance(
     let mut last_wake: Vec<Time> = vec![0; net.len()];
 
     // Watch lists from a t=0 hello exchange (everyone awake at deploy).
-    let mut last_heard: BTreeMap<(NodeId, NodeId), Time> = BTreeMap::new();
-    let mut watch: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-    for id in net.alive_ids() {
-        let pos = net.node(id).pos;
-        for observer in net.broadcast(id, Message::Hello { pos }) {
-            last_heard.insert((observer, id), 0);
-            watch.entry(observer).or_default().push(id);
-        }
-    }
+    let mut watch = WatchTable::exchange_hellos(&mut net);
 
     let mut was_awake: Vec<bool> = vec![true; net.len()];
     let mut handled_death: Vec<bool> = vec![false; net.len()];
-    let mut missed: BTreeMap<(NodeId, NodeId), u32> = BTreeMap::new();
     let mut suspected: BTreeSet<NodeId> = BTreeSet::new();
     let mut membership_changed = false;
     let mut prev_shift: Option<usize> = None;
@@ -318,7 +309,6 @@ pub fn run_endurance(
                     &mut handled_death,
                     &mut table,
                     &mut schedule,
-                    &mut last_heard,
                     &mut watch,
                     &mut report,
                     e,
@@ -375,10 +365,7 @@ pub fn run_endurance(
         // (e) Heartbeats: every on-duty node beats once, in id order.
         for (id, &duty) in on_duty.iter().enumerate() {
             if net.is_alive(id) && duty {
-                let pos = net.node(id).pos;
-                for observer in net.broadcast(id, Message::Heartbeat { pos }) {
-                    last_heard.insert((observer, id), now);
-                }
+                watch.beat(&mut net, id, now);
                 report.heartbeats_sent += 1;
             }
         }
@@ -389,11 +376,8 @@ pub fn run_endurance(
             if !net.is_alive(id) || !duty {
                 continue;
             }
-            let Some(neighbors) = watch.get(&id) else {
-                continue;
-            };
-            for &nb in neighbors {
-                let last = last_heard.get(&(id, nb)).copied().unwrap_or(0);
+            for slot in watch.row_mut(id) {
+                let (nb, last) = (slot.neighbor(), slot.last_heard());
                 // Was the neighbor *expected* to beat this period? Dead
                 // nodes stay on their last schedule, so a dead neighbor
                 // whose shift is on duty is expected — and missed.
@@ -409,12 +393,11 @@ pub fn run_endurance(
                     continue;
                 }
                 if last == now {
-                    missed.insert((id, nb), 0);
+                    slot.strikes = 0;
                     continue;
                 }
-                let strikes = missed.entry((id, nb)).or_insert(0);
-                *strikes += 1;
-                if *strikes >= e.timeout_periods {
+                slot.strikes += 1;
+                if slot.strikes >= e.timeout_periods {
                     if net.is_alive(nb) {
                         if suspected.insert(nb) {
                             report.false_positives += 1;
@@ -448,7 +431,6 @@ pub fn run_endurance(
                 &mut handled_death,
                 &mut table,
                 &mut schedule,
-                &mut last_heard,
                 &mut watch,
                 &mut report,
                 e,
@@ -530,8 +512,7 @@ fn try_restore(
     handled_death: &mut Vec<bool>,
     table: &mut CoverTable,
     schedule: &mut ShiftSchedule,
-    last_heard: &mut BTreeMap<(NodeId, NodeId), Time>,
-    watch: &mut BTreeMap<NodeId, Vec<NodeId>>,
+    watch: &mut WatchTable,
     report: &mut EnduranceReport,
     e: &EnduranceConfig,
     now: Time,
@@ -581,13 +562,7 @@ fn try_restore(
         }
         // Replacement introduces itself; hearers start watching it and
         // it starts watching them (symmetric hello).
-        let heard_by = net.broadcast(id, Message::Hello { pos });
-        for observer in heard_by {
-            last_heard.insert((observer, id), now);
-            watch.entry(observer).or_default().push(id);
-            last_heard.insert((id, observer), now);
-            watch.entry(id).or_default().push(observer);
-        }
+        watch.introduce(net, id, now);
         cfg.trace.emit(TraceEvent::NodeWake { node: id as u64 });
     }
     true

@@ -16,10 +16,10 @@
 //! ```
 
 use decor_core::restore::fail_and_restore;
-use decor_core::{run_endurance, CoverageMap, DeploymentDiagnostics, EnduranceConfig, Placer};
+use decor_core::{run_endurance, CoverageMap, DeploymentDiagnostics, Placer};
 use decor_exp::cli::{
-    params_from, parse_args, parse_disaster, parse_scheme, sensors_from_csv, sensors_to_csv,
-    write_trace_out,
+    endurance_from, params_from, parse_args, parse_disaster, parse_scheme, sensors_from_csv,
+    sensors_to_csv, write_trace_out,
 };
 use decor_lds::halton_points;
 use decor_net::FailurePlan;
@@ -124,6 +124,7 @@ fn run() -> Result<(), String> {
         }
         "endure" => {
             let scheme = parse_scheme(args.get_or("scheme", "centralized"))?;
+            let e = endurance_from(&args)?;
             let mut cfg = cfg;
             // The endurance loop always duty-cycles unless --always-on;
             // default knobs apply when --rotate was not given.
@@ -131,17 +132,6 @@ fn run() -> Result<(), String> {
             let mut map = params.make_map(&cfg, params.initial_nodes, params.base_seed);
             let placer: Box<dyn Placer> = params.placer(scheme, params.base_seed);
             placer.place(&mut map, &cfg);
-            let mut e = EnduranceConfig {
-                rotate: args.num_or("always-on", 0u32)? == 0,
-                spare_budget: args.num_or("spares", 0usize)?,
-                max_periods: args.num_or("max-periods", 100_000u64)?,
-                timeout_periods: args.num_or("timeout-periods", 3u32)?,
-                disasters: Vec::new(),
-            };
-            if let Some(spec) = args.flags.get("disaster") {
-                let disk = parse_disaster(spec)?;
-                e.disasters = vec![(args.num_or("disaster-at", 5u64)?, disk)];
-            }
             let report = run_endurance(&mut map, placer.as_ref(), &cfg, &e);
             println!(
                 "{} for {} periods ({} shifts{})",

@@ -5,7 +5,7 @@
 //! library code, so it is unit-testable; the binary is a thin shell.
 
 use crate::common::ExpParams;
-use decor_core::{CoverageMap, DeploymentConfig, SchemeKind};
+use decor_core::{CoverageMap, DeploymentConfig, EnduranceConfig, SchemeKind};
 use decor_geom::{Disk, Point};
 use decor_net::RotationConfig;
 use std::collections::BTreeMap;
@@ -203,6 +203,31 @@ fn rotation_from(args: &CliArgs) -> Result<Option<RotationConfig>, String> {
         return Err("flag --sleep-cost: sleeping must cost less than waking".into());
     }
     Ok(Some(rot))
+}
+
+/// Resolves the `endure` scenario flags into an [`EnduranceConfig`]:
+/// `--always-on 1` turns rotation off, `--spares`, `--max-periods` and
+/// `--timeout-periods` set the budget, the horizon and the detector's
+/// silence threshold, and `--disaster x,y,r` strikes at the start of
+/// period `--disaster-at` (default 5). A timeout below 2 periods is an
+/// error: one silent period can be pure phase skew.
+pub fn endurance_from(args: &CliArgs) -> Result<EnduranceConfig, String> {
+    let base = EnduranceConfig::default();
+    let mut e = EnduranceConfig {
+        rotate: args.num_or("always-on", 0u32)? == 0,
+        spare_budget: args.num_or("spares", base.spare_budget)?,
+        max_periods: args.num_or("max-periods", base.max_periods)?,
+        timeout_periods: args.num_or("timeout-periods", base.timeout_periods)?,
+        disasters: Vec::new(),
+    };
+    if e.timeout_periods < 2 {
+        return Err("flag --timeout-periods: must be at least 2".into());
+    }
+    if let Some(spec) = args.flags.get("disaster") {
+        let disk = parse_disaster(spec)?;
+        e.disasters = vec![(args.num_or("disaster-at", 5u64)?, disk)];
+    }
+    Ok(e)
 }
 
 /// Resolves `--chaos-seed` / `--chaos-plan` into a fault plan. The seeded
@@ -443,6 +468,48 @@ mod tests {
         ] {
             let a = parse_args(&argv(bad)).unwrap();
             assert!(params_from(&a).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn endurance_flags_build_the_endurance_config() {
+        let a = parse_args(&argv(
+            "endure --always-on 1 --spares 40 --max-periods 200 --timeout-periods 2 \
+             --disaster 30,30,4 --disaster-at 7",
+        ))
+        .unwrap();
+        assert_eq!(
+            endurance_from(&a).unwrap(),
+            EnduranceConfig {
+                rotate: false,
+                spare_budget: 40,
+                max_periods: 200,
+                disasters: vec![(7, Disk::new(Point::new(30.0, 30.0), 4.0))],
+                timeout_periods: 2,
+            }
+        );
+        let plain = parse_args(&argv("endure")).unwrap();
+        assert_eq!(endurance_from(&plain).unwrap(), EnduranceConfig::default());
+    }
+
+    #[test]
+    fn bad_endurance_values_are_rejected() {
+        for bad in [
+            "endure --timeout-periods 1",
+            "endure --timeout-periods 0",
+            "endure --timeout-periods -2",
+            "endure --spares many",
+            "endure --max-periods 1.5",
+            "endure --disaster 30,30",
+            "endure --disaster 30,30,4 --disaster-at soon",
+        ] {
+            let a = parse_args(&argv(bad)).unwrap();
+            assert!(endurance_from(&a).is_err(), "{bad} must be rejected");
+        }
+        for tiny in ["0", "1"] {
+            let a = parse_args(&argv(&format!("endure --timeout-periods {tiny}"))).unwrap();
+            let err = endurance_from(&a).unwrap_err();
+            assert!(err.starts_with("flag --timeout-periods:"), "{err}");
         }
     }
 

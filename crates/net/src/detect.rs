@@ -9,6 +9,10 @@
 //! alive node broadcasts a heartbeat each period (with a per-node random
 //! phase — *unsynchronized*), remembers when it last heard each neighbor,
 //! and declares a neighbor failed after `timeout_periods` silent periods.
+//!
+//! What each node remembers lives in a [`WatchTable`], shared with the
+//! period-clocked detector of `decor_core::endurance`: one dense row per
+//! observer, built by the t=0 hello exchange.
 
 use crate::chaos::ChaosEngine;
 use crate::event::{EventQueue, Time};
@@ -43,7 +47,7 @@ impl Default for HeartbeatConfig {
 }
 
 /// Outcome of a detection simulation.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DetectionReport {
     /// For every failed node that was detected: the earliest detection
     /// time and the detecting observer.
@@ -86,6 +90,138 @@ impl DetectionReport {
 /// in the simulator, defensive for callers) reads as zero silence.
 pub fn silent_too_long(now: Time, last_heard: Time, period: Time, timeout_periods: u32) -> bool {
     now.saturating_sub(last_heard) >= period * timeout_periods as Time
+}
+
+/// One watched neighbor in an observer's row of a [`WatchTable`]. The
+/// table owns the neighbor id and the last-heard stamp, which keeps every
+/// row sorted; a detector owns the strike count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WatchSlot {
+    neighbor: NodeId,
+    last_heard: Time,
+    /// Consecutive on-duty periods the neighbor was expected and not
+    /// heard (the endurance loop's strike count; the event-driven
+    /// [`HeartbeatSim`] measures silence by time and leaves it 0).
+    pub strikes: u32,
+}
+
+impl WatchSlot {
+    /// The watched neighbor.
+    pub fn neighbor(&self) -> NodeId {
+        self.neighbor
+    }
+
+    /// When the observer last heard the neighbor: the hello that created
+    /// the slot, then every heartbeat that got through.
+    pub fn last_heard(&self) -> Time {
+        self.last_heard
+    }
+}
+
+/// The heartbeat detectors' neighbor tables: for every observer, one
+/// contiguous row of [`WatchSlot`]s sorted by neighbor id.
+///
+/// The t=0 hello exchange ([`WatchTable::exchange_hellos`]) builds it and
+/// a replacement's symmetric hello ([`WatchTable::introduce`]) extends it.
+/// Rows stay sorted by construction: hellos go out in ascending id order,
+/// and a replacement always has the largest id so far. A received beat
+/// ([`WatchTable::beat`]) therefore finds its slot by binary search over
+/// a dozen entries. A beat from a sender the observer does not watch (on
+/// a lossy medium, its hello was lost) finds no slot and is dropped:
+/// nothing would ever read it.
+#[derive(Clone, Debug)]
+pub struct WatchTable {
+    /// Row `i` holds observer `i`'s watched neighbors.
+    rows: Vec<Vec<WatchSlot>>,
+    /// Hearers of the last broadcast, reused across calls.
+    heard: Vec<NodeId>,
+}
+
+impl WatchTable {
+    /// The t=0 hello exchange: every alive node, in ascending id order,
+    /// broadcasts a hello (charged to the maintenance plane), and every
+    /// hearer starts watching the sender with a last-heard stamp of 0.
+    pub fn exchange_hellos(net: &mut Network) -> WatchTable {
+        let mut table = WatchTable {
+            rows: vec![Vec::new(); net.len()],
+            heard: Vec::new(),
+        };
+        for id in 0..net.len() {
+            if net.is_alive(id) {
+                let pos = net.node(id).pos;
+                net.broadcast_into(id, Message::Hello { pos }, &mut table.heard);
+                for &observer in &table.heard {
+                    push_slot(&mut table.rows[observer], id, 0);
+                }
+            }
+        }
+        table
+    }
+
+    /// A replacement's symmetric hello at `now`: `id`, the newest node,
+    /// broadcasts a hello; each hearer starts watching `id`, and `id`
+    /// starts watching each hearer.
+    pub fn introduce(&mut self, net: &mut Network, id: NodeId, now: Time) {
+        self.rows.resize(self.rows.len().max(net.len()), Vec::new());
+        let pos = net.node(id).pos;
+        net.broadcast_into(id, Message::Hello { pos }, &mut self.heard);
+        for &observer in &self.heard {
+            push_slot(&mut self.rows[observer], id, now);
+            push_slot(&mut self.rows[id], observer, now);
+        }
+    }
+
+    /// `id` broadcasts its heartbeat at `now` through
+    /// [`Network::broadcast_into`]; every hearer that watches `id`
+    /// records the beat.
+    pub fn beat(&mut self, net: &mut Network, id: NodeId, now: Time) {
+        let pos = net.node(id).pos;
+        net.broadcast_into(id, Message::Heartbeat { pos }, &mut self.heard);
+        for &observer in &self.heard {
+            stamp(&mut self.rows, observer, id, now);
+        }
+    }
+
+    /// `observer`'s watched neighbors, sorted by id (empty for an id the
+    /// table has never seen).
+    pub fn row(&self, observer: NodeId) -> &[WatchSlot] {
+        self.rows.get(observer).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Mutable [`WatchTable::row`], for detectors that keep per-slot
+    /// strike counts.
+    pub fn row_mut(&mut self, observer: NodeId) -> &mut [WatchSlot] {
+        self.rows
+            .get_mut(observer)
+            .map(Vec::as_mut_slice)
+            .unwrap_or(&mut [])
+    }
+}
+
+/// Appends a fresh slot for `neighbor`. Every caller pushes in ascending
+/// neighbor order, which keeps the row sorted for [`stamp`].
+fn push_slot(row: &mut Vec<WatchSlot>, neighbor: NodeId, now: Time) {
+    debug_assert!(
+        row.last().is_none_or(|s| s.neighbor < neighbor),
+        "watch row out of order: {neighbor} after {:?}",
+        row.last()
+    );
+    row.push(WatchSlot {
+        neighbor,
+        last_heard: now,
+        strikes: 0,
+    });
+}
+
+/// `observer` heard `sender` at `now`: moves its last-heard stamp, when
+/// it watches `sender` at all.
+fn stamp(rows: &mut [Vec<WatchSlot>], observer: NodeId, sender: NodeId, now: Time) {
+    let Some(row) = rows.get_mut(observer) else {
+        return;
+    };
+    if let Ok(i) = row.binary_search_by_key(&sender, |s| s.neighbor) {
+        row[i].last_heard = now;
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -202,16 +338,7 @@ impl HeartbeatSim {
         // Neighbor tables and last-heard clocks, established by an initial
         // hello exchange at t=0 (charged to the maintenance plane).
         let ids = net.alive_ids();
-        let mut last_heard: BTreeMap<(NodeId, NodeId), Time> = BTreeMap::new();
-        let mut watch: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        for &id in &ids {
-            let pos = net.node(id).pos;
-            let heard_by = net.broadcast(id, Message::Hello { pos });
-            for observer in heard_by {
-                last_heard.insert((observer, id), 0);
-                watch.entry(observer).or_default().push(id);
-            }
-        }
+        let mut watch = WatchTable::exchange_hellos(net);
 
         // Shift boundaries, pre-scheduled before any Beat/Check so the
         // queue's FIFO tie-break applies the new sleep flags first when a
@@ -236,7 +363,8 @@ impl HeartbeatSim {
         q.schedule(fail_at, Ev::Fail);
 
         let mut report = DetectionReport::default();
-        let mut detected: BTreeMap<NodeId, (Time, NodeId)> = BTreeMap::new();
+        // Earliest suspicion of each node: (time, observer).
+        let mut detected: Vec<Option<(Time, NodeId)>> = vec![None; net.len()];
 
         while let Some((now, ev)) = q.pop() {
             if now > horizon {
@@ -264,12 +392,8 @@ impl HeartbeatSim {
                     // beat but keeps its cadence for the next awake shift.
                     let asleep = rotating.is_some_and(|s| s.is_scheduled_asleep(id, now));
                     if !asleep {
-                        let pos = net.node(id).pos;
-                        let heard_by = net.broadcast(id, Message::Heartbeat { pos });
+                        watch.beat(net, id, now);
                         report.heartbeats_sent += 1;
-                        for observer in heard_by {
-                            last_heard.insert((observer, id), now);
-                        }
                     }
                     q.schedule(now + period, Ev::Beat(id));
                 }
@@ -283,41 +407,37 @@ impl HeartbeatSim {
                         q.schedule(now + period, Ev::Check(id));
                         continue;
                     }
-                    if let Some(neighbors) = watch.get(&id) {
-                        for &nb in neighbors {
-                            // Suspicion is based purely on silence: the
-                            // observer cannot consult ground truth. On a
-                            // lossy medium this can misfire on alive
-                            // neighbors (classified below).
-                            let last = last_heard.get(&(id, nb)).copied().unwrap_or(0);
-                            match rotating {
-                                Some(sched) if sched.is_scheduled_asleep(nb, now) => {
-                                    // Three-state lifecycle: the schedule
-                                    // says Asleep, not Dead. Count the
-                                    // would-be alarm, never raise it.
-                                    if silent_too_long(now, last, period, self.cfg.timeout_periods)
-                                    {
-                                        report.sleeping_suppressed += 1;
-                                    }
+                    for slot in watch.row(id) {
+                        // Suspicion is based purely on silence: the
+                        // observer cannot consult ground truth. On a
+                        // lossy medium this can misfire on alive
+                        // neighbors (classified below).
+                        let (nb, last) = (slot.neighbor(), slot.last_heard());
+                        match rotating {
+                            Some(sched) if sched.is_scheduled_asleep(nb, now) => {
+                                // Three-state lifecycle: the schedule says
+                                // Asleep, not Dead. Count the would-be
+                                // alarm, never raise it.
+                                if silent_too_long(now, last, period, self.cfg.timeout_periods) {
+                                    report.sleeping_suppressed += 1;
                                 }
-                                Some(sched) => {
-                                    // Silence only counts across windows
-                                    // where both ends were on duty: a
-                                    // neighbor (or the observer itself)
-                                    // fresh off a sleep shift gets a full
-                                    // timeout before suspicion.
-                                    let eff = last
-                                        .max(sched.last_wake_at(nb, now))
-                                        .max(sched.last_wake_at(id, now));
-                                    if silent_too_long(now, eff, period, self.cfg.timeout_periods) {
-                                        detected.entry(nb).or_insert((now, id));
-                                    }
+                            }
+                            Some(sched) => {
+                                // Silence only counts across windows where
+                                // both ends were on duty: a neighbor (or
+                                // the observer itself) fresh off a sleep
+                                // shift gets a full timeout before
+                                // suspicion.
+                                let eff = last
+                                    .max(sched.last_wake_at(nb, now))
+                                    .max(sched.last_wake_at(id, now));
+                                if silent_too_long(now, eff, period, self.cfg.timeout_periods) {
+                                    detected[nb].get_or_insert((now, id));
                                 }
-                                None => {
-                                    if silent_too_long(now, last, period, self.cfg.timeout_periods)
-                                    {
-                                        detected.entry(nb).or_insert((now, id));
-                                    }
+                            }
+                            None => {
+                                if silent_too_long(now, last, period, self.cfg.timeout_periods) {
+                                    detected[nb].get_or_insert((now, id));
                                 }
                             }
                         }
@@ -330,14 +450,20 @@ impl HeartbeatSim {
         report.undetected = victims
             .iter()
             .copied()
-            .filter(|v| !detected.contains_key(v))
+            .filter(|&v| detected.get(v).is_none_or(Option::is_none))
             .collect();
         // Classify suspicions: real failures vs false alarms. A suspicion
         // of a node that is alive at the end of the run (i.e. never in
         // `victims`) is a false positive.
-        let victim_set: std::collections::BTreeSet<NodeId> = victims.iter().copied().collect();
-        for (nb, when) in detected {
-            if victim_set.contains(&nb) {
+        let mut is_victim = vec![false; net.len()];
+        for &v in victims {
+            if let Some(flag) = is_victim.get_mut(v) {
+                *flag = true;
+            }
+        }
+        for (nb, when) in detected.into_iter().enumerate() {
+            let Some(when) = when else { continue };
+            if is_victim[nb] {
                 report.first_detection.insert(nb, when);
             } else {
                 report.false_positives.insert(nb, when);
@@ -366,6 +492,56 @@ mod tests {
             timeout_periods: 3,
             seed,
         }
+    }
+
+    #[test]
+    fn watch_table_rows_are_sorted_and_skip_unwatched_senders() {
+        let neighbors = |row: &[WatchSlot]| row.iter().map(|s| s.neighbor).collect::<Vec<_>>();
+        // Spacing 5 at rc 8: each node hears only its line neighbors. The
+        // cut 3 -> 2 eats 3's hello, so 2 never watches 3.
+        let mut net = line_network(4, 5.0);
+        net.set_blackhole(3, 2);
+        let mut table = WatchTable::exchange_hellos(&mut net);
+        net.clear_blackhole(3, 2);
+        assert_eq!(neighbors(table.row(1)), vec![0, 2]);
+        assert_eq!(neighbors(table.row(2)), vec![1]);
+        assert_eq!(neighbors(table.row(3)), vec![2]);
+        assert!(table
+            .row(1)
+            .iter()
+            .all(|s| s.last_heard == 0 && s.strikes == 0));
+        table.beat(&mut net, 2, 70);
+        assert_eq!(table.row(1)[1].last_heard, 70);
+        assert_eq!(table.row(3)[0].last_heard, 70);
+        assert_eq!(table.row(1)[0].last_heard, 0, "node 0 did not beat");
+        // 2 hears 3's beat now, but has no slot for it: the beat is dropped.
+        table.beat(&mut net, 3, 80);
+        assert_eq!(net.stats.received_by(2), 2);
+        assert_eq!(
+            table.row(2),
+            &[WatchSlot {
+                neighbor: 1,
+                last_heard: 0,
+                strikes: 0
+            }]
+        );
+        // A replacement next to node 1 says hello: its hearers append it
+        // and it watches them, all stamped at the hello.
+        let r = net.add_node(Point::new(10.0, 50.0), 4.0, 8.0);
+        table.introduce(&mut net, r, 90);
+        assert_eq!(neighbors(table.row(r)), vec![0, 1, 2]);
+        for observer in [0, 1, 2] {
+            let slot = *table.row(observer).last().unwrap();
+            assert_eq!(
+                slot,
+                WatchSlot {
+                    neighbor: r,
+                    last_heard: 90,
+                    strikes: 0
+                }
+            );
+        }
+        assert!(table.row(99).is_empty() && table.row_mut(99).is_empty());
     }
 
     #[test]

@@ -55,7 +55,9 @@ pub mod sleep;
 pub mod transport;
 
 pub use chaos::{shrink_plan, ChaosEngine, FaultEvent, FaultKind, FaultPlan};
-pub use detect::{silent_too_long, DetectionReport, HeartbeatConfig, HeartbeatSim};
+pub use detect::{
+    silent_too_long, DetectionReport, HeartbeatConfig, HeartbeatSim, WatchSlot, WatchTable,
+};
 pub use election::{elect_random, rotation_leader, rotation_leader_in};
 pub use energy::EnergyModel;
 pub use event::{EventQueue, Time};

@@ -145,6 +145,9 @@ pub struct Network {
     blackholes: BTreeSet<(NodeId, NodeId)>,
     /// Chaos latency spike: extra ticks added to every transport backoff.
     extra_latency: Time,
+    /// Scratch for [`Network::broadcast_into`]: the nodes in the sender's
+    /// range, kept between calls so a broadcast allocates nothing.
+    in_range: Vec<NodeId>,
 }
 
 impl Network {
@@ -169,6 +172,7 @@ impl Network {
             partition: None,
             blackholes: BTreeSet::new(),
             extra_latency: 0,
+            in_range: Vec::new(),
         }
     }
 
@@ -526,11 +530,26 @@ impl Network {
     /// A broadcast counts as *one* sent message (single transmission) and
     /// one reception per receiver.
     pub fn broadcast(&mut self, from: NodeId, msg: Message) -> Vec<NodeId> {
+        let mut heard = Vec::new();
+        self.broadcast_into(from, msg, &mut heard);
+        heard
+    }
+
+    /// Buffer-reuse variant of [`Network::broadcast`]: clears `heard` and
+    /// fills it with the same receivers in the same (ascending) order,
+    /// with the same accounting, trace events and loss-stream draws. The
+    /// in-range scratch lives inside the network, so a warm call allocates
+    /// nothing. A dead or sleeping sender transmits nothing and leaves
+    /// `heard` empty.
+    pub fn broadcast_into(&mut self, from: NodeId, msg: Message, heard: &mut Vec<NodeId>) {
+        heard.clear();
         let sender = match self.nodes.get(from) {
             Some(n) if n.alive && !self.sleeping[from] => *n,
-            _ => return Vec::new(),
+            _ => return,
         };
-        let mut receivers = self.index.within(sender.pos, sender.rc);
+        let mut receivers = std::mem::take(&mut self.in_range);
+        self.index
+            .within_into(sender.pos, sender.rc, &mut receivers);
         receivers.retain(|&i| i != from);
         receivers.sort_unstable();
         let bytes = msg.payload_bytes();
@@ -552,8 +571,7 @@ impl Network {
         // On a lossy medium each listener drops the frame independently;
         // a sleeping listener misses it for free (radio off, no rx
         // energy, no loss-stream draw).
-        let mut heard = Vec::with_capacity(receivers.len());
-        for r in receivers {
+        for &r in &receivers {
             if self.link_cut(from, r) || self.sleeping[r] {
                 self.trace.emit(TraceEvent::MsgDrop {
                     from: from as u64,
@@ -579,7 +597,7 @@ impl Network {
             });
             heard.push(r);
         }
-        heard
+        self.in_range = receivers;
     }
 }
 
@@ -622,6 +640,63 @@ mod tests {
         assert!(buf.is_empty(), "stale contents must be cleared");
         net.neighbors_into(42, &mut buf);
         assert!(buf.is_empty(), "unknown id yields an empty buffer");
+    }
+
+    #[test]
+    fn broadcast_into_reuses_buffer_and_matches() {
+        // A lossy, partitioned medium with a sleeping listener: node 0's
+        // range holds 1 (across the cut), 2 (asleep) and 3..=5.
+        let mut net = net_with(
+            &[
+                (50.0, 50.0),
+                (54.0, 50.0),
+                (50.0, 54.0),
+                (46.0, 50.0),
+                (50.0, 46.0),
+                (53.0, 53.0),
+                (90.0, 90.0),
+            ],
+            4.0,
+            8.0,
+        );
+        net.set_loss(0.4, 21);
+        net.set_partition([1]);
+        net.set_sleeping(2, true);
+        let mut twin = net.clone();
+        let msg = Message::Heartbeat {
+            pos: Point::new(50.0, 50.0),
+        };
+        let mut buf = vec![99usize; 8];
+        for round in 0..30 {
+            let from = [0, 3, 5][round % 3];
+            twin.broadcast_into(from, msg, &mut buf);
+            assert_eq!(buf, net.broadcast(from, msg), "round {round}");
+        }
+        for id in 0..net.len() {
+            assert_eq!(twin.stats.received_by(id), net.stats.received_by(id));
+            assert_eq!(twin.stats.energy_of(id), net.stats.energy_of(id));
+        }
+        // Both media drew the same losses: their streams stay in step.
+        for _ in 0..16 {
+            assert_eq!(twin.unicast(0, 3, msg), net.unicast(0, 3, msg));
+        }
+        twin.broadcast_into(6, msg, &mut buf);
+        assert!(buf.is_empty(), "stale contents must be cleared");
+        let sent = twin.stats.total_sent;
+        let energy = twin.stats.energy_of(2);
+        buf.push(99);
+        twin.broadcast_into(2, msg, &mut buf);
+        assert!(buf.is_empty(), "a sleeping sender hears nobody");
+        twin.fail_node(4);
+        buf.push(99);
+        twin.broadcast_into(4, msg, &mut buf);
+        assert!(buf.is_empty(), "a dead sender hears nobody");
+        twin.broadcast_into(42, msg, &mut buf);
+        assert!(buf.is_empty(), "an unknown sender hears nobody");
+        assert_eq!(twin.stats.total_sent, sent, "silent senders pay nothing");
+        assert_eq!(twin.stats.sent_by(2), 0);
+        assert_eq!(twin.stats.sent_by(4), 0);
+        assert_eq!(twin.stats.energy_of(2), energy);
     }
 
     #[test]

@@ -1,0 +1,323 @@
+//! Differential tier for the heartbeat detector: [`HeartbeatSim`] against
+//! a frozen reference implementation.
+//!
+//! The reference below is the detector as it was before the watch table:
+//! one `BTreeMap<(observer, sender), Time>` of last-heard stamps written
+//! on every received beat, a `BTreeMap` of watch lists from the t=0 hello
+//! exchange, and a `BTreeMap` of detections. Its logic is kept unchanged
+//! as the oracle, so the dense table must reproduce its reports and its
+//! traffic counters bit for bit on every medium the detector runs on:
+//! lossless and lossy, with isolated nodes, chaos plans and rotating
+//! schedules.
+
+use decor_geom::{Aabb, Point};
+use decor_net::{
+    silent_too_long, ChaosEngine, DetectionReport, EventQueue, FaultEvent, FaultKind, FaultPlan,
+    HeartbeatConfig, HeartbeatSim, Message, Network, NodeId, ShiftSchedule, Time,
+};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+
+#[derive(Clone, Copy, Debug)]
+enum Ev {
+    Beat(NodeId),
+    Check(NodeId),
+    Fail,
+    Rotate,
+}
+
+/// The map-based detector, frozen.
+fn reference_run(
+    cfg: HeartbeatConfig,
+    net: &mut Network,
+    victims: &[NodeId],
+    fail_at: Time,
+    horizon: Time,
+    schedule: Option<&ShiftSchedule>,
+    mut chaos: Option<&mut ChaosEngine>,
+) -> DetectionReport {
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut q: EventQueue<Ev> = EventQueue::new();
+    let period = cfg.period;
+
+    let ids = net.alive_ids();
+    let mut last_heard: BTreeMap<(NodeId, NodeId), Time> = BTreeMap::new();
+    let mut watch: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+    for &id in &ids {
+        let pos = net.node(id).pos;
+        let heard_by = net.broadcast(id, Message::Hello { pos });
+        for observer in heard_by {
+            last_heard.insert((observer, id), 0);
+            watch.entry(observer).or_default().push(id);
+        }
+    }
+
+    let rotating = schedule.filter(|s| s.n_shifts() > 1);
+    if let Some(sched) = rotating {
+        let mut t = 0;
+        while t <= horizon {
+            q.schedule(t, Ev::Rotate);
+            t += sched.period();
+        }
+    }
+
+    for &id in &ids {
+        let phase = rng.gen_range(0..period);
+        q.schedule(phase, Ev::Beat(id));
+        q.schedule(phase + period, Ev::Check(id));
+    }
+    q.schedule(fail_at, Ev::Fail);
+
+    let mut report = DetectionReport::default();
+    let mut detected: BTreeMap<NodeId, (Time, NodeId)> = BTreeMap::new();
+
+    while let Some((now, ev)) = q.pop() {
+        if now > horizon {
+            break;
+        }
+        if let Some(engine) = chaos.as_deref_mut() {
+            engine.advance_to(net, now);
+        }
+        match ev {
+            Ev::Fail => {
+                for &v in victims {
+                    net.fail_node(v);
+                }
+            }
+            Ev::Rotate => {
+                if let Some(sched) = rotating {
+                    sched.apply_sleep_flags(net, now);
+                }
+            }
+            Ev::Beat(id) => {
+                if !net.is_alive(id) {
+                    continue;
+                }
+                let asleep = rotating.is_some_and(|s| s.is_scheduled_asleep(id, now));
+                if !asleep {
+                    let pos = net.node(id).pos;
+                    let heard_by = net.broadcast(id, Message::Heartbeat { pos });
+                    report.heartbeats_sent += 1;
+                    for observer in heard_by {
+                        last_heard.insert((observer, id), now);
+                    }
+                }
+                q.schedule(now + period, Ev::Beat(id));
+            }
+            Ev::Check(id) => {
+                if !net.is_alive(id) {
+                    continue;
+                }
+                if rotating.is_some_and(|s| s.is_scheduled_asleep(id, now)) {
+                    q.schedule(now + period, Ev::Check(id));
+                    continue;
+                }
+                if let Some(neighbors) = watch.get(&id) {
+                    for &nb in neighbors {
+                        let last = last_heard.get(&(id, nb)).copied().unwrap_or(0);
+                        match rotating {
+                            Some(sched) if sched.is_scheduled_asleep(nb, now) => {
+                                if silent_too_long(now, last, period, cfg.timeout_periods) {
+                                    report.sleeping_suppressed += 1;
+                                }
+                            }
+                            Some(sched) => {
+                                let eff = last
+                                    .max(sched.last_wake_at(nb, now))
+                                    .max(sched.last_wake_at(id, now));
+                                if silent_too_long(now, eff, period, cfg.timeout_periods) {
+                                    detected.entry(nb).or_insert((now, id));
+                                }
+                            }
+                            None => {
+                                if silent_too_long(now, last, period, cfg.timeout_periods) {
+                                    detected.entry(nb).or_insert((now, id));
+                                }
+                            }
+                        }
+                    }
+                }
+                q.schedule(now + period, Ev::Check(id));
+            }
+        }
+    }
+
+    report.undetected = victims
+        .iter()
+        .copied()
+        .filter(|v| !detected.contains_key(v))
+        .collect();
+    let victim_set: std::collections::BTreeSet<NodeId> = victims.iter().copied().collect();
+    for (nb, when) in detected {
+        if victim_set.contains(&nb) {
+            report.first_detection.insert(nb, when);
+        } else {
+            report.false_positives.insert(nb, when);
+        }
+    }
+    report
+}
+
+/// Every traffic counter the network keeps, per node and in aggregate.
+/// Energy is compared by bit pattern: both detectors must charge the same
+/// floating-point sums in the same order.
+fn counters(net: &Network) -> (Vec<(u64, u64, u64)>, [u64; 5]) {
+    let per_node = (0..net.len())
+        .map(|id| {
+            (
+                net.stats.sent_by(id),
+                net.stats.received_by(id),
+                net.stats.energy_of(id).to_bits(),
+            )
+        })
+        .collect();
+    let s = &net.stats;
+    (
+        per_node,
+        [
+            s.total_sent,
+            s.maintenance_sent,
+            s.protocol_sent,
+            s.retries_sent,
+            s.acks_sent,
+        ],
+    )
+}
+
+/// Far corners, more than 15 apart from each other and from the cluster
+/// square `[0, 60)²`, so at `rc <= 15` a node placed there hears nobody.
+const ISOLATED: [(f64, f64); 3] = [(99.0, 99.0), (99.0, 78.0), (78.0, 99.0)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The watch-table detector and the map-based oracle agree on the
+    /// whole report and on every traffic counter.
+    #[test]
+    fn heartbeat_sim_matches_the_map_oracle(
+        cluster in prop::collection::vec((0.0..60.0f64, 0.0..60.0f64), 1..45),
+        n_isolated in 0usize..4,
+        rc in 5.0..15.0f64,
+        loss_pct in 0u32..71,
+        loss_seed in any::<u64>(),
+        victim_picks in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+        unknown_victim in any::<bool>(),
+        hb_seed in any::<u64>(),
+        timeout_periods in 2u32..5,
+        fail_at in 0u64..2_000,
+        chaos_mode in 0u32..3,
+        chaos_seed in any::<u64>(),
+        fault_picks in prop::collection::vec((0u64..4_000, any::<prop::sample::Index>(), any::<prop::sample::Index>()), 3..4),
+        n_shifts in 0usize..4,
+        shift_period in 100u64..900,
+        shift_salt in any::<u64>(),
+    ) {
+        let mut net = Network::new(Aabb::square(100.0));
+        for &(x, y) in &cluster {
+            net.add_node(Point::new(x, y), rc / 2.0, rc);
+        }
+        for &(x, y) in &ISOLATED[..n_isolated] {
+            net.add_node(Point::new(x, y), rc / 2.0, rc);
+        }
+        let n = net.len();
+        if loss_pct > 0 {
+            net.set_loss(loss_pct as f64 / 100.0, loss_seed);
+        }
+
+        let mut victims: Vec<NodeId> = victim_picks.iter().map(|i| i.index(n)).collect();
+        victims.sort_unstable();
+        victims.dedup();
+        if unknown_victim {
+            victims.push(n + 7); // failing an unknown id is a no-op
+        }
+
+        let horizon = 5_000;
+        let plan = match chaos_mode {
+            0 => None,
+            1 => Some(FaultPlan::generate(chaos_seed, n, horizon)),
+            _ => {
+                // One crash, one blackhole and one partition, each lifted
+                // again before the horizon.
+                let (at, a, b) = fault_picks[0];
+                let (a, b) = (a.index(n), b.index(n));
+                let mut events = vec![
+                    FaultEvent { at, kind: FaultKind::Crash { node: a } },
+                    FaultEvent { at: at / 2, kind: FaultKind::Blackhole { from: b, to: a } },
+                    FaultEvent { at: at / 2 + 700, kind: FaultKind::Unblackhole { from: b, to: a } },
+                ];
+                let (at, a, _) = fault_picks[1];
+                let side_a: Vec<NodeId> = (0..n).filter(|&id| (id + a.index(n)) % 2 == 0).collect();
+                events.push(FaultEvent { at, kind: FaultKind::Partition { side_a } });
+                events.push(FaultEvent { at: at + 400, kind: FaultKind::Heal });
+                Some(FaultPlan::new(events))
+            }
+        };
+        let schedule = (n_shifts > 0).then(|| {
+            // Every node lands in one of the `n_shifts` shifts or, in the
+            // extra slot, stays unscheduled and always on.
+            let mut shifts = vec![Vec::new(); n_shifts];
+            for id in 0..n {
+                let h = (id as u64 ^ shift_salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+                if let Some(shift) = shifts.get_mut(h as usize % (n_shifts + 1)) {
+                    shift.push(id);
+                }
+            }
+            ShiftSchedule::new(shifts, shift_period, n)
+        });
+
+        let cfg = HeartbeatConfig { period: 100, timeout_periods, seed: hb_seed };
+        let sim = HeartbeatSim::new(cfg);
+        let mut oracle_net = net.clone();
+        let mut oracle_chaos = plan.clone().map(ChaosEngine::new);
+        let expected = reference_run(
+            cfg,
+            &mut oracle_net,
+            &victims,
+            fail_at,
+            horizon,
+            schedule.as_ref(),
+            oracle_chaos.as_mut(),
+        );
+        let mut chaos = plan.map(ChaosEngine::new);
+        let got = match (schedule.as_ref(), chaos.as_mut()) {
+            (None, None) => sim.run(&mut net, &victims, fail_at, horizon),
+            (None, Some(c)) => sim.run_with_chaos(&mut net, &victims, fail_at, horizon, c),
+            (Some(s), None) => sim.run_scheduled(&mut net, &victims, fail_at, horizon, s),
+            (Some(s), Some(c)) => {
+                sim.run_scheduled_with_chaos(&mut net, &victims, fail_at, horizon, s, c)
+            }
+        };
+        prop_assert_eq!(&got, &expected);
+        prop_assert_eq!(counters(&net), counters(&oracle_net));
+        prop_assert_eq!(net.alive_ids(), oracle_net.alive_ids());
+    }
+}
+
+/// A fixed lossy, partly isolated layout, so a failure of the oracle
+/// itself (not the comparison) names a concrete scenario.
+#[test]
+fn oracle_agrees_on_a_lossy_line_with_an_isolated_node() {
+    let mut net = Network::new(Aabb::square(100.0));
+    for i in 0..12 {
+        net.add_node(Point::new(5.0 + i as f64 * 5.0, 50.0), 4.0, 8.0);
+    }
+    net.add_node(Point::new(95.0, 5.0), 4.0, 8.0);
+    net.set_loss(0.45, 3);
+    let cfg = HeartbeatConfig {
+        period: 100,
+        timeout_periods: 3,
+        seed: 5,
+    };
+    let mut oracle_net = net.clone();
+    let expected = reference_run(cfg, &mut oracle_net, &[4, 12], 600, 8_000, None, None);
+    let got = HeartbeatSim::new(cfg).run(&mut net, &[4, 12], 600, 8_000);
+    assert!(
+        !expected.false_positives.is_empty(),
+        "45% loss must misfire"
+    );
+    assert_eq!(expected.undetected, vec![12], "the isolated victim");
+    assert_eq!(got, expected);
+    assert_eq!(counters(&net), counters(&oracle_net));
+}

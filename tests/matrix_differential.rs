@@ -7,7 +7,8 @@
 //! the legacy fig08 / ext_loss replica loops inline (frozen copies of
 //! the pre-runner code) and compare every field of every run, then pin
 //! the runner's invariances: worker count (1/2/8) and tracing (on/off)
-//! must not change a single bit of the results.
+//! must not change a single bit of the results. The paper-scale ext_loss
+//! table is also held to the committed `results/ext_loss.csv`.
 
 use decor::core::parallel::replica_seed;
 use decor::core::{LinkConfig, Placer, SchemeKind, VoronoiDecor};
@@ -176,6 +177,14 @@ fn ext_loss_matrix_is_bit_identical_to_the_legacy_closure() {
         assert_eq!(row[5], col(&|r| r.4), "retries at loss {loss}");
         assert_eq!(row[6], col(&|r| r.5), "gave up at loss {loss}");
     }
+}
+
+/// `results/ext_loss.csv` is the committed referee for the lossy failure
+/// study: the paper-scale table must reproduce it byte for byte.
+#[test]
+fn ext_loss_table_matches_the_committed_csv() {
+    let csv = ext_loss::run(&ExpParams::paper()).to_csv();
+    assert_eq!(csv, include_str!("../results/ext_loss.csv"));
 }
 
 #[test]
