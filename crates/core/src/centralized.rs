@@ -7,7 +7,6 @@
 //! efficient placement than DECOR"); it exchanges no messages because a
 //! central authority sees everything.
 
-use crate::benefit::BenefitTable;
 use crate::config::DeploymentConfig;
 use crate::coverage::CoverageMap;
 use crate::metrics::{PlacementOutcome, TracePoint};
@@ -20,46 +19,6 @@ use crate::Placer;
 /// (1 = after every placement, the default).
 #[derive(Clone, Copy, Debug)]
 pub struct CentralizedGreedy;
-
-impl CentralizedGreedy {
-    /// The pre-engine implementation: a [`BenefitTable`] whose `best()` is
-    /// a linear scan over all candidates and whose updates recompute every
-    /// affected benefit. Kept as the reference path for the differential
-    /// tests and the PR-1 benchmark; placement sequences are bit-identical
-    /// to [`Placer::place`].
-    pub fn place_with_benefit_table(
-        &self,
-        map: &mut CoverageMap,
-        cfg: &DeploymentConfig,
-    ) -> PlacementOutcome {
-        cfg.validate();
-        let initial = map.n_active_sensors();
-        let cands: Vec<usize> = (0..map.n_points()).collect();
-        let mut table = BenefitTable::new(map, cands, cfg.rs, cfg.k);
-        let mut out = PlacementOutcome {
-            initial_sensors: initial,
-            ..PlacementOutcome::default()
-        };
-        out.trace.push(TracePoint {
-            total_sensors: initial,
-            fraction_k_covered: map.fraction_k_covered(cfg.k),
-        });
-        while out.placed.len() < cfg.max_new_nodes {
-            let Some((_, _, pos, _)) = table.best() else {
-                break; // zero benefit everywhere => fully k-covered
-            };
-            map.add_sensor(pos, cfg.rs);
-            table.on_sensor_added(map, pos, cfg.rs);
-            out.placed.push(pos);
-            out.trace.push(TracePoint {
-                total_sensors: initial + out.placed.len(),
-                fraction_k_covered: map.fraction_k_covered(cfg.k),
-            });
-        }
-        out.fully_covered = map.count_below(cfg.k) == 0;
-        out
-    }
-}
 
 impl Placer for CentralizedGreedy {
     fn name(&self) -> String {
@@ -226,67 +185,6 @@ mod tests {
         let mut map = fresh_map(300, &cfg);
         let out = CentralizedGreedy.place(&mut map, &cfg);
         assert_eq!(out.messages.protocol_total, 0);
-    }
-
-    #[test]
-    fn engine_path_matches_benefit_table_path() {
-        // The sharded engine must reproduce the seed BenefitTable path
-        // bit-for-bit: same placements in the same order, same trace.
-        for (k, initial) in [(1u32, 0usize), (2, 25), (3, 60)] {
-            let cfg = DeploymentConfig::with_k(k);
-            let mut m_engine = fresh_map(700, &cfg);
-            for i in 0..initial {
-                m_engine.add_sensor(
-                    decor_geom::Point::new(
-                        3.0 + 13.0 * (i % 8) as f64,
-                        3.0 + 17.0 * (i / 8) as f64,
-                    ),
-                    cfg.rs,
-                );
-            }
-            let mut m_table = m_engine.clone();
-            let a = CentralizedGreedy.place(&mut m_engine, &cfg);
-            let b = CentralizedGreedy.place_with_benefit_table(&mut m_table, &cfg);
-            assert_eq!(a.placed, b.placed, "k={k} initial={initial}");
-            assert_eq!(a.fully_covered, b.fully_covered);
-            assert_eq!(a.trace.len(), b.trace.len());
-            for (ta, tb) in a.trace.iter().zip(&b.trace) {
-                assert_eq!(ta.total_sensors, tb.total_sensors);
-                assert_eq!(ta.fraction_k_covered, tb.fraction_k_covered);
-            }
-        }
-    }
-
-    #[test]
-    fn restoration_from_damage_hole_matches_reference_path() {
-        // The engine path restricts candidates to deficient tiles plus an
-        // rs-ring; the reference path sweeps every point. After an area
-        // failure both must restore with bit-identical placements.
-        let cfg = DeploymentConfig::with_k(2);
-        let mut map = fresh_map(900, &cfg);
-        let mut ids = Vec::new();
-        for i in 0..20 {
-            for j in 0..20 {
-                ids.push(map.add_sensor(
-                    decor_geom::Point::new(2.5 + 5.0 * i as f64, 2.5 + 5.0 * j as f64),
-                    cfg.rs,
-                ));
-            }
-        }
-        // Kill everything within 18 units of the field center.
-        let hole = decor_geom::Point::new(50.0, 50.0);
-        for &id in &ids {
-            if map.sensor_pos(id).dist(hole) <= 18.0 {
-                map.deactivate_sensor(id);
-            }
-        }
-        assert!(map.count_below(cfg.k) > 0, "the hole must create deficit");
-        let mut m_table = map.clone();
-        let a = CentralizedGreedy.place(&mut map, &cfg);
-        let b = CentralizedGreedy.place_with_benefit_table(&mut m_table, &cfg);
-        assert_eq!(a.placed, b.placed, "restoration placements must match");
-        assert!(a.fully_covered);
-        map.verify_consistency();
     }
 
     #[test]

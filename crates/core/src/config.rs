@@ -67,16 +67,24 @@ impl LinkConfig {
         }
     }
 
-    /// Validates invariants; [`DeploymentConfig::validate`] calls this.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..1.0).contains(&self.loss_rate),
-            "loss rate must be in [0, 1), got {}",
-            self.loss_rate
-        );
-        assert!(self.backoff_base > 0, "backoff base must be positive");
+    /// Checks the knobs' ranges; [`DeploymentConfig::check`] includes this.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        if !(0.0..1.0).contains(&self.loss_rate) {
+            let rule = format!("loss rate must be in [0, 1), got {}", self.loss_rate);
+            return Err(ConfigError("loss_rate", rule));
+        }
+        if self.backoff_base == 0 {
+            let rule = "backoff base must be positive".into();
+            return Err(ConfigError("backoff_base", rule));
+        }
+        Ok(())
     }
 }
+
+/// A configuration value outside its valid range: the field, named as in
+/// its struct (`rs`, `backoff_base`), and the rule the value breaks.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError(pub &'static str, pub String);
 
 /// Parameters of a coverage-restoration run.
 ///
@@ -147,18 +155,34 @@ impl DeploymentConfig {
         }
     }
 
-    /// Validates invariants; placers call this on entry.
+    /// Checks every value's range but the rotation's, which
+    /// `RotationConfig::validate` owns.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let (rs, rc) = (self.rs, self.rc);
+        if !(rs > 0.0 && rs.is_finite()) {
+            return Err(ConfigError("rs", "rs must be positive".into()));
+        }
+        if rc.is_nan() || rc < rs {
+            let rule = format!("paper assumption rs <= rc violated (rs={rs}, rc={rc})");
+            return Err(ConfigError("rc", rule));
+        }
+        if self.k < 1 {
+            let rule = "coverage requirement k must be at least 1".into();
+            return Err(ConfigError("k", rule));
+        }
+        if self.max_new_nodes == 0 {
+            let rule = "max_new_nodes must be positive".into();
+            return Err(ConfigError("max_new_nodes", rule));
+        }
+        self.link.check()
+    }
+
+    /// Validates invariants, panicking on [`DeploymentConfig::check`]'s
+    /// error; placers call this on entry.
     pub fn validate(&self) {
-        assert!(self.rs > 0.0 && self.rs.is_finite(), "rs must be positive");
-        assert!(
-            self.rc >= self.rs,
-            "paper assumption rs <= rc violated (rs={}, rc={})",
-            self.rs,
-            self.rc
-        );
-        assert!(self.k >= 1, "coverage requirement k must be at least 1");
-        assert!(self.max_new_nodes > 0, "max_new_nodes must be positive");
-        self.link.validate();
+        if let Err(ConfigError(_, rule)) = self.check() {
+            panic!("{rule}");
+        }
         if let Some(rot) = &self.rotation {
             rot.validate();
         }
@@ -304,7 +328,7 @@ mod tests {
     fn default_link_is_lossless() {
         let link = LinkConfig::default();
         assert!(!link.is_lossy());
-        link.validate();
+        assert_eq!(link.check(), Ok(()));
         assert_eq!(link.transport(), decor_net::TransportConfig::default());
     }
 
@@ -312,7 +336,7 @@ mod tests {
     fn lossy_link_applies_to_networks() {
         let link = LinkConfig::lossy(0.3, 7);
         assert!(link.is_lossy());
-        link.validate();
+        assert_eq!(link.check(), Ok(()));
         assert_eq!(link.max_retries, LinkConfig::default().max_retries);
     }
 

@@ -30,8 +30,7 @@
 //! ([`crate::NeighborKnowledge`], keyed by cell index — cell members share
 //! a blackboard, so whoever leads next round inherits the gap), and the
 //! blind cell may re-cover the border redundantly. The transport bounds
-//! that waste; the fire-and-forget reference path would let it grow
-//! silently.
+//! that waste.
 
 use crate::config::DeploymentConfig;
 use crate::coverage::CoverageMap;
@@ -173,7 +172,7 @@ impl Cells {
     }
 }
 
-/// Grid-scheme round-loop scratch: every per-run buffer `place_impl`
+/// Grid-scheme round-loop scratch: every per-run buffer `place_in`
 /// needs, pooled inside [`SimScratch`] so warm runs reuse the capacity.
 /// All state is fully re-derived per run — nothing observable leaks
 /// between runs.
@@ -213,7 +212,7 @@ pub(crate) struct GridScratch {
 /// map deactivates the sensor (ground truth drops), the cell drops the
 /// member (so rotations never elect the dead), and the invariant checker
 /// learns the death. The sharded engine needs no update because chaos
-/// runs disable it (see `place_impl`).
+/// runs use the direct scan (see `GridDecor::cell_best`).
 fn retire_crashed(
     crashed: Vec<NodeId>,
     map: &mut CoverageMap,
@@ -308,16 +307,23 @@ impl GridDecor {
 
     /// Per-cell best query, answered by the sharded engine when one is in
     /// use (cached per-cell maxima, delta-maintained) and by the direct
-    /// O(cell²) scan otherwise. Both produce identical results — the
-    /// equivalence is tested below. The engine path assumes ground-truth
-    /// coverage, so `place_impl` never enables it on a lossy medium (where
-    /// estimates also depend on the knowledge ledger).
+    /// O(cell²) scan otherwise. The run's inputs pick the path, and the
+    /// engine serves only lossless, chaos-free runs, for two reasons:
+    ///
+    /// - under loss a cell's estimate also depends on its knowledge
+    ///   ledger, and an adopting leader judges an empty neighbor cell with
+    ///   *its own* cell's ledger — a per-cell engine view cannot answer
+    ///   that query;
+    /// - a chaos crash can make a cell deficient that had no shard when
+    ///   the engine was built.
     ///
     /// The engine covers only the cells that were deficient at build time
-    /// (`shard_of_cell[ci] == u32::MAX` marks the rest): on the loss-free
-    /// no-chaos path coverage is monotone, so a cell that starts clean can
-    /// never regain a positive truncated benefit — the direct scan would
-    /// answer `None` for it on every round.
+    /// (`shard_of_cell[ci] == u32::MAX` marks the rest): without loss or
+    /// chaos coverage is monotone, so a cell that starts clean can never
+    /// regain a positive truncated benefit — the direct scan would answer
+    /// `None` for it on every round. In debug builds with the invariant
+    /// checker on, every engine answer is cross-checked against that scan
+    /// (invariant 5).
     fn cell_best(
         engine: &mut Option<&mut ShardedBenefitEngine>,
         shard_of_cell: &[u32],
@@ -327,16 +333,20 @@ impl GridDecor {
         cfg: &DeploymentConfig,
         hidden: Option<&BTreeSet<usize>>,
     ) -> Option<(usize, u64)> {
-        match engine.as_mut() {
-            Some(e) => {
-                debug_assert!(hidden.is_none(), "engine requires ground-truth coverage");
-                match shard_of_cell[ci] {
-                    u32::MAX => None,
-                    si => e.best_in_shard(map, si as usize),
-                }
-            }
-            None => Self::best_candidate(map, cells, ci, cfg, hidden),
+        let Some(e) = engine.as_mut() else {
+            return Self::best_candidate(map, cells, ci, cfg, hidden);
+        };
+        debug_assert!(hidden.is_none(), "engine requires ground-truth coverage");
+        let best = match shard_of_cell[ci] {
+            u32::MAX => None,
+            si => e.best_in_shard(map, si as usize),
+        };
+        if cfg!(debug_assertions) && cfg.invariants.is_enabled() {
+            let fresh = Self::best_candidate(map, cells, ci, cfg, None);
+            cfg.invariants
+                .check_cache("grid engine best of cell", ci, &best, &fresh);
         }
+        best
     }
 }
 
@@ -346,33 +356,18 @@ impl Placer for GridDecor {
     }
 
     fn place(&self, map: &mut CoverageMap, cfg: &DeploymentConfig) -> PlacementOutcome {
-        self.place_impl(map, cfg, true, true, &mut SimScratch::new())
+        self.place_in(map, cfg, &mut SimScratch::new())
     }
 
+    /// The one production path. Placement notices ride the reliable
+    /// transport; per-cell bests come from the sharded engine on a
+    /// lossless, chaos-free run and from the direct per-cell scan
+    /// otherwise (see `GridDecor::cell_best` for why the inputs, not a
+    /// flag, pick the path).
     fn place_in(
         &self,
         map: &mut CoverageMap,
         cfg: &DeploymentConfig,
-        scratch: &mut SimScratch,
-    ) -> PlacementOutcome {
-        self.place_impl(map, cfg, true, true, scratch)
-    }
-}
-
-impl GridDecor {
-    /// Implementation behind [`Placer::place`]. `use_engine` switches
-    /// between the sharded engine with per-cell cached maxima (production)
-    /// and the direct O(cell²) per-cell scan (reference); `use_transport`
-    /// between reliable ack/retry notices (production) and fire-and-forget
-    /// unicasts (the pre-transport reference, valid only on a loss-free
-    /// medium). Differential tests below pin the paths to identical
-    /// placements.
-    fn place_impl(
-        &self,
-        map: &mut CoverageMap,
-        cfg: &DeploymentConfig,
-        use_engine: bool,
-        use_transport: bool,
         scratch: &mut SimScratch,
     ) -> PlacementOutcome {
         cfg.validate();
@@ -380,11 +375,6 @@ impl GridDecor {
             self.cell_size > 0.0 && self.cell_size.is_finite(),
             "cell size must be positive"
         );
-        let lossy = cfg.link.is_lossy();
-        // The engine caches ground-truth per-cell maxima; under loss the
-        // estimates also depend on the knowledge ledger, and under chaos
-        // crashes retire sensors the cache cannot un-add — scan directly.
-        let use_engine = use_engine && !lossy && cfg.chaos.is_none();
         let field = *map.field();
         // Split the scratch into its independent pools up front so the
         // round loop can borrow them side by side.
@@ -432,24 +422,14 @@ impl GridDecor {
         };
         cfg.link.apply(&mut net);
         net.set_trace(cfg.trace.clone());
-        let mut transport = if use_transport {
-            Some(match transport_pool.take() {
-                Some(mut t) => {
-                    t.reset(cfg.link.transport());
-                    t
-                }
-                None => Transport::new(cfg.link.transport()),
-            })
-        } else {
-            None
+        let mut transport = match transport_pool.take() {
+            Some(mut t) => {
+                t.reset(cfg.link.transport());
+                t
+            }
+            None => Transport::new(cfg.link.transport()),
         };
-        // Chaos rides the transport clock, so the fire-and-forget
-        // reference path ignores any configured plan (differential tests
-        // never combine the two).
-        let mut chaos = match (&transport, &cfg.chaos) {
-            (Some(_), Some(plan)) => Some(ChaosEngine::borrowed(plan)),
-            _ => None,
-        };
+        let mut chaos = cfg.chaos.as_ref().map(ChaosEngine::borrowed);
         // Viewer key: cell index. Cell members share a blackboard, so a
         // missed notice blinds the whole cell across leader rotations.
         let mut knowledge = NeighborKnowledge::new();
@@ -473,9 +453,10 @@ impl GridDecor {
         // so the engine build (the O(points·deg) part) touches only the
         // damaged cells — `uncovered_ids` walks the coverage map's
         // deficient tiles rather than sweeping the field.
+        // Lossless, chaos-free runs only (see `GridDecor::cell_best`).
         let mut engine: Option<&mut ShardedBenefitEngine> = None;
         shard_of_cell.clear();
-        if use_engine {
+        if !cfg.link.is_lossy() && cfg.chaos.is_none() {
             shard_of_cell.resize(cells.len(), u32::MAX);
             deficient.clear();
             deficient.resize(cells.len(), false);
@@ -499,12 +480,9 @@ impl GridDecor {
             }
             engine_pool.reset_cells(map, &partition[..n_shards], cfg.rs, cfg.k);
             engine = Some(engine_pool);
-        }
-        // On the engine path adoption can only land in a shard-bearing
-        // neighbor (clean cells answer `None` forever), so each cell's
-        // adoption scan list shrinks to those, preserving neighbor order.
-        let use_adopt_targets = engine.is_some();
-        if use_adopt_targets {
+            // Adoption can only land in a shard-bearing neighbor (clean
+            // cells answer `None` forever), so each cell's adoption scan
+            // list shrinks to those, preserving neighbor order.
             for ci in 0..cells.len() {
                 if ci == adopt_targets.len() {
                     adopt_targets.push(Vec::new());
@@ -528,11 +506,11 @@ impl GridDecor {
             fraction_k_covered: map.fraction_k_covered(cfg.k),
         });
 
-        let mut round: u64 = 0;
-        while out.placed.len() < cfg.max_new_nodes && (round as usize) < MAX_ROUNDS {
+        while out.placed.len() < cfg.max_new_nodes && out.rounds < MAX_ROUNDS {
+            let round = out.rounds as u64;
             // Faults due by now land before any election of this round.
-            if let (Some(ch), Some(tr)) = (chaos.as_mut(), transport.as_ref()) {
-                ch.advance_to(&mut net, tr.now());
+            if let Some(ch) = chaos.as_mut() {
+                ch.advance_to(&mut net, transport.now());
                 retire_crashed(
                     ch.take_crashed(),
                     map,
@@ -542,9 +520,7 @@ impl GridDecor {
                     &cfg.invariants,
                 );
             }
-            if let Some(tr) = transport.as_ref() {
-                cfg.trace.set_time(tr.now());
-            }
+            cfg.trace.set_time(transport.now());
             cfg.trace.emit(TraceEvent::RoundBegin {
                 scheme: "grid",
                 round,
@@ -595,7 +571,7 @@ impl GridDecor {
                 // with its own cell's knowledge. On the engine path the
                 // scan list was precomputed down to shard-bearing
                 // neighbors; everything else is a guaranteed `None`.
-                let adoption_scan: &[usize] = if use_adopt_targets {
+                let adoption_scan: &[usize] = if engine.is_some() {
                     &adopt_targets[ci]
                 } else {
                     cells.neighbors_into(ci, neigh);
@@ -643,15 +619,7 @@ impl GridDecor {
                             sid_of,
                             &cfg.invariants,
                         );
-                        cfg.trace.emit(TraceEvent::RoundEnd { round, placed: 0 });
-                        cfg.trace.emit(TraceEvent::CoverageDelta {
-                            below_target: map.count_below(cfg.k) as u64,
-                        });
-                        round += 1;
-                        out.trace.push(TracePoint {
-                            total_sensors: initial + out.placed.len(),
-                            fraction_k_covered: map.fraction_k_covered(cfg.k),
-                        });
+                        out.close_round(map, cfg, 0);
                         continue;
                     }
                     break;
@@ -697,15 +665,7 @@ impl GridDecor {
                             benefit: b,
                             agent: target as u64,
                         });
-                        cfg.trace.emit(TraceEvent::RoundEnd { round, placed: 1 });
-                        cfg.trace.emit(TraceEvent::CoverageDelta {
-                            below_target: map.count_below(cfg.k) as u64,
-                        });
-                        round += 1;
-                        out.trace.push(TracePoint {
-                            total_sensors: initial + out.placed.len(),
-                            fraction_k_covered: map.fraction_k_covered(cfg.k),
-                        });
+                        out.close_round(map, cfg, 1);
                         continue;
                     }
                 }
@@ -745,116 +705,68 @@ impl GridDecor {
                 let disk = decor_geom::Disk::new(pos, cfg.rs);
                 cells.neighbors_into(ci, neigh);
                 for &nc in neigh.iter() {
-                    if cells.members[nc].is_empty() {
+                    if cells.members[nc].is_empty() || !disk.intersects_aabb(&cells.rect(nc)) {
                         continue;
                     }
-                    if disk.intersects_aabb(&cells.rect(nc)) {
-                        let nb_leader =
-                            rotation_leader_in(&cells.members[nc], round, elect).unwrap();
-                        match transport.as_mut() {
-                            Some(tr) => {
-                                let id =
-                                    tr.send(leader, nb_leader, Message::PlacementNotice { pos });
-                                pending.push((id, nc, new_sid));
-                            }
-                            None => {
-                                // Best effort: range failures (exotic
-                                // geometries) are modelled as multi-hop and
-                                // still counted.
-                                if net
-                                    .unicast(leader, nb_leader, Message::PlacementNotice { pos })
-                                    .is_err()
-                                {
-                                    net.stats.protocol_sent += 1;
-                                    net.stats.total_sent += 1;
-                                }
-                            }
-                        }
-                    }
+                    let nb_leader = rotation_leader_in(&cells.members[nc], round, elect).unwrap();
+                    let id = transport.send(leader, nb_leader, Message::PlacementNotice { pos });
+                    pending.push((id, nc, new_sid));
                 }
             }
-            if let Some(tr) = transport.as_mut() {
-                // Under chaos the flush interleaves fault injection with
-                // the retry clock, so crashes land between retransmissions.
-                match chaos.as_mut() {
-                    Some(ch) => tr.flush_chaos_into(&mut net, ch, flushed),
-                    None => tr.flush_into(&mut net, flushed),
-                }
-                // Ids are unique, so a sorted slice answers the same
-                // lookups the old per-round BTreeMap did, without its
-                // node allocations.
-                flushed.sort_unstable_by_key(|&(id, _)| id);
-                for &(id, nc, new_sid) in pending.iter() {
-                    let outcome = flushed
-                        .binary_search_by_key(&id, |&(i, _)| i)
-                        .ok()
-                        .map(|ix| &flushed[ix].1);
-                    match outcome {
-                        Some(DeliveryOutcome::Delivered { .. }) => {
-                            cfg.invariants.check_ledger(
-                                nc as u64,
-                                new_sid as u64,
-                                true,
-                                knowledge.knows(nc, new_sid),
-                            );
-                        }
-                        // The peer leader is unreachable directly — exotic
-                        // geometry, or a chaos crash mid-flight: modelled
-                        // as multi-hop (same as the legacy path) — the
-                        // notice reaches the cell, at one message's cost.
-                        Some(DeliveryOutcome::PeerDown) => {
-                            net.stats.protocol_sent += 1;
-                            net.stats.total_sent += 1;
-                            cfg.invariants.check_ledger(
-                                nc as u64,
-                                new_sid as u64,
-                                true,
-                                knowledge.knows(nc, new_sid),
-                            );
-                        }
-                        // Retry budget exhausted (or unflushed, which
-                        // cannot happen): the cell never hears of the
-                        // sensor.
-                        _ => {
-                            knowledge.hide(nc, new_sid);
-                            cfg.invariants.check_ledger(
-                                nc as u64,
-                                new_sid as u64,
-                                false,
-                                knowledge.knows(nc, new_sid),
-                            );
-                        }
+            // Under chaos the flush interleaves fault injection with the
+            // retry clock, so crashes land between retransmissions.
+            match chaos.as_mut() {
+                Some(ch) => transport.flush_chaos_into(&mut net, ch, flushed),
+                None => transport.flush_into(&mut net, flushed),
+            }
+            // Ids are unique, so a sorted slice answers the same lookups
+            // the old per-round BTreeMap did, without its node allocations.
+            flushed.sort_unstable_by_key(|&(id, _)| id);
+            for &(id, nc, new_sid) in pending.iter() {
+                let outcome = flushed
+                    .binary_search_by_key(&id, |&(i, _)| i)
+                    .ok()
+                    .map(|ix| &flushed[ix].1);
+                let arrived = match outcome {
+                    Some(DeliveryOutcome::Delivered { .. }) => true,
+                    // The peer leader is unreachable directly — exotic
+                    // geometry, or a chaos crash mid-flight: modelled as
+                    // multi-hop — the notice reaches the cell, at one
+                    // message's cost.
+                    Some(DeliveryOutcome::PeerDown) => {
+                        net.stats.protocol_sent += 1;
+                        net.stats.total_sent += 1;
+                        true
                     }
-                }
-                // Crashes that fired during the flush retire their sensors
-                // before the round closes.
-                if let Some(ch) = chaos.as_mut() {
-                    retire_crashed(
-                        ch.take_crashed(),
-                        map,
-                        &mut cells,
-                        &net,
-                        sid_of,
-                        &cfg.invariants,
-                    );
-                }
+                    // Retry budget exhausted (or unflushed, which cannot
+                    // happen): the cell never hears of the sensor.
+                    _ => {
+                        knowledge.hide(nc, new_sid);
+                        false
+                    }
+                };
+                cfg.invariants.check_ledger(
+                    nc as u64,
+                    new_sid as u64,
+                    arrived,
+                    knowledge.knows(nc, new_sid),
+                );
+            }
+            // Crashes that fired during the flush retire their sensors
+            // before the round closes.
+            if let Some(ch) = chaos.as_mut() {
+                retire_crashed(
+                    ch.take_crashed(),
+                    map,
+                    &mut cells,
+                    &net,
+                    sid_of,
+                    &cfg.invariants,
+                );
             }
 
-            if let Some(tr) = transport.as_ref() {
-                cfg.trace.set_time(tr.now());
-            }
-            cfg.trace.emit(TraceEvent::RoundEnd {
-                round,
-                placed: (out.placed.len() - placed_before_round) as u64,
-            });
-            cfg.trace.emit(TraceEvent::CoverageDelta {
-                below_target: map.count_below(cfg.k) as u64,
-            });
-            round += 1;
-            out.trace.push(TracePoint {
-                total_sensors: initial + out.placed.len(),
-                fraction_k_covered: map.fraction_k_covered(cfg.k),
-            });
+            cfg.trace.set_time(transport.now());
+            out.close_round(map, cfg, out.placed.len() - placed_before_round);
             if map.count_below(cfg.k) == 0 {
                 // Covered, but faults still pending: force the next batch
                 // rather than converging early (see the stall-branch twin).
@@ -875,39 +787,27 @@ impl GridDecor {
             }
         }
 
-        out.rounds = round as usize;
         out.fully_covered = map.count_below(cfg.k) == 0;
         cfg.invariants.check_converged(
             out.fully_covered,
             chaos.as_ref().is_some_and(|ch| !ch.is_exhausted()),
-            out.placed.len() >= cfg.max_new_nodes || (round as usize) >= MAX_ROUNDS,
+            out.placed.len() >= cfg.max_new_nodes || out.rounds >= MAX_ROUNDS,
         );
         let populated = cells.members.iter().filter(|m| !m.is_empty()).count();
         let total_members: usize = cells.members.iter().map(Vec::len).sum();
-        let (retries, acks, notices_gave_up, duplicates_suppressed) = match &transport {
-            Some(tr) => (
-                tr.stats.retries,
-                tr.stats.acks,
-                tr.stats.gave_up,
-                tr.stats.duplicates_suppressed,
-            ),
-            None => (0, 0, 0, 0),
-        };
         out.messages = MessageStats {
             protocol_total: net.stats.protocol_sent,
             cells: populated.max(1),
             per_cell: net.stats.protocol_sent as f64 / populated.max(1) as f64,
             per_node_rotated: net.stats.protocol_sent as f64 / total_members.max(1) as f64,
-            retries,
-            acks,
-            notices_gave_up,
-            duplicates_suppressed,
+            retries: transport.stats.retries,
+            acks: transport.stats.acks,
+            notices_gave_up: transport.stats.gave_up,
+            duplicates_suppressed: transport.stats.duplicates_suppressed,
         };
         *cells_pool = Some(cells);
         *net_pool = Some(net);
-        if let Some(t) = transport {
-            *transport_pool = Some(t);
-        }
+        *transport_pool = Some(transport);
         out
     }
 }
@@ -1029,20 +929,42 @@ mod tests {
         assert!(!out.fully_covered);
     }
 
+    /// Runs `placer` on a copy of `map` twice: once with the invariant
+    /// checker on, so every per-cell best the sharded engine serves is
+    /// cross-checked against the direct scan (invariant 5), and once with
+    /// an empty fault plan, which selects the direct scan. The two runs
+    /// must agree bit for bit: same placements, rounds and messages.
+    fn assert_engine_matches_direct_scan(
+        placer: GridDecor,
+        map: &CoverageMap,
+        cfg: &DeploymentConfig,
+    ) {
+        use crate::invariants::InvariantChecker;
+        use decor_net::FaultPlan;
+        let checked = DeploymentConfig {
+            invariants: InvariantChecker::enabled(),
+            ..cfg.clone()
+        };
+        let direct = DeploymentConfig {
+            chaos: Some(FaultPlan::empty()),
+            ..cfg.clone()
+        };
+        let (mut m_engine, mut m_direct) = (map.clone(), map.clone());
+        let a = placer.place(&mut m_engine, &checked);
+        let b = placer.place(&mut m_direct, &direct);
+        checked.invariants.assert_green();
+        assert_eq!(a.placed, b.placed, "cell={}", placer.cell_size);
+        assert_eq!(a.rounds, b.rounds);
+        assert_eq!(a.fully_covered, b.fully_covered);
+        assert_eq!(a.messages, b.messages);
+        m_engine.verify_consistency();
+    }
+
     #[test]
     fn engine_path_matches_direct_scan_path() {
-        // The cells-mode engine must reproduce the direct per-cell scan
-        // bit-for-bit: same placements, rounds, and message counts.
         for (k, initial, cell) in [(1u32, 0usize, 5.0), (2, 50, 5.0), (3, 80, 10.0)] {
-            let (mut m_engine, cfg) = setup(k, 600, initial, 11);
-            let mut m_direct = m_engine.clone();
-            let placer = GridDecor { cell_size: cell };
-            let a = placer.place_impl(&mut m_engine, &cfg, true, true, &mut SimScratch::new());
-            let b = placer.place_impl(&mut m_direct, &cfg, false, true, &mut SimScratch::new());
-            assert_eq!(a.placed, b.placed, "k={k} initial={initial} cell={cell}");
-            assert_eq!(a.rounds, b.rounds);
-            assert_eq!(a.fully_covered, b.fully_covered);
-            assert_eq!(a.messages.protocol_total, b.messages.protocol_total);
+            let (map, cfg) = setup(k, 600, initial, 11);
+            assert_engine_matches_direct_scan(GridDecor { cell_size: cell }, &map, &cfg);
         }
     }
 
@@ -1070,33 +992,24 @@ mod tests {
             }
         }
         assert!(map.count_below(cfg.k) > 0);
-        let mut m_direct = map.clone();
-        let placer = GridDecor { cell_size: 5.0 };
-        let a = placer.place_impl(&mut map, &cfg, true, true, &mut SimScratch::new());
-        let b = placer.place_impl(&mut m_direct, &cfg, false, true, &mut SimScratch::new());
-        assert_eq!(a.placed, b.placed);
-        assert_eq!(a.rounds, b.rounds);
-        assert!(a.fully_covered);
-        map.verify_consistency();
+        assert_engine_matches_direct_scan(GridDecor { cell_size: 5.0 }, &map, &cfg);
     }
 
     #[test]
-    fn transport_path_matches_legacy_at_zero_loss() {
-        // On a loss-free medium the reliable transport must not change a
-        // single placement decision; only the accounting gains ack frames.
+    fn zero_loss_notices_need_no_retries() {
+        // On a loss-free medium every notice lands on its first attempt
+        // and is acked once: no retries and no give-ups. The protocol
+        // plane is one data frame plus one ack per notice, plus one
+        // multi-hop frame per notice an adopting leader sends beyond its
+        // radio range.
         for (k, initial, cell) in [(1u32, 30usize, 5.0), (2, 60, 10.0)] {
-            let (mut m_tr, cfg) = setup(k, 500, initial, 15);
-            let mut m_legacy = m_tr.clone();
-            let placer = GridDecor { cell_size: cell };
-            let a = placer.place_impl(&mut m_tr, &cfg, true, true, &mut SimScratch::new());
-            let b = placer.place_impl(&mut m_legacy, &cfg, true, false, &mut SimScratch::new());
-            assert_eq!(a.placed, b.placed, "k={k} cell={cell}");
-            assert_eq!(a.rounds, b.rounds);
-            assert_eq!(a.fully_covered, b.fully_covered);
-            assert_eq!(a.messages.retries, 0, "no loss, no retries");
-            assert_eq!(a.messages.notices_gave_up, 0);
-            assert!(a.messages.acks > 0);
-            assert!(a.messages.protocol_total > b.messages.protocol_total);
+            let (mut map, cfg) = setup(k, 500, initial, 15);
+            let m = GridDecor { cell_size: cell }.place(&mut map, &cfg).messages;
+            assert_eq!(m.retries, 0, "k={k} cell={cell}");
+            assert_eq!(m.notices_gave_up, 0);
+            assert_eq!(m.duplicates_suppressed, 0);
+            assert!(m.acks > 0);
+            assert!(m.protocol_total >= 2 * m.acks);
         }
     }
 

@@ -130,9 +130,8 @@ impl Placer for HoleHealing {
         // first round no true hole remains and invalidated whenever a
         // crash retires coverage behind its back.
         let mut engine: Option<ShardedBenefitEngine> = None;
-        let mut rounds = 0usize;
-        while out.placed.len() < cfg.max_new_nodes && rounds < MAX_ROUNDS {
-            let round = rounds as u64;
+        while out.placed.len() < cfg.max_new_nodes && out.rounds < MAX_ROUNDS {
+            let round = out.rounds as u64;
             // The healer has no transport; chaos rides a per-round clock
             // with the transport's backoff tick, so scripted faults land
             // between placements exactly as they do for the distributed
@@ -158,15 +157,7 @@ impl Placer for HoleHealing {
                     if retire_crashed(ch.take_crashed(), map, &sid_of, &cfg.invariants) > 0 {
                         engine = None;
                     }
-                    cfg.trace.emit(TraceEvent::RoundEnd { round, placed: 0 });
-                    cfg.trace.emit(TraceEvent::CoverageDelta {
-                        below_target: map.count_below(cfg.k) as u64,
-                    });
-                    rounds += 1;
-                    out.trace.push(TracePoint {
-                        total_sensors: initial + out.placed.len(),
-                        fraction_k_covered: map.fraction_k_covered(cfg.k),
-                    });
+                    out.close_round(map, cfg, 0);
                     continue;
                 }
                 break;
@@ -210,23 +201,14 @@ impl Placer for HoleHealing {
                 benefit,
                 agent: u64::MAX,
             });
-            cfg.trace.emit(TraceEvent::RoundEnd { round, placed: 1 });
-            cfg.trace.emit(TraceEvent::CoverageDelta {
-                below_target: map.count_below(cfg.k) as u64,
-            });
-            rounds += 1;
-            out.trace.push(TracePoint {
-                total_sensors: initial + out.placed.len(),
-                fraction_k_covered: map.fraction_k_covered(cfg.k),
-            });
+            out.close_round(map, cfg, 1);
         }
 
-        out.rounds = rounds;
         out.fully_covered = map.count_below(cfg.k) == 0;
         cfg.invariants.check_converged(
             out.fully_covered,
             chaos.as_ref().is_some_and(|ch| !ch.is_exhausted()),
-            out.placed.len() >= cfg.max_new_nodes || rounds >= MAX_ROUNDS,
+            out.placed.len() >= cfg.max_new_nodes || out.rounds >= MAX_ROUNDS,
         );
         // No messages: the healer is centralized (cost accounting matches
         // the centralized baseline's all-zero stats).

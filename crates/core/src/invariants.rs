@@ -14,6 +14,13 @@
 //!    notice reveals the sensor, an exhausted retry budget hides it.
 //! 4. **Eventual restoration** — once every scripted fault has fired and
 //!    no resource cap intervened, the placer reaches full `k`-coverage.
+//! 5. **Caches are transparent** — a cached answer equals a fresh
+//!    recomputation: every Voronoi ownership-cache entry, each round,
+//!    and every per-cell best the grid's sharded engine serves. The
+//!    fresh side is the full recomputation the caches exist to avoid,
+//!    so the placers run this check only in debug builds
+//!    (`cfg!(debug_assertions)`); release runs with the checker on, such
+//!    as the benchmark's traced replays, keep their cost profile.
 //!
 //! The checker rides [`crate::DeploymentConfig`] exactly like the trace
 //! handle: the default is *disabled* and every hook reduces to a branch on
@@ -179,6 +186,24 @@ impl InvariantChecker {
         });
     }
 
+    /// Invariant 5: the `cached` answer a placer's `cache` holds for
+    /// `key` must equal the `fresh` recomputation.
+    pub fn check_cache<T: PartialEq + std::fmt::Debug + ?Sized>(
+        &self,
+        cache: &str,
+        key: usize,
+        cached: &T,
+        fresh: &T,
+    ) {
+        self.with(|s| {
+            if cached != fresh {
+                s.violations.push(format!(
+                    "{cache} {key}: cached {cached:?} but a fresh recomputation gives {fresh:?}"
+                ));
+            }
+        });
+    }
+
     /// Nodes recorded dead so far (accounting-network ids).
     pub fn dead(&self) -> Vec<u64> {
         self.with(|s| s.dead.iter().copied().collect())
@@ -238,10 +263,31 @@ mod tests {
         c.check_estimate(5, 9, 1);
         c.check_ledger(1, 2, true, false);
         c.check_converged(false, false, false);
+        c.check_cache("voronoi ownership of point", 4, &[1usize, 2][..], &[1][..]);
         assert!(c.is_green());
         assert!(c.violations().is_empty());
         assert!(c.dead().is_empty());
         c.assert_green();
+    }
+
+    #[test]
+    fn stale_cache_entries_are_violations() {
+        let c = InvariantChecker::enabled();
+        c.check_cache(
+            "grid engine best of cell",
+            3,
+            &Some((7usize, 2u64)),
+            &Some((7, 2)),
+        );
+        assert!(c.is_green());
+        c.check_cache("grid engine best of cell", 3, &Some((7usize, 2u64)), &None);
+        assert_eq!(
+            c.violations(),
+            vec![
+                "grid engine best of cell 3: cached Some((7, 2)) but a fresh recomputation \
+                 gives None"
+            ]
+        );
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod voronoi_scheme;
 pub use async_grid::AsyncGridDecor;
 pub use benefit::{benefit_at, BenefitTable};
 pub use centralized::CentralizedGreedy;
-pub use config::{DeploymentConfig, LinkConfig, SchemeKind};
+pub use config::{ConfigError, DeploymentConfig, LinkConfig, SchemeKind};
 pub use coverage::{CoverageMap, SensorId};
 pub use diagnostics::DeploymentDiagnostics;
 pub use endurance::{run_endurance, EnduranceConfig, EnduranceReport};

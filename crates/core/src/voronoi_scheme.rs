@@ -176,22 +176,61 @@ struct OwnersScratch {
     coverers: Vec<(usize, decor_geom::Point)>,
 }
 
+/// The per-point ownership cache: `owners[pid]` is the last
+/// [`VoronoiDecor::point_owners_into`] result for point `pid`. An entry
+/// goes stale when a sensor lands within `rc` of the point or a crash
+/// retires one within `max(rc, rs)` of it (see [`retire_crashed`]); ledger
+/// writes need no hook of their own (DESIGN.md §17). Stale points wait on
+/// the `dirty` worklist, so a round's recompute cost is proportional to
+/// the disturbed area, not the field.
+#[derive(Default)]
+struct OwnerCache {
+    /// Cached owners per point; the inner vecs are recycled in place.
+    owners: Vec<Vec<usize>>,
+    /// Dedup guard of `dirty` (`true` = awaiting a recompute).
+    stale: Vec<bool>,
+    /// Worklist of point ids awaiting a recompute.
+    dirty: Vec<usize>,
+    /// Dense "point has at least one owner" flags — what the decision
+    /// phase iterates. An ascending-pid scan over this reproduces the
+    /// retired `BTreeSet<usize>`'s iteration order exactly.
+    active: Vec<bool>,
+}
+
+impl OwnerCache {
+    /// Marks all `n_points` entries stale, keeping the allocations.
+    fn reset(&mut self, n_points: usize) {
+        for o in self.owners.iter_mut() {
+            o.clear();
+        }
+        self.owners.resize_with(n_points, Vec::new);
+        self.stale.clear();
+        self.stale.resize(n_points, true);
+        self.dirty.clear();
+        self.dirty.extend(0..n_points);
+        self.active.clear();
+        self.active.resize(n_points, false);
+    }
+
+    /// Marks every point within `radius` of `center` stale.
+    fn invalidate(&mut self, map: &CoverageMap, center: decor_geom::Point, radius: f64) {
+        map.for_each_point_within_unordered(center, radius, |pid, _| {
+            if !self.stale[pid] {
+                self.stale[pid] = true;
+                self.dirty.push(pid);
+            }
+        });
+    }
+}
+
 /// Voronoi-scheme run/round buffers, pooled in [`SimScratch`] so warm
 /// fleet runs reuse last run's capacity. Everything is cleared or
 /// rebuilt at run start (or per round) before any read, so contents
 /// never leak between runs — the pool-poisoning proptests pin this.
 #[derive(Default)]
 pub(crate) struct VoronoiScratch {
-    /// Per-point ownership cache; the inner vecs are recycled in place.
-    owners: Vec<Vec<usize>>,
-    /// Cache-invalidation dedup guard (`true` = needs recompute).
-    owners_dirty: Vec<bool>,
-    /// Worklist of point ids awaiting an ownership recompute.
-    dirty: Vec<usize>,
-    /// Dense "point has at least one owner" flags. An ascending-pid scan
-    /// over this reproduces the retired `BTreeSet<usize>`'s iteration
-    /// order exactly.
-    active: Vec<bool>,
+    /// The per-point ownership cache.
+    cache: OwnerCache,
     /// Per-round `(agent sid, owned deficient pid)` pairs; pushed in
     /// ascending-pid order and sorted, replacing the old per-round
     /// `BTreeMap<usize, Vec<usize>>` grouping (same order: ascending
@@ -220,18 +259,25 @@ pub(crate) struct VoronoiScratch {
 
 /// Retires chaos-crashed nodes from the Voronoi placer's world: the
 /// coverage map deactivates the sensor (a dead agent neither covers nor
-/// owns points — map queries only visit active sensors) and the invariant
-/// checker learns the death. The ownership cache needs no surgical
-/// invalidation because chaos runs disable it (see `place_impl`).
+/// owns points — map queries only visit active sensors), the invariant
+/// checker learns the death, and the ownership cache drops every entry
+/// the sensor could have shaped. Those are the points within `rc` of it
+/// (where it was a candidate owner) and within its own sensing radius
+/// (where it was a coverer) — initial sensors may sense wider than `rc`,
+/// so the disk has radius `max(rc, rs)`.
 fn retire_crashed(
     crashed: Vec<NodeId>,
     map: &mut CoverageMap,
     sid_of: &[usize],
     checker: &crate::invariants::InvariantChecker,
+    rc: f64,
+    cache: &mut OwnerCache,
 ) {
     for nid in crashed {
+        let sid = sid_of[nid];
         checker.note_crash(nid as u64);
-        map.deactivate_sensor(sid_of[nid]);
+        map.deactivate_sensor(sid);
+        cache.invalidate(map, map.sensor_pos(sid), rc.max(map.sensor_rs(sid)));
     }
 }
 
@@ -241,35 +287,17 @@ impl Placer for VoronoiDecor {
     }
 
     fn place(&self, map: &mut CoverageMap, cfg: &DeploymentConfig) -> PlacementOutcome {
-        self.place_impl(map, cfg, true, true, &mut SimScratch::new())
+        self.place_in(map, cfg, &mut SimScratch::new())
     }
 
+    /// The one production path: placement notices ride the reliable
+    /// transport, and per-point ownership results are cached across
+    /// rounds, with only the points a round disturbed recomputed — under
+    /// loss and chaos too.
     fn place_in(
         &self,
         map: &mut CoverageMap,
         cfg: &DeploymentConfig,
-        scratch: &mut SimScratch,
-    ) -> PlacementOutcome {
-        self.place_impl(map, cfg, true, true, scratch)
-    }
-}
-
-impl VoronoiDecor {
-    /// Implementation behind [`Placer::place`]. With `use_cache` the
-    /// per-point ownership results are reused across rounds and only the
-    /// `rc`-disk of each new placement is recomputed (production); without
-    /// it every point is recomputed every round (reference). With
-    /// `use_transport` placement notices ride the reliable ack/retry
-    /// transport (production); without it they are fire-and-forget
-    /// unicasts (the pre-transport reference, valid only on a loss-free
-    /// medium). Differential tests below pin the paths to identical
-    /// placements.
-    fn place_impl(
-        &self,
-        map: &mut CoverageMap,
-        cfg: &DeploymentConfig,
-        use_cache: bool,
-        use_transport: bool,
         pool: &mut SimScratch,
     ) -> PlacementOutcome {
         cfg.validate();
@@ -279,12 +307,6 @@ impl VoronoiDecor {
             "Voronoi scheme needs rc >= rs (got rc={rc}, rs={})",
             cfg.rs
         );
-        let lossy = cfg.link.is_lossy();
-        // The ownership cache assumes estimates depend only on geometry;
-        // under loss they also depend on the evolving knowledge ledger,
-        // and under chaos crashes retire sensors mid-run, so fall back to
-        // full recomputation.
-        let use_cache = use_cache && !lossy && cfg.chaos.is_none();
         let field = *map.field();
         // Pooled network/transport: a warm pool hands back last run's
         // structures, reset to the same state a fresh construction yields.
@@ -297,32 +319,19 @@ impl VoronoiDecor {
         };
         cfg.link.apply(&mut net);
         net.set_trace(cfg.trace.clone());
-        let mut transport = if use_transport {
-            Some(match pool.transport.take() {
-                Some(mut t) => {
-                    t.reset(cfg.link.transport());
-                    t
-                }
-                None => Transport::new(cfg.link.transport()),
-            })
-        } else {
-            None
+        let mut transport = match pool.transport.take() {
+            Some(mut t) => {
+                t.reset(cfg.link.transport());
+                t
+            }
+            None => Transport::new(cfg.link.transport()),
         };
-        // Chaos rides the transport clock, so the fire-and-forget
-        // reference path ignores any configured plan (differential tests
-        // never combine the two).
-        let mut chaos = match (&transport, &cfg.chaos) {
-            (Some(_), Some(plan)) => Some(ChaosEngine::borrowed(plan)),
-            _ => None,
-        };
+        let mut chaos = cfg.chaos.as_ref().map(ChaosEngine::borrowed);
         let mut knowledge = NeighborKnowledge::new();
         // Pooled round-loop buffers, destructured into disjoint `&mut`s so
         // the borrow checker accepts simultaneous use across the loop.
         let VoronoiScratch {
-            owners,
-            owners_dirty,
-            dirty,
-            active,
+            cache,
             owned,
             decisions,
             pending,
@@ -360,34 +369,15 @@ impl VoronoiDecor {
         });
 
         let rc_sq = rc * rc;
-        // Per-point ownership cache: `owners[pid]` is the last computed
-        // [`Self::point_owners_into`] result; an entry goes stale only when
-        // a sensor lands within `rc` of the point. Stale entries sit on the
-        // `dirty` worklist (with `owners_dirty` as the dedup guard) so a
-        // round's recompute cost is proportional to the disturbed area,
-        // not the field; `active` tracks the points with any owner at all,
-        // which is what the decision phase actually iterates.
-        for o in owners.iter_mut() {
-            o.clear();
-        }
-        owners.resize_with(map.n_points(), Vec::new);
-        owners_dirty.clear();
-        owners_dirty.resize(map.n_points(), true);
-        dirty.clear();
-        dirty.extend(0..map.n_points());
-        active.clear();
-        active.resize(map.n_points(), false);
-        let mut rounds = 0usize;
-        while out.placed.len() < cfg.max_new_nodes && rounds < MAX_ROUNDS {
-            let round = rounds as u64;
+        cache.reset(map.n_points());
+        while out.placed.len() < cfg.max_new_nodes && out.rounds < MAX_ROUNDS {
+            let round = out.rounds as u64;
             // Faults due by now land before any decision of this round.
-            if let (Some(ch), Some(tr)) = (chaos.as_mut(), transport.as_ref()) {
-                ch.advance_to(&mut net, tr.now());
-                retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants);
+            if let Some(ch) = chaos.as_mut() {
+                ch.advance_to(&mut net, transport.now());
+                retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants, rc, cache);
             }
-            if let Some(tr) = transport.as_ref() {
-                cfg.trace.set_time(tr.now());
-            }
+            cfg.trace.set_time(transport.now());
             cfg.trace.emit(TraceEvent::RoundBegin {
                 scheme: "voronoi",
                 round,
@@ -395,13 +385,8 @@ impl VoronoiDecor {
             // ---- Decision phase (coverage snapshot at round start) ----
             // For every point, find the agents that (a) believe it is
             // under-covered and (b) own it under their local view.
-            if !use_cache {
-                dirty.clear();
-                dirty.extend(0..map.n_points());
-                owners_dirty.iter_mut().for_each(|d| *d = true);
-            }
-            for pid in dirty.drain(..) {
-                if !owners_dirty[pid] {
+            for pid in cache.dirty.drain(..) {
+                if !cache.stale[pid] {
                     continue;
                 }
                 Self::point_owners_into(
@@ -412,10 +397,30 @@ impl VoronoiDecor {
                     cfg.k,
                     &knowledge,
                     owners_scratch,
-                    &mut owners[pid],
+                    &mut cache.owners[pid],
                 );
-                owners_dirty[pid] = false;
-                active[pid] = !owners[pid].is_empty();
+                cache.stale[pid] = false;
+                cache.active[pid] = !cache.owners[pid].is_empty();
+            }
+            // Invariant 5: every cached entry equals a fresh recomputation.
+            // That is the full per-round recompute the cache avoids, so
+            // debug builds only.
+            if cfg!(debug_assertions) && cfg.invariants.is_enabled() {
+                let mut fresh = Vec::new();
+                for (pid, cached) in cache.owners.iter().enumerate() {
+                    Self::point_owners_into(
+                        map,
+                        pid,
+                        rc,
+                        rc_sq,
+                        cfg.k,
+                        &knowledge,
+                        owners_scratch,
+                        &mut fresh,
+                    );
+                    cfg.invariants
+                        .check_cache("voronoi owners of point", pid, cached, &fresh);
+                }
             }
             // The ascending-pid scan over `active` visits points in the
             // same order the old full sweep pushed pids — so each agent's
@@ -425,9 +430,9 @@ impl VoronoiDecor {
             // exactly the old `BTreeMap`'s (ascending sid, ascending pid)
             // iteration.
             owned.clear();
-            for (pid, &has_owner) in active.iter().enumerate() {
+            for (pid, &has_owner) in cache.active.iter().enumerate() {
                 if has_owner {
-                    for &sid in &owners[pid] {
+                    for &sid in &cache.owners[pid] {
                         owned.push((sid, pid));
                     }
                 }
@@ -479,16 +484,8 @@ impl VoronoiDecor {
                     // the next batch and keep the protocol running.
                     if let Some(ch) = chaos.as_mut().filter(|ch| !ch.is_exhausted()) {
                         ch.advance_next_batch(&mut net);
-                        retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants);
-                        cfg.trace.emit(TraceEvent::RoundEnd { round, placed: 0 });
-                        cfg.trace.emit(TraceEvent::CoverageDelta {
-                            below_target: map.count_below(cfg.k) as u64,
-                        });
-                        rounds += 1;
-                        out.trace.push(TracePoint {
-                            total_sensors: initial + out.placed.len(),
-                            fraction_k_covered: map.fraction_k_covered(cfg.k),
-                        });
+                        retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants, rc, cache);
+                        out.close_round(map, cfg, 0);
                         continue;
                     }
                     break;
@@ -509,12 +506,7 @@ impl VoronoiDecor {
                     .expect("non-empty deficient set");
                 let pos = map.points()[target];
                 let sid = map.add_sensor(pos, cfg.rs);
-                map.for_each_point_within_unordered(pos, rc, |pid, _| {
-                    if !owners_dirty[pid] {
-                        owners_dirty[pid] = true;
-                        dirty.push(pid);
-                    }
-                });
+                cache.invalidate(map, pos, rc);
                 let nid = net.add_node(pos, cfg.rs, rc);
                 debug_assert_eq!(sid, net_of.len());
                 net_of.push(nid);
@@ -528,15 +520,7 @@ impl VoronoiDecor {
                     benefit: 0,
                     agent: u64::MAX,
                 });
-                cfg.trace.emit(TraceEvent::RoundEnd { round, placed: 1 });
-                cfg.trace.emit(TraceEvent::CoverageDelta {
-                    below_target: map.count_below(cfg.k) as u64,
-                });
-                rounds += 1;
-                out.trace.push(TracePoint {
-                    total_sensors: initial + out.placed.len(),
-                    fraction_k_covered: map.fraction_k_covered(cfg.k),
-                });
+                out.close_round(map, cfg, 1);
                 continue;
             }
 
@@ -556,12 +540,7 @@ impl VoronoiDecor {
                 );
                 let pos = map.points()[pid];
                 let new_sid = map.add_sensor(pos, cfg.rs);
-                map.for_each_point_within_unordered(pos, rc, |qid, _| {
-                    if !owners_dirty[qid] {
-                        owners_dirty[qid] = true;
-                        dirty.push(qid);
-                    }
-                });
+                cache.invalidate(map, pos, rc);
                 let new_nid = net.add_node(pos, cfg.rs, rc);
                 debug_assert_eq!(new_sid, net_of.len());
                 net_of.push(new_nid);
@@ -574,118 +553,84 @@ impl VoronoiDecor {
                     benefit,
                     agent: agent_sid as u64,
                 });
-                // Placement notice: one unicast per 1-hop neighbor of the
-                // placing agent (traffic grows with rc — Fig. 10).
+                // Placement notice: one reliable send per 1-hop neighbor
+                // of the placing agent (traffic grows with rc — Fig. 10).
                 let agent_nid = net_of[agent_sid];
                 net.neighbors_into(agent_nid, nbs_buf);
-                match transport.as_mut() {
-                    Some(tr) => {
-                        for &nb in nbs_buf.iter() {
-                            let id = tr.send(agent_nid, nb, Message::PlacementNotice { pos });
-                            pending.push((id, sid_of[nb], new_sid));
-                        }
-                    }
-                    None => {
-                        for &nb in nbs_buf.iter() {
-                            let _ = net.unicast(agent_nid, nb, Message::PlacementNotice { pos });
-                        }
-                    }
+                for &nb in nbs_buf.iter() {
+                    let id = transport.send(agent_nid, nb, Message::PlacementNotice { pos });
+                    pending.push((id, sid_of[nb], new_sid));
                 }
             }
-            if let Some(tr) = transport.as_mut() {
-                // Under chaos the flush interleaves fault injection with
-                // the retry clock, so crashes land between retransmissions.
-                match chaos.as_mut() {
-                    Some(ch) => tr.flush_chaos_into(&mut net, ch, flushed),
-                    None => tr.flush_into(&mut net, flushed),
+            // Under chaos the flush interleaves fault injection with the
+            // retry clock, so crashes land between retransmissions.
+            match chaos.as_mut() {
+                Some(ch) => transport.flush_chaos_into(&mut net, ch, flushed),
+                None => transport.flush_into(&mut net, flushed),
+            }
+            // Message ids are unique among terminal outcomes, so a sorted
+            // slice + binary search replaces the old per-round
+            // `BTreeMap<MsgId, _>` lookup.
+            flushed.sort_unstable_by_key(|&(id, _)| id);
+            for &(id, recipient_sid, new_sid) in pending.iter() {
+                // A GaveUp notice *may* still have arrived (lost acks
+                // only); the sender cannot tell, so the model takes the
+                // pessimistic branch and treats the recipient as blind.
+                // The announced sensor's rc-disk is already dirty, which
+                // covers every ownership this ledger write can change.
+                let delivered = flushed
+                    .binary_search_by_key(&id, |&(mid, _)| mid)
+                    .is_ok_and(|ix| flushed[ix].1.is_delivered());
+                if !delivered {
+                    knowledge.hide(recipient_sid, new_sid);
                 }
-                // Message ids are unique among terminal outcomes, so a
-                // sorted slice + binary search replaces the old per-round
-                // `BTreeMap<MsgId, _>` lookup.
-                flushed.sort_unstable_by_key(|&(id, _)| id);
-                for &(id, recipient_sid, new_sid) in pending.iter() {
-                    // A GaveUp notice *may* still have arrived (lost acks
-                    // only); the sender cannot tell, so the model takes the
-                    // pessimistic branch and treats the recipient as blind.
-                    let delivered = flushed
-                        .binary_search_by_key(&id, |&(mid, _)| mid)
-                        .is_ok_and(|ix| flushed[ix].1.is_delivered());
-                    if !delivered {
-                        knowledge.hide(recipient_sid, new_sid);
-                    }
-                    cfg.invariants.check_ledger(
-                        recipient_sid as u64,
-                        new_sid as u64,
-                        delivered,
-                        knowledge.knows(recipient_sid, new_sid),
-                    );
-                }
-                // Crashes that fired during the flush retire their sensors
-                // before the round closes.
-                if let Some(ch) = chaos.as_mut() {
-                    retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants);
-                }
+                cfg.invariants.check_ledger(
+                    recipient_sid as u64,
+                    new_sid as u64,
+                    delivered,
+                    knowledge.knows(recipient_sid, new_sid),
+                );
+            }
+            // Crashes that fired during the flush retire their sensors
+            // before the round closes.
+            if let Some(ch) = chaos.as_mut() {
+                retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants, rc, cache);
             }
 
-            if let Some(tr) = transport.as_ref() {
-                cfg.trace.set_time(tr.now());
-            }
-            cfg.trace.emit(TraceEvent::RoundEnd {
-                round,
-                placed: (out.placed.len() - placed_before_round) as u64,
-            });
-            cfg.trace.emit(TraceEvent::CoverageDelta {
-                below_target: map.count_below(cfg.k) as u64,
-            });
-            rounds += 1;
-            out.trace.push(TracePoint {
-                total_sensors: initial + out.placed.len(),
-                fraction_k_covered: map.fraction_k_covered(cfg.k),
-            });
+            cfg.trace.set_time(transport.now());
+            out.close_round(map, cfg, out.placed.len() - placed_before_round);
             if map.count_below(cfg.k) == 0 {
                 // Covered, but faults still pending: force the next batch
                 // rather than converging early (see the stall-branch twin).
                 match chaos.as_mut().filter(|ch| !ch.is_exhausted()) {
                     Some(ch) => {
                         ch.advance_next_batch(&mut net);
-                        retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants);
+                        retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants, rc, cache);
                     }
                     None => break,
                 }
             }
         }
 
-        out.rounds = rounds;
         out.fully_covered = map.count_below(cfg.k) == 0;
         cfg.invariants.check_converged(
             out.fully_covered,
             chaos.as_ref().is_some_and(|ch| !ch.is_exhausted()),
-            out.placed.len() >= cfg.max_new_nodes || rounds >= MAX_ROUNDS,
+            out.placed.len() >= cfg.max_new_nodes || out.rounds >= MAX_ROUNDS,
         );
         let agents = map.n_active_sensors().max(1);
-        let (retries, acks, notices_gave_up, duplicates_suppressed) = match &transport {
-            Some(tr) => (
-                tr.stats.retries,
-                tr.stats.acks,
-                tr.stats.gave_up,
-                tr.stats.duplicates_suppressed,
-            ),
-            None => (0, 0, 0, 0),
-        };
         out.messages = MessageStats {
             protocol_total: net.stats.protocol_sent,
             cells: agents,
             per_cell: net.stats.protocol_sent as f64 / agents as f64,
             per_node_rotated: net.stats.protocol_sent as f64 / agents as f64,
-            retries,
-            acks,
-            notices_gave_up,
-            duplicates_suppressed,
+            retries: transport.stats.retries,
+            acks: transport.stats.acks,
+            notices_gave_up: transport.stats.gave_up,
+            duplicates_suppressed: transport.stats.duplicates_suppressed,
         };
         pool.net = Some(net);
-        if let Some(t) = transport {
-            pool.transport = Some(t);
-        }
+        pool.transport = Some(transport);
         out
     }
 }
@@ -799,46 +744,41 @@ mod tests {
 
     #[test]
     fn cached_path_matches_recompute_all_path() {
-        // The per-point ownership cache must reproduce the recompute-
-        // everything-every-round reference bit-for-bit.
+        // With the checker on, every round cross-checks each cached
+        // ownership against a fresh recomputation (invariant 5): lossless,
+        // at 20% loss (ledger writes), and with crashes on top.
+        use crate::invariants::InvariantChecker;
+        use decor_net::FaultPlan;
+        let crashes = FaultPlan::parse("0 crash 3\n2 crash 11\n9 crash 30\n40 crash 7\n").unwrap();
         for (k, initial, rc) in [(1u32, 0usize, 8.0), (2, 50, 8.0), (2, 60, 14.142)] {
-            let (mut m_cached, cfg) = setup(k, 500, initial, 13);
-            let mut m_fresh = m_cached.clone();
-            let placer = VoronoiDecor { rc };
-            let a = placer.place_impl(&mut m_cached, &cfg, true, true, &mut SimScratch::new());
-            let b = placer.place_impl(&mut m_fresh, &cfg, false, true, &mut SimScratch::new());
-            assert_eq!(a.placed, b.placed, "k={k} initial={initial} rc={rc}");
-            assert_eq!(a.rounds, b.rounds);
-            assert_eq!(a.fully_covered, b.fully_covered);
-            assert_eq!(a.messages.protocol_total, b.messages.protocol_total);
+            for (loss, chaos) in [(0.0, None), (0.2, None), (0.2, Some(crashes.clone()))] {
+                let (mut map, mut cfg) = setup(k, 500, initial, 13);
+                cfg.link = crate::LinkConfig::lossy(loss, 5);
+                cfg.chaos = chaos;
+                cfg.invariants = InvariantChecker::enabled();
+                let out = VoronoiDecor { rc }.place(&mut map, &cfg);
+                assert!(
+                    out.fully_covered,
+                    "k={k} initial={initial} rc={rc} loss={loss}"
+                );
+                cfg.invariants.assert_green();
+            }
         }
     }
 
     #[test]
-    fn transport_path_matches_legacy_at_zero_loss() {
-        // On a loss-free medium the reliable transport must not change a
-        // single placement decision: same sensors, same order, same rounds.
-        // Only the accounting differs (every notice now carries an ack).
+    fn zero_loss_notices_need_no_retries() {
+        // On a loss-free medium every notice lands on its first attempt:
+        // no retries or give-ups, and each notice costs exactly one data
+        // frame plus one ack.
         for (k, initial, rc) in [(1u32, 40usize, 8.0), (2, 60, 14.142)] {
-            let (mut m_tr, cfg) = setup(k, 500, initial, 17);
-            let mut m_legacy = m_tr.clone();
-            let placer = VoronoiDecor { rc };
-            let a = placer.place_impl(&mut m_tr, &cfg, true, true, &mut SimScratch::new());
-            let b = placer.place_impl(&mut m_legacy, &cfg, true, false, &mut SimScratch::new());
-            assert_eq!(a.placed, b.placed, "k={k} rc={rc}");
-            assert_eq!(a.rounds, b.rounds);
-            assert_eq!(a.fully_covered, b.fully_covered);
-            assert_eq!(a.messages.retries, 0, "no loss, no retries");
-            assert_eq!(a.messages.notices_gave_up, 0);
-            assert_eq!(
-                a.messages.acks, b.messages.protocol_total,
-                "one ack per legacy notice"
-            );
-            assert_eq!(
-                a.messages.protocol_total,
-                2 * b.messages.protocol_total,
-                "transport doubles traffic with acks at zero loss"
-            );
+            let (mut map, cfg) = setup(k, 500, initial, 17);
+            let m = VoronoiDecor { rc }.place(&mut map, &cfg).messages;
+            assert_eq!(m.retries, 0, "k={k} rc={rc}");
+            assert_eq!(m.notices_gave_up, 0);
+            assert_eq!(m.duplicates_suppressed, 0);
+            assert!(m.acks > 0);
+            assert_eq!(m.protocol_total, 2 * m.acks);
         }
     }
 

@@ -18,7 +18,7 @@
 use decor_core::restore::fail_and_restore;
 use decor_core::{run_endurance, CoverageMap, DeploymentDiagnostics, Placer};
 use decor_exp::cli::{
-    endurance_from, params_from, parse_args, parse_disaster, parse_scheme, sensors_from_csv,
+    endurance_from, params_from, parse_args, parse_disaster, scheme_from, sensors_from_csv,
     sensors_to_csv, write_trace_out,
 };
 use decor_lds::halton_points;
@@ -30,7 +30,7 @@ fn run() -> Result<(), String> {
     let (params, cfg) = params_from(&args)?;
     match args.command.as_str() {
         "deploy" => {
-            let scheme = parse_scheme(args.get_or("scheme", "grid-small"))?;
+            let scheme = scheme_from(&args, "grid-small", &cfg)?;
             let mut map = params.make_map(&cfg, params.initial_nodes, params.base_seed);
             let placer: Box<dyn Placer> = params.placer(scheme, params.base_seed);
             let out = placer.place(&mut map, &cfg);
@@ -76,7 +76,7 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "restore" => {
-            let scheme = parse_scheme(args.get_or("scheme", "voronoi-big"))?;
+            let scheme = scheme_from(&args, "voronoi-big", &cfg)?;
             let disk = parse_disaster(args.get_or("disaster", "50,50,24"))?;
             let mut map = params.make_map(&cfg, params.initial_nodes, params.base_seed);
             let placer: Box<dyn Placer> = params.placer(scheme, params.base_seed);
@@ -123,7 +123,7 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "endure" => {
-            let scheme = parse_scheme(args.get_or("scheme", "centralized"))?;
+            let scheme = scheme_from(&args, "centralized", &cfg)?;
             let e = endurance_from(&args)?;
             let mut cfg = cfg;
             // The endurance loop always duty-cycles unless --always-on;

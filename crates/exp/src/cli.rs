@@ -4,8 +4,8 @@
 //! `--name value` pairs after a subcommand. The logic lives here, in
 //! library code, so it is unit-testable; the binary is a thin shell.
 
-use crate::common::ExpParams;
-use decor_core::{CoverageMap, DeploymentConfig, EnduranceConfig, SchemeKind};
+use crate::common::{voronoi_rc, ExpParams};
+use decor_core::{ConfigError, CoverageMap, DeploymentConfig, EnduranceConfig, SchemeKind};
 use decor_geom::{Disk, Point};
 use decor_net::RotationConfig;
 use std::collections::BTreeMap;
@@ -70,6 +70,25 @@ pub fn parse_scheme(name: &str) -> Result<SchemeKind, String> {
     SchemeKind::parse_spec_name(name)
 }
 
+/// Resolves `--scheme` (`default` when absent) for a run under `cfg`. The
+/// Voronoi schemes fix their own `rc`, so a `--rs` above it is an error
+/// here rather than a panic in the placer.
+pub fn scheme_from(
+    args: &CliArgs,
+    default: &str,
+    cfg: &DeploymentConfig,
+) -> Result<SchemeKind, String> {
+    let scheme = parse_scheme(args.get_or("scheme", default))?;
+    match voronoi_rc(scheme) {
+        Some(rc) if cfg.rs > rc => Err(format!(
+            "flag --rs: {} fixes rc = {rc:.2}, so rs must not exceed it (got {})",
+            scheme.spec_name(),
+            cfg.rs
+        )),
+        _ => Ok(scheme),
+    }
+}
+
 /// Parses a disaster spec `x,y,r` into a disk.
 pub fn parse_disaster(spec: &str) -> Result<Disk, String> {
     let parts: Vec<&str> = spec.split(',').collect();
@@ -125,7 +144,9 @@ pub fn sensors_from_csv(csv: &str) -> Result<Vec<(Point, f64)>, String> {
 /// turns on set-k-cover sleep rotation at that per-shift coverage
 /// target, with battery knobs `--battery`, `--awake-cost`,
 /// `--sleep-cost` and `--shift-period`; the knobs without `--rotate`
-/// are an error (they would silently do nothing).
+/// are an error (they would silently do nothing). A value outside its
+/// range (`--k 0`, `--field nan`, `--rc` below `--rs`, ...) is a
+/// `flag --<name>:` error.
 pub fn params_from(args: &CliArgs) -> Result<(ExpParams, DeploymentConfig), String> {
     let loss_pct: u32 = args.num_or("loss", 0u32)?;
     if loss_pct >= 100 {
@@ -143,7 +164,6 @@ pub fn params_from(args: &CliArgs) -> Result<(ExpParams, DeploymentConfig), Stri
     link.loss_seed = args.num_or("loss-seed", link.loss_seed)?;
     link.max_retries = args.num_or("max-retries", link.max_retries)?;
     link.backoff_base = args.num_or("backoff", link.backoff_base)?;
-    link.validate();
     let chaos = chaos_plan_from(args, &params)?;
     let cfg = DeploymentConfig {
         rs: args.num_or("rs", 4.0)?,
@@ -164,6 +184,21 @@ pub fn params_from(args: &CliArgs) -> Result<(ExpParams, DeploymentConfig), Stri
         chaos,
         rotation: rotation_from(args)?,
     };
+    let flag_error = |ConfigError(field, rule)| {
+        let flag = match field {
+            "n_points" => "points",
+            "field_side" => "field",
+            "max_new_nodes" => "max-nodes",
+            "loss_rate" => "loss",
+            "backoff_base" => "backoff",
+            rs_rc_or_k => rs_rc_or_k,
+        };
+        format!("flag --{flag}: {rule}")
+    };
+    params
+        .check()
+        .and_then(|()| cfg.check())
+        .map_err(flag_error)?;
     Ok((params, cfg))
 }
 
@@ -469,6 +504,39 @@ mod tests {
             let a = parse_args(&argv(bad)).unwrap();
             assert!(params_from(&a).is_err(), "{bad} must be rejected");
         }
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_flag_errors() {
+        for (bad, flag) in [
+            ("deploy --backoff 0", "backoff"),
+            ("deploy --k 0", "k"),
+            ("deploy --rs 0", "rs"),
+            ("deploy --rc 2", "rc"),
+            ("deploy --max-nodes 0", "max-nodes"),
+            ("deploy --points 0", "points"),
+            ("deploy --field 0", "field"),
+            ("deploy --field nan", "field"),
+            ("deploy --field -5", "field"),
+            ("deploy --scheme voronoi-small --rs 9 --rc 20", "rs"),
+            ("deploy --scheme voronoi-big --rs 15 --rc 20", "rs"),
+            ("restore --k 0", "k"),
+            ("diagnose --in sensors.csv --points 0", "points"),
+            ("endure --scheme voronoi-small --rs 9 --rc 9", "rs"),
+        ] {
+            let a = parse_args(&argv(bad)).unwrap();
+            let err = params_from(&a)
+                .and_then(|(_, cfg)| scheme_from(&a, "grid-small", &cfg))
+                .unwrap_err();
+            assert!(err.starts_with(&format!("flag --{flag}:")), "{bad}: {err}");
+        }
+        // The same flags in range pass, Voronoi's fixed rc included.
+        let a = parse_args(&argv("deploy --scheme voronoi-big --rs 14 --rc 20")).unwrap();
+        let (_, cfg) = params_from(&a).unwrap();
+        assert_eq!(
+            scheme_from(&a, "grid-small", &cfg),
+            Ok(SchemeKind::VoronoiBig)
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! to build fields, initial deployments and algorithm instances.
 
 use decor_core::{
-    CentralizedGreedy, CoverageMap, DeploymentConfig, GridDecor, HoleHealing, LinkConfig, Placer,
-    RandomPlacement, SchemeKind, VoronoiDecor,
+    CentralizedGreedy, ConfigError, CoverageMap, DeploymentConfig, GridDecor, HoleHealing,
+    LinkConfig, Placer, RandomPlacement, SchemeKind, VoronoiDecor,
 };
 use decor_geom::Aabb;
 use decor_lds::{halton_points, random_points};
@@ -72,6 +72,20 @@ impl ExpParams {
         }
     }
 
+    /// Checks the scale every run needs: at least one approximation point
+    /// on a field of positive, finite side. `decor-cli` and
+    /// [`crate::scenario::ScenarioSpec::validate`] both apply it.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        if self.n_points == 0 {
+            return Err(ConfigError("n_points", "n_points must be positive".into()));
+        }
+        if !(self.field_side.is_finite() && self.field_side > 0.0) {
+            let rule = "field_side must be positive and finite".into();
+            return Err(ConfigError("field_side", rule));
+        }
+        Ok(())
+    }
+
     /// The monitored field.
     pub fn field(&self) -> Aabb {
         Aabb::square(self.field_side)
@@ -105,14 +119,24 @@ impl ExpParams {
         match scheme {
             SchemeKind::GridSmall => Box::new(GridDecor { cell_size: 5.0 }),
             SchemeKind::GridBig => Box::new(GridDecor { cell_size: 10.0 }),
-            SchemeKind::VoronoiSmall => Box::new(VoronoiDecor { rc: 8.0 }),
-            SchemeKind::VoronoiBig => Box::new(VoronoiDecor {
-                rc: 10.0 * std::f64::consts::SQRT_2,
+            SchemeKind::VoronoiSmall | SchemeKind::VoronoiBig => Box::new(VoronoiDecor {
+                rc: voronoi_rc(scheme).expect("a Voronoi scheme"),
             }),
             SchemeKind::Centralized => Box::new(CentralizedGreedy),
             SchemeKind::Random => Box::new(RandomPlacement { seed }),
             SchemeKind::Holes => Box::new(HoleHealing),
         }
+    }
+}
+
+/// The communication radius a Voronoi scheme fixes for itself (the
+/// paper's `rc = 8` and `rc = 10·√2`), or `None` for the other schemes,
+/// which take `rc` from the config.
+pub fn voronoi_rc(scheme: SchemeKind) -> Option<f64> {
+    match scheme {
+        SchemeKind::VoronoiSmall => Some(8.0),
+        SchemeKind::VoronoiBig => Some(10.0 * std::f64::consts::SQRT_2),
+        _ => None,
     }
 }
 

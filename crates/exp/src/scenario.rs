@@ -23,7 +23,7 @@ use crate::arena::{deploy_with_in, WorkerArena};
 use crate::common::{deploy_with, ExpParams};
 use crate::jsonio::{num, Json};
 use decor_core::parallel::replica_seed;
-use decor_core::{DeploymentConfig, InvariantChecker, LinkConfig, SchemeKind};
+use decor_core::{ConfigError, DeploymentConfig, InvariantChecker, LinkConfig, SchemeKind};
 use decor_net::{FailurePlan, FaultPlan, HeartbeatConfig, HeartbeatSim, Network};
 use serde::{Deserialize, Serialize};
 
@@ -172,12 +172,9 @@ impl ScenarioSpec {
         if self.replicas == 0 {
             return Err(ctx("replicas must be positive"));
         }
-        if self.n_points == 0 {
-            return Err(ctx("n_points must be positive"));
-        }
-        if !(self.field_side.is_finite() && self.field_side > 0.0) {
-            return Err(ctx("field_side must be positive and finite"));
-        }
+        self.params()
+            .check()
+            .map_err(|ConfigError(_, rule)| ctx(&rule))?;
         if !(self.fail_frac > 0.0 && self.fail_frac < 1.0) {
             return Err(ctx("fail_frac must be in (0, 1)"));
         }

@@ -223,6 +223,27 @@ fn checker_accounts_for_every_effective_crash() {
     assert_eq!(checker.dead(), vec![1, 4, 6]);
 }
 
+/// Initial sensors may sense farther than the Voronoi scheme's `rc`: here
+/// four `rs = 20` sensors at `rc = 8`, crashed one by one at t = 1–4. A
+/// crash must drop every cached ownership out to the victim's own sensing
+/// radius, not just `rc`; in debug builds invariant 5 cross-checks each
+/// cached entry against a fresh recomputation every round.
+#[test]
+fn voronoi_cache_survives_crashes_of_wide_sensors() {
+    use decor::geom::Point;
+    let mut cfg = DeploymentConfig::with_k(1);
+    cfg.invariants = InvariantChecker::enabled();
+    cfg.chaos = Some(FaultPlan::parse("1 crash 8\n2 crash 9\n3 crash 10\n4 crash 11\n").unwrap());
+    let mut map = scenario_map(&cfg);
+    for (x, y) in [(7.5, 7.5), (22.5, 7.5), (7.5, 22.5), (22.5, 22.5)] {
+        map.add_sensor(Point::new(x, y), 20.0);
+    }
+    let out = VoronoiDecor { rc: 8.0 }.place(&mut map, &cfg);
+    assert!(out.fully_covered);
+    assert_eq!(cfg.invariants.dead(), vec![8, 9, 10, 11]);
+    cfg.invariants.assert_green();
+}
+
 /// Differential satellite: attaching an *empty* fault plan must not
 /// perturb the simulation at all — the JSONL traces are bit-identical.
 /// The chaos engine rides the transport clock, so this pins both the

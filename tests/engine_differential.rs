@@ -1,16 +1,63 @@
-//! Differential tests for the PR-1 placement engine: the incremental
-//! benefit machinery ([`BenefitTable`], [`ShardedBenefitEngine`]) must stay
+//! Differential tests for the placement engine: the incremental benefit
+//! machinery ([`BenefitTable`], [`ShardedBenefitEngine`]) must stay
 //! bit-identical to direct evaluation ([`benefit_at`], [`par_best_candidate`])
 //! under arbitrary sensor churn, and the engine-backed centralized placement
-//! must reproduce the seed BenefitTable placement sequence exactly.
+//! must reproduce the seed placement path, kept here as an oracle
+//! ([`benefit_table_greedy`]), exactly.
 
 use decor::core::{
     benefit_at, parallel::par_best_candidate, BenefitTable, CentralizedGreedy, CoverageMap,
-    DeploymentConfig, Placer, ShardedBenefitEngine,
+    DeploymentConfig, PlacementOutcome, Placer, ShardedBenefitEngine, TracePoint,
 };
 use decor::geom::{Aabb, Point};
 use decor::lds::halton_points;
 use proptest::prelude::*;
+
+/// The seed centralized greedy: a [`BenefitTable`] over every point, whose
+/// `best()` is a linear scan and whose updates recompute every affected
+/// benefit. The engine-backed [`CentralizedGreedy`] restricts candidates
+/// to the deficit's neighborhood and caches per-shard maxima; it must
+/// place the same sensors in the same order with the same trace.
+fn benefit_table_greedy(map: &mut CoverageMap, cfg: &DeploymentConfig) -> PlacementOutcome {
+    let initial = map.n_active_sensors();
+    let cands: Vec<usize> = (0..map.n_points()).collect();
+    let mut table = BenefitTable::new(map, cands, cfg.rs, cfg.k);
+    let mut out = PlacementOutcome {
+        initial_sensors: initial,
+        ..PlacementOutcome::default()
+    };
+    out.trace.push(TracePoint {
+        total_sensors: initial,
+        fraction_k_covered: map.fraction_k_covered(cfg.k),
+    });
+    while out.placed.len() < cfg.max_new_nodes {
+        let Some((_, _, pos, _)) = table.best() else {
+            break; // zero benefit everywhere => fully k-covered
+        };
+        map.add_sensor(pos, cfg.rs);
+        table.on_sensor_added(map, pos, cfg.rs);
+        out.placed.push(pos);
+        out.trace.push(TracePoint {
+            total_sensors: initial + out.placed.len(),
+            fraction_k_covered: map.fraction_k_covered(cfg.k),
+        });
+    }
+    out.fully_covered = map.count_below(cfg.k) == 0;
+    out
+}
+
+/// Runs [`CentralizedGreedy`] and the [`benefit_table_greedy`] oracle on
+/// copies of `map` and requires identical placements and traces.
+fn assert_greedy_matches_oracle(map: &CoverageMap, cfg: &DeploymentConfig) -> PlacementOutcome {
+    let (mut m_engine, mut m_table) = (map.clone(), map.clone());
+    let a = CentralizedGreedy.place(&mut m_engine, cfg);
+    let b = benefit_table_greedy(&mut m_table, cfg);
+    assert_eq!(a.placed, b.placed, "placements diverge");
+    assert_eq!(a.fully_covered, b.fully_covered);
+    assert_eq!(a.trace, b.trace);
+    m_engine.verify_consistency();
+    a
+}
 
 fn arb_point() -> impl Strategy<Value = Point> {
     (0.0..100.0f64, 0.0..100.0f64).prop_map(|(x, y)| Point::new(x, y))
@@ -125,10 +172,12 @@ proptest! {
 
     /// The engine-backed centralized greedy reproduces the seed
     /// BenefitTable placement sequence bit-for-bit on random fields with
-    /// random pre-existing sensors.
+    /// random pre-existing sensors, optionally on top of a regular
+    /// lattice of up to 60 paper-radius sensors.
     #[test]
     fn engine_placement_sequence_matches_seed_path(
-        n_pts in 100usize..400,
+        n_pts in 100usize..800,
+        lattice in 0usize..61,
         initial in prop::collection::vec((arb_point(), 2.0..8.0f64), 0..12),
         k in 1u32..4,
         cap_tag in 0usize..3,
@@ -138,21 +187,46 @@ proptest! {
             max_new_nodes: [8usize, 25, 100_000][cap_tag],
             ..DeploymentConfig::with_k(k)
         };
-        let mut m_engine = CoverageMap::new(halton_points(n_pts, &field), &field, &cfg);
-        for &(p, r) in &initial {
-            m_engine.add_sensor(p, r);
+        let mut map = CoverageMap::new(halton_points(n_pts, &field), &field, &cfg);
+        for i in 0..lattice {
+            let (col, row) = ((i % 8) as f64, (i / 8) as f64);
+            map.add_sensor(Point::new(3.0 + 13.0 * col, 3.0 + 17.0 * row), cfg.rs);
         }
-        let mut m_table = m_engine.clone();
-        let a = CentralizedGreedy.place(&mut m_engine, &cfg);
-        let b = CentralizedGreedy.place_with_benefit_table(&mut m_table, &cfg);
-        prop_assert_eq!(&a.placed, &b.placed);
-        prop_assert_eq!(a.fully_covered, b.fully_covered);
-        prop_assert_eq!(a.trace.len(), b.trace.len());
-        for (ta, tb) in a.trace.iter().zip(&b.trace) {
-            prop_assert_eq!(ta.total_sensors, tb.total_sensors);
-            prop_assert_eq!(ta.fraction_k_covered, tb.fraction_k_covered);
+        for &(p, r) in &initial {
+            map.add_sensor(p, r);
+        }
+        assert_greedy_matches_oracle(&map, &cfg);
+    }
+}
+
+/// Restoration after an area failure: a lattice-covered field loses
+/// every sensor within 18 units of its center. The random fields above
+/// start from 0–12 sensors, so nearly every tile is deficient; this case
+/// pins the engine's small deficit-candidate pool (deficient tiles plus
+/// an `rs` ring around the hole) against the oracle's full sweep.
+#[test]
+fn restoration_from_damage_hole_matches_reference_path() {
+    let field = Aabb::square(100.0);
+    let cfg = DeploymentConfig::with_k(2);
+    let mut map = CoverageMap::new(halton_points(900, &field), &field, &cfg);
+    let mut ids = Vec::new();
+    for i in 0..20 {
+        for j in 0..20 {
+            ids.push(map.add_sensor(
+                Point::new(2.5 + 5.0 * i as f64, 2.5 + 5.0 * j as f64),
+                cfg.rs,
+            ));
         }
     }
+    let hole = Point::new(50.0, 50.0);
+    for &id in &ids {
+        if map.sensor_pos(id).dist(hole) <= 18.0 {
+            map.deactivate_sensor(id);
+        }
+    }
+    assert!(map.count_below(cfg.k) > 0, "the hole must create deficit");
+    let out = assert_greedy_matches_oracle(&map, &cfg);
+    assert!(out.fully_covered);
 }
 
 /// Deterministic (non-proptest) churn check with a fixed heterogeneous
