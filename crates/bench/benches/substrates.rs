@@ -1,11 +1,18 @@
 //! Microbenchmarks of the substrate crates: LDS generation, discrepancy
-//! measures, geometry queries, the event queue, heartbeat detection and
-//! connectivity checks.
+//! measures, geometry queries, the event queue, heartbeat detection, the
+//! reliable transport and connectivity checks.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use decor_geom::{Aabb, Point, UnitDiskGraph};
-use decor_lds::{hammersley_unit, l2_star_discrepancy, star_discrepancy, HaltonSequence, Sobol2D};
-use decor_net::{EventQueue, HeartbeatConfig, HeartbeatSim, Network};
+use decor_lds::{
+    hammersley_unit, l2_star_discrepancy, random_points, star_discrepancy, HaltonSequence, Sobol2D,
+};
+use decor_net::{
+    EventQueue, HeartbeatConfig, HeartbeatSim, Message, Network, NodeId, Transport, TransportConfig,
+};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 fn bench_lds_generation(c: &mut Criterion) {
@@ -74,6 +81,62 @@ fn bench_heartbeat_sim(c: &mut Criterion) {
             black_box(sim.run(&mut net, &[50], 500, 2000))
         })
     });
+    g.finish();
+}
+
+/// Reliable-transport throughput under a Voronoi-style notice fan-out: a
+/// seeded 100×100 field of 1000 nodes at rc = 10√2 (Voronoi-big's radio
+/// range). In each of five rounds, 140 senders in seeded order each send
+/// a placement notice to every rc-neighbour through one reused
+/// transport, then flush. The rate is in notices per second.
+fn bench_transport_fanout(c: &mut Criterion) {
+    let field = Aabb::square(100.0);
+    let rc = 10.0 * std::f64::consts::SQRT_2;
+    let mut base = Network::new(field);
+    for p in random_points(1000, &field, 17) {
+        base.add_node(p, 4.0, rc);
+    }
+    let mut senders: Vec<NodeId> = (0..base.len()).collect();
+    senders.shuffle(&mut StdRng::seed_from_u64(19));
+    // (sender, notice, its rc-neighbours), 140 senders per round.
+    let fanout: Vec<(NodeId, Message, Vec<NodeId>)> = senders[..5 * 140]
+        .iter()
+        .map(|&id| {
+            let pos = base.node(id).pos;
+            (id, Message::PlacementNotice { pos }, base.neighbors_of(id))
+        })
+        .collect();
+    let notices = fanout.iter().map(|(_, _, nbs)| nbs.len() as u64).sum();
+    let cfg = TransportConfig::default();
+    let mut g = c.benchmark_group("net/transport/notice_fanout");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(notices));
+    for (name, loss) in [("loss0", 0.0), ("loss20", 0.2)] {
+        let mut medium = base.clone();
+        if loss > 0.0 {
+            medium.set_loss(loss, 23);
+        }
+        let mut tr = Transport::new(cfg);
+        let mut outcomes = Vec::new();
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || medium.clone(),
+                |mut net| {
+                    tr.reset(cfg);
+                    for round in fanout.chunks(140) {
+                        for &(from, msg, ref nbs) in round {
+                            for &to in nbs {
+                                tr.send(from, to, msg);
+                            }
+                        }
+                        tr.flush_into(&mut net, &mut outcomes);
+                    }
+                    tr.stats.delivered
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
     g.finish();
 }
 
@@ -203,6 +266,7 @@ criterion_group!(
     bench_discrepancy,
     bench_event_queue,
     bench_heartbeat_sim,
+    bench_transport_fanout,
     bench_unit_disk_graph,
     bench_network_traffic,
     bench_delaunay_and_voronoi,

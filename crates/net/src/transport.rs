@@ -8,13 +8,14 @@
 //! - **sequence numbers** per directed link `(from, to)`;
 //! - **acknowledgements** ([`Message::Ack`]) from the receiver;
 //! - **bounded retransmissions** with deterministic exponential backoff,
-//!   scheduled on the discrete-event [`EventQueue`];
+//!   scheduled on the discrete-event [`EventQueue`] (the retry instant
+//!   saturates, so no backoff base can wrap the clock);
 //! - **duplicate suppression** at the receiver (a retransmission whose
 //!   original arrived — e.g. because only the ack was lost — is delivered
 //!   up at most once);
 //! - **per-link FIFO**: each directed link keeps at most one message in
 //!   the air; later sends on the same link wait for the earlier one to
-//!   conclude. Together with the dedup window this guarantees the
+//!   conclude. Together with duplicate suppression this guarantees the
 //!   application plane sees notices in send order — a retransmission can
 //!   never leapfrog a younger message;
 //! - a terminal [`DeliveryOutcome`] per message: delivered, gave up after
@@ -50,7 +51,7 @@ use crate::messages::Message;
 use crate::network::{Network, SendError};
 use crate::node::NodeId;
 use decor_trace::TraceEvent;
-use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 
 /// Reliability knobs of the transport layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -163,98 +164,36 @@ struct Flight {
     seq: u64,
     attempts: u32,
     done: bool,
+    /// The first arrival was delivered up; any later arrival is a
+    /// retransmission after a lost ack.
+    arrived: bool,
+    /// The send queued behind this one on its link, launched when this
+    /// one concludes. Its id is larger than this flight's, so never 0,
+    /// and the `Option` takes no space of its own.
+    next: Option<NonZeroUsize>,
 }
 
-/// A map keyed by directed link `(from, to)`, stored as a sorted vec with
-/// binary-search lookups. Same contract as the `BTreeMap` it replaced
-/// (unique keys, key order), but `clear` keeps the backing capacity, so a
-/// pooled transport's per-link state reaches a zero-allocation steady
-/// state instead of rebuilding a tree node per link per run.
-#[derive(Debug)]
-struct LinkMap<V> {
-    entries: Vec<((NodeId, NodeId), V)>,
-}
-
-impl<V> LinkMap<V> {
-    fn new() -> Self {
-        LinkMap {
-            entries: Vec::new(),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    fn idx(&self, link: (NodeId, NodeId)) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&link, |&(k, _)| k)
-    }
-
-    fn get_mut(&mut self, link: (NodeId, NodeId)) -> Option<&mut V> {
-        match self.idx(link) {
-            Ok(i) => Some(&mut self.entries[i].1),
-            Err(_) => None,
-        }
-    }
-
-    /// The value under `link`, inserting `default` first when absent.
-    fn entry_or(&mut self, link: (NodeId, NodeId), default: V) -> &mut V {
-        let i = match self.idx(link) {
-            Ok(i) => i,
-            Err(i) => {
-                self.entries.insert(i, (link, default));
-                i
-            }
-        };
-        &mut self.entries[i].1
-    }
-
-    /// Set-style insert (for `LinkMap<()>`): true when newly added.
-    fn insert(&mut self, link: (NodeId, NodeId)) -> bool
-    where
-        V: Default,
-    {
-        match self.idx(link) {
-            Ok(_) => false,
-            Err(i) => {
-                self.entries.insert(i, (link, V::default()));
-                true
-            }
-        }
-    }
-
-    fn remove(&mut self, link: (NodeId, NodeId)) {
-        if let Ok(i) = self.idx(link) {
-            self.entries.remove(i);
-        }
-    }
-}
-
-/// The reliable-delivery layer. One instance serves any number of links;
-/// per-link state (sequence counters, receiver dedup windows) is keyed by
-/// the directed pair `(from, to)`.
+/// The reliable-delivery layer. One instance serves any number of links,
+/// each a directed pair `(from, to)` of node ids.
+///
+/// Per-link state is one table: row `from` holds, sorted by receiver,
+/// the last flight sent on each link `from → to`. Everything else lives
+/// on the flights. A send's `seq` is its link's last flight's plus one.
+/// The link is busy while that flight has not concluded; the send then
+/// queues behind it as its `next` and launches when it concludes, so the
+/// flights of a link form one FIFO chain and only its head is airborne.
+/// Hence "this `(link, seq)` arrived before" is "this flight arrived
+/// before", and a per-flight flag is the receiver's whole dedup state.
 ///
 /// Deterministic: retry timing comes from the [`EventQueue`] (stable FIFO
-/// ties), loss decisions from the network's seeded stream, and all state
-/// lives in ordered maps.
+/// ties), loss decisions from the network's seeded stream, and the link
+/// rows are sorted vectors.
 pub struct Transport {
     cfg: TransportConfig,
     clock: EventQueue<MsgId>,
     flights: Vec<Flight>,
-    next_seq: LinkMap<u64>,
-    /// Receiver-side dedup: the latest seq delivered up, per directed
-    /// link. A watermark suffices for a full set because per-link FIFO
-    /// means only the single in-flight (not yet concluded) message ever
-    /// transmits, and flights on a link launch in strictly increasing
-    /// seq order — so arrivals per link are monotone in seq, repeating
-    /// only the current one (retransmissions after a lost ack).
-    seen: LinkMap<u64>,
-    /// Directed links with a flight currently in the air.
-    busy: LinkMap<()>,
-    /// Sends waiting for their link to free up, FIFO per directed link.
-    /// Drained entries are kept (an empty queue behaves like an absent
-    /// one) so their deque capacity survives for the next burst.
-    waiting: LinkMap<VecDeque<MsgId>>,
+    /// `last[from]`: `(to, last flight on from → to)`, sorted by `to`.
+    last: Vec<Vec<(NodeId, MsgId)>>,
     /// Application-plane deliveries at receivers, in arrival order.
     inbox: Vec<Inbound>,
     finished: Vec<(MsgId, DeliveryOutcome)>,
@@ -270,10 +209,7 @@ impl Transport {
             cfg,
             clock: EventQueue::new(),
             flights: Vec::new(),
-            next_seq: LinkMap::new(),
-            seen: LinkMap::new(),
-            busy: LinkMap::new(),
-            waiting: LinkMap::new(),
+            last: Vec::new(),
             inbox: Vec::new(),
             finished: Vec::new(),
             stats: TransportStats::default(),
@@ -282,17 +218,14 @@ impl Transport {
 
     /// Returns the transport to the state of `Transport::new(cfg)`,
     /// keeping the flight vector, event-queue heap, inbox buffers and
-    /// the flat per-link maps allocated. A reset transport behaves
+    /// the link rows allocated. A reset transport behaves
     /// bit-identically to a freshly constructed one.
     pub fn reset(&mut self, cfg: TransportConfig) {
         cfg.validate();
         self.cfg = cfg;
         self.clock.reset();
         self.flights.clear();
-        self.next_seq.clear();
-        self.seen.clear();
-        self.busy.clear();
-        self.waiting.clear();
+        self.last.iter_mut().for_each(Vec::clear);
         self.inbox.clear();
         self.finished.clear();
         self.stats = TransportStats::default();
@@ -310,26 +243,35 @@ impl Transport {
     /// Sends on one directed link are strictly FIFO: a message waits until
     /// every earlier message on the same link has reached its terminal
     /// outcome, so retransmissions never reorder the application stream.
+    /// `from` indexes a row of the link table, so ids are expected to be
+    /// dense, as [`Network::add_node`] hands them out.
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: Message) -> MsgId {
-        let seq_slot = self.next_seq.entry_or((from, to), 0);
-        let seq = *seq_slot;
-        *seq_slot += 1;
         let id = self.flights.len();
+        if self.last.len() <= from {
+            self.last.resize_with(from + 1, Vec::new);
+        }
+        let row = &mut self.last[from];
+        let prev = match row.binary_search_by_key(&to, |&(r, _)| r) {
+            Ok(i) => Some(std::mem::replace(&mut row[i].1, id)),
+            Err(i) => {
+                row.insert(i, (to, id));
+                None
+            }
+        };
         self.flights.push(Flight {
             from,
             to,
             msg,
-            seq,
+            seq: prev.map_or(0, |p| self.flights[p].seq + 1),
             attempts: 0,
             done: false,
+            arrived: false,
+            next: None,
         });
         self.stats.sent += 1;
-        if self.busy.insert((from, to)) {
-            self.clock.schedule_after(0, id);
-        } else {
-            self.waiting
-                .entry_or((from, to), VecDeque::new())
-                .push_back(id);
+        match prev {
+            Some(p) if !self.flights[p].done => self.flights[p].next = NonZeroUsize::new(id),
+            _ => self.clock.schedule_after(0, id),
         }
         id
     }
@@ -428,14 +370,16 @@ impl Transport {
             DeliveryOutcome::PeerDown => self.stats.peer_down += 1,
         }
         self.finished.push((id, outcome));
-        // The link is free again: launch the next queued send, if any.
-        // (The drained waiting entry stays — empty ≡ absent — so its
-        // deque keeps its capacity for the link's next burst.)
-        let link = (self.flights[id].from, self.flights[id].to);
-        let next = self.waiting.get_mut(link).and_then(VecDeque::pop_front);
-        match next {
-            Some(next_id) => self.clock.schedule_after(0, next_id),
-            None => self.busy.remove(link),
+        // The link is free again: launch the send queued behind this one.
+        if let Some(next) = self.flights[id].next.map(NonZeroUsize::get) {
+            // FIFO: the queued send has never flown and carries the next
+            // seq, so a link's arrivals are monotone in seq.
+            debug_assert!(
+                self.flights[next].attempts == 0
+                    && self.flights[next].seq == self.flights[id].seq + 1,
+                "out-of-order launch on link"
+            );
+            self.clock.schedule_after(0, next);
         }
     }
 
@@ -447,11 +391,17 @@ impl Transport {
         if attempts > self.cfg.max_retries {
             self.conclude(id, DeliveryOutcome::GaveUp { attempts });
         } else {
-            // attempts = 1 → wait base; 2 → 2·base; … (shift capped well
-            // below overflow).
+            // attempts = 1 → wait base; 2 → 2·base; … Saturating, so a
+            // huge base parks the retry at the end of time instead of
+            // wrapping the clock.
             let exp = (attempts - 1).min(32);
+            let wait = self
+                .cfg
+                .backoff_base
+                .saturating_mul(1 << exp)
+                .saturating_add(extra_latency);
             self.clock
-                .schedule_after((self.cfg.backoff_base << exp) + extra_latency, id);
+                .schedule(self.clock.now().saturating_add(wait), id);
         }
     }
 
@@ -481,26 +431,12 @@ impl Transport {
         }
         match net.unicast(from, to, msg) {
             Ok(()) => {
-                // Data arrived: deliver up unless this seq was seen before
-                // (retransmission after a lost ack). Per-link arrivals are
-                // monotone in seq (see the `seen` field doc), so equality
-                // against the watermark is the full dedup test.
-                let first_arrival = match self.seen.get_mut((from, to)) {
-                    Some(w) if *w == seq => false,
-                    Some(w) => {
-                        debug_assert!(seq > *w, "non-monotone arrival on link");
-                        *w = seq;
-                        true
-                    }
-                    None => {
-                        self.seen.entry_or((from, to), seq);
-                        true
-                    }
-                };
-                if first_arrival {
-                    self.inbox.push(Inbound { from, to, seq, msg });
-                } else {
+                // Data arrived: deliver up unless this flight arrived
+                // before (retransmission after a lost ack).
+                if std::mem::replace(&mut self.flights[id].arrived, true) {
                     self.stats.duplicates_suppressed += 1;
+                } else {
+                    self.inbox.push(Inbound { from, to, seq, msg });
                 }
                 // The receiver acknowledges every arrival, duplicate or
                 // not — the sender is asking because it missed the ack.
@@ -857,6 +793,46 @@ mod tests {
             (outs, tr.stats, net.stats.total_sent)
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn huge_backoff_saturates_the_retry_instant() {
+        // 2^62 << 2 overflows u64: the retry instant must saturate at the
+        // end of time instead of wrapping the clock back towards zero.
+        let mut net = pair_net();
+        net.set_loss(0.5, 17);
+        let mut tr = Transport::new(TransportConfig {
+            max_retries: 8,
+            backoff_base: 1 << 62,
+        });
+        let mut sent = Vec::new();
+        let mut concluded = Vec::new();
+        let mut now = tr.now();
+        for batch in 0..12 {
+            for i in 0..4 {
+                let from = (batch + i) % 2;
+                sent.push(tr.send(from, 1 - from, notice()));
+            }
+            concluded.extend(tr.flush(&mut net).into_iter().map(|(id, _)| id));
+            assert!(tr.now() >= now, "clock went back: {} -> {}", now, tr.now());
+            now = tr.now();
+        }
+        assert_eq!(now, Time::MAX, "50% loss must reach a saturated retry");
+        concluded.sort_unstable();
+        assert_eq!(concluded, sent, "every message concludes exactly once");
+        assert_eq!(tr.stats.delivered + tr.stats.gave_up, sent.len() as u64);
+
+        // One give-up path: 2^62 + 2^63 ticks, then a wait of 2^64 that
+        // saturates rather than losing its high bit to the shift.
+        let mut net = pair_net();
+        net.set_loss(0.999, 5);
+        let mut tr = Transport::new(TransportConfig {
+            max_retries: 3,
+            backoff_base: 1 << 62,
+        });
+        let out = tr.send_now(&mut net, 0, 1, notice());
+        assert_eq!(out, DeliveryOutcome::GaveUp { attempts: 4 });
+        assert_eq!(tr.now(), Time::MAX);
     }
 
     #[test]

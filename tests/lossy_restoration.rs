@@ -147,6 +147,28 @@ fn both_distributed_placers_converge_up_to_thirty_percent_loss() {
     }
 }
 
+#[test]
+fn huge_backoff_base_neither_wraps_the_clock_nor_stalls_placement() {
+    // A backoff base of 2^62 doubles past u64::MAX by the third retry;
+    // the transport must park such retries at the end of time instead of
+    // wrapping its clock, and both placers must still converge.
+    let placers: [(&str, &dyn Placer); 2] = [
+        ("voronoi", &VoronoiDecor { rc: 8.0 }),
+        ("grid", &GridDecor { cell_size: 5.0 }),
+    ];
+    for (name, placer) in placers {
+        let (mut map, mut cfg) = damaged_map(2, 500, 60, 35);
+        cfg.link = LinkConfig {
+            backoff_base: 1 << 62,
+            ..LinkConfig::lossy(0.3, 61)
+        };
+        let out = placer.place(&mut map, &cfg);
+        assert!(out.fully_covered, "{name}");
+        assert!(map.min_coverage() >= 2, "{name}");
+        assert!(out.messages.retries > 0, "{name}: 30% loss forces retries");
+    }
+}
+
 /// A partially covered field (no placer has run yet).
 fn damaged_map(k: u32, n_pts: usize, initial: usize, seed: u64) -> (CoverageMap, DeploymentConfig) {
     let field = Aabb::square(100.0);
