@@ -1,14 +1,18 @@
 //! Microbenchmarks of the substrate crates: LDS generation, discrepancy
 //! measures, geometry queries, the event queue, heartbeat detection, the
-//! reliable transport and connectivity checks.
+//! reliable transport, connectivity checks and the sleep-shift partition.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use decor_core::SchemeKind;
+use decor_exp::common::deploy_with;
+use decor_exp::ExpParams;
 use decor_geom::{Aabb, Point, UnitDiskGraph};
 use decor_lds::{
     hammersley_unit, l2_star_discrepancy, random_points, star_discrepancy, HaltonSequence, Sobol2D,
 };
 use decor_net::{
-    EventQueue, HeartbeatConfig, HeartbeatSim, Message, Network, NodeId, Transport, TransportConfig,
+    EventQueue, HeartbeatConfig, HeartbeatSim, Message, Network, NodeId, RotationConfig,
+    SleepScheduler, Transport, TransportConfig,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -228,34 +232,30 @@ fn bench_routing(c: &mut Criterion) {
     });
 }
 
-fn bench_sleep_scheduling(c: &mut Criterion) {
-    // Three stacked lattices: a field the scheduler can split 3 ways.
-    let mut net = Network::new(Aabb::square(40.0));
-    for _ in 0..3 {
-        for i in 0..6 {
-            for j in 0..6 {
-                net.add_node(
-                    Point::new(3.0 + 6.5 * i as f64, 3.0 + 6.5 * j as f64),
-                    6.0,
-                    12.0,
-                );
-            }
-        }
-    }
-    let pts: Vec<Point> = (0..100)
-        .map(|i| Point::new(2.0 + 3.6 * (i % 10) as f64, 2.0 + 3.6 * (i / 10) as f64))
-        .collect();
-    let mut g = c.benchmark_group("sleep_scheduler_108_nodes");
-    g.sample_size(20);
-    g.bench_function("shifts", |b| {
-        b.iter(|| black_box(decor_net::SleepScheduler::new(1).shifts(&net, &pts)))
+fn bench_partition(c: &mut Criterion) {
+    // The mirror `agree_shifts` partitions: a seeded k=3 centralized
+    // deployment at paper scale (2000 points, seed 7), one node per
+    // active sensor.
+    let params = ExpParams::paper();
+    let (map, _, cfg) = deploy_with(&params, SchemeKind::Centralized, 3, 7, |cfg| {
+        cfg.rotation = Some(RotationConfig::default());
     });
-    g.bench_function("lifetime_sim", |b| {
-        b.iter(|| {
-            black_box(
-                decor_net::SleepScheduler::new(1).simulate_lifetime(&net, &pts, 50.0, 1.0, 0.01),
-            )
-        })
+    let mut net = Network::new(*map.field());
+    for (_, pos) in map.active_sensors() {
+        net.add_node(pos, cfg.rs, cfg.rc);
+    }
+    let target = RotationConfig::default().target_coverage;
+    let shifts = SleepScheduler::new(target).shifts(&net, map.points());
+    println!(
+        "endurance/partition/paper_k3: {} nodes, {} points, {} shifts",
+        net.len(),
+        map.n_points(),
+        shifts.len()
+    );
+    let mut g = c.benchmark_group("endurance/partition");
+    g.sample_size(20);
+    g.bench_function("paper_k3", |b| {
+        b.iter(|| black_box(SleepScheduler::new(target).shifts(&net, map.points())))
     });
     g.finish();
 }
@@ -272,6 +272,6 @@ criterion_group!(
     bench_delaunay_and_voronoi,
     bench_breach_paths,
     bench_routing,
-    bench_sleep_scheduling
+    bench_partition
 );
 criterion_main!(substrates);

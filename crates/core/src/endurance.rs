@@ -115,62 +115,27 @@ impl EnduranceReport {
     }
 }
 
-/// State of the incremental per-point coverage bookkeeping.
-struct CoverTable {
-    /// For each map point, the node ids whose disk covers it (sorted).
-    coverers: Vec<Vec<NodeId>>,
-    /// For each map point, how many of its coverers are alive.
-    alive: Vec<u32>,
+/// The map points a node at `pos` with radius `rs` covers: the map's
+/// point index tests `dx² + dy² ≤ rs²` exactly as
+/// [`decor_net::Node::covers`] does. The loop fills one list per mirror
+/// node when the node enters the mirror; deaths leave the lists alone,
+/// since a dead node is never on duty.
+fn covered_points(map: &CoverageMap, pos: decor_geom::Point, rs: f64) -> Box<[u32]> {
+    let mut pts = Vec::new();
+    map.for_each_point_within_unordered(pos, rs, |pid, _| pts.push(pid as u32));
+    pts.into_boxed_slice()
 }
 
-impl CoverTable {
-    fn build(net: &Network, map: &CoverageMap) -> CoverTable {
-        let coverers: Vec<Vec<NodeId>> = map
-            .points()
-            .iter()
-            .map(|&p| {
-                (0..net.len())
-                    .filter(|&id| net.node(id).covers(p))
-                    .collect()
-            })
-            .collect();
-        let alive = coverers
-            .iter()
-            .map(|c| c.iter().filter(|&&id| net.is_alive(id)).count() as u32)
-            .collect();
-        CoverTable { coverers, alive }
-    }
-
-    fn on_death(&mut self, id: NodeId) {
-        for (pt, cov) in self.coverers.iter().enumerate() {
-            if cov.binary_search(&id).is_ok() {
-                self.alive[pt] -= 1;
-            }
+/// True when the on-duty nodes leave some map point below `target`,
+/// recounting each point's on-duty coverers from the lists into `count`.
+fn duty_short(pts_of: &[Box<[u32]>], on_duty: &[bool], target: u32, count: &mut [u32]) -> bool {
+    count.fill(0);
+    for (pts, _) in pts_of.iter().zip(on_duty).filter(|&(_, &duty)| duty) {
+        for &pid in pts.iter() {
+            count[pid as usize] += 1;
         }
     }
-
-    fn on_birth(&mut self, net: &Network, id: NodeId, map: &CoverageMap) {
-        for (pt, &p) in map.points().iter().enumerate() {
-            if net.node(id).covers(p) {
-                self.coverers[pt].push(id);
-                self.alive[pt] += 1;
-            }
-        }
-    }
-
-    fn min_alive(&self) -> u32 {
-        self.alive.iter().copied().min().unwrap_or(u32::MAX)
-    }
-
-    /// Minimum on-duty coverage over all points, where `on_duty`
-    /// answers per node.
-    fn min_awake(&self, on_duty: &[bool]) -> u32 {
-        self.coverers
-            .iter()
-            .map(|cov| cov.iter().filter(|&&id| on_duty[id]).count() as u32)
-            .min()
-            .unwrap_or(u32::MAX)
-    }
+    count.iter().any(|&c| c < target)
 }
 
 /// Runs the endurance loop. `cfg.rotation` supplies the rotation knobs
@@ -196,14 +161,16 @@ pub fn run_endurance(
     cfg.link.apply(&mut net);
     net.set_trace(cfg.trace.clone());
     let mut sensor_of: Vec<crate::coverage::SensorId> = Vec::with_capacity(sensors.len());
+    let mut pts_of: Vec<Box<[u32]>> = Vec::with_capacity(sensors.len());
     for &(sid, pos) in &sensors {
         net.add_node(pos, cfg.rs, cfg.rc);
         sensor_of.push(sid);
+        pts_of.push(covered_points(map, pos, cfg.rs));
     }
+    let mut duty_count = vec![0u32; map.n_points()];
 
     let mut report = EnduranceReport::default();
     let mut chaos = cfg.chaos.clone().map(ChaosEngine::new);
-    let mut table = CoverTable::build(&net, map);
 
     // Initial in-network agreement (or the always-on degenerate).
     let mut epoch = 0u64;
@@ -270,9 +237,22 @@ pub fn run_endurance(
                 "chaos" => report.chaos_deaths += 1,
                 _ => report.disaster_deaths += 1,
             }
-            table.on_death(id);
             map.deactivate_sensor(sensor_of[id]);
             cfg.trace.emit(TraceEvent::NodeFailed { node: id as u64 });
+        }
+        // Invariant 6: every death deactivated its sensor and every
+        // replacement entered both, so the map's counts are the alive
+        // nodes' and answer "would waking everyone cover?".
+        if cfg.invariants.is_enabled() {
+            for (id, &sid) in sensor_of.iter().enumerate() {
+                let (alive, active) = (net.is_alive(id), map.sensor_active(sid));
+                cfg.invariants.check_cache(
+                    "endurance mirror liveness of node",
+                    id,
+                    &alive,
+                    &active,
+                );
+            }
         }
 
         // (c) Ground-truth coverage check with escalation. A node is on
@@ -281,9 +261,25 @@ pub fn run_endurance(
         let mut on_duty: Vec<bool> = (0..net.len())
             .map(|id| net.is_alive(id) && !schedule.is_scheduled_asleep(id, now))
             .collect();
+        let short = duty_short(&pts_of, &on_duty, target, &mut duty_count);
+        // Invariant 6, duty form: the point lists agree with a recount
+        // from `Node::covers`. A per-point range query, so debug only.
+        if cfg!(debug_assertions) && cfg.invariants.is_enabled() {
+            let mut buf = Vec::new();
+            let fresh = map.points().iter().any(|&p| {
+                net.alive_within_into(p, cfg.rs, &mut buf);
+                let on = buf
+                    .iter()
+                    .filter(|&&id| on_duty[id] && net.node(id).covers(p));
+                (on.count() as u32) < target
+            });
+            let what = "endurance on-duty shortfall of period";
+            cfg.invariants
+                .check_cache(what, period as usize, &short, &fresh);
+        }
         let mut emergency = false;
-        if table.min_awake(&on_duty) < target {
-            if table.min_alive() >= target {
+        if short {
+            if map.count_below(target) == 0 {
                 // The schedule alone fails but the deployment does not:
                 // wake everyone for this period and re-agree after.
                 report.emergency_periods += 1;
@@ -307,14 +303,14 @@ pub fn run_endurance(
                     &mut last_wake,
                     &mut was_awake,
                     &mut handled_death,
-                    &mut table,
+                    &mut pts_of,
                     &mut schedule,
                     &mut watch,
                     &mut report,
                     e,
                     now,
                 );
-                if healed && table.min_alive() >= target {
+                if healed && map.count_below(target) == 0 {
                     membership_changed = true;
                     emergency = true;
                     report.emergency_periods += 1;
@@ -429,7 +425,7 @@ pub fn run_endurance(
                 &mut last_wake,
                 &mut was_awake,
                 &mut handled_death,
-                &mut table,
+                &mut pts_of,
                 &mut schedule,
                 &mut watch,
                 &mut report,
@@ -464,7 +460,6 @@ pub fn run_endurance(
                 });
                 cfg.trace.emit(TraceEvent::NodeFailed { node: id as u64 });
                 net.fail_node(id);
-                table.on_death(id);
                 map.deactivate_sensor(sensor_of[id]);
                 report.battery_deaths += 1;
                 // Deliberately NOT a membership change: the network must
@@ -510,7 +505,7 @@ fn try_restore(
     last_wake: &mut Vec<Time>,
     was_awake: &mut Vec<bool>,
     handled_death: &mut Vec<bool>,
-    table: &mut CoverTable,
+    pts_of: &mut Vec<Box<[u32]>>,
     schedule: &mut ShiftSchedule,
     watch: &mut WatchTable,
     report: &mut EnduranceReport,
@@ -523,29 +518,28 @@ fn try_restore(
     }
     let mut rcfg = cfg.clone();
     rcfg.max_new_nodes = spares_left;
+    // The loop applies the chaos plan to its own network on the period
+    // clock. A distributed placer handed the plan would replay it from
+    // t = 0 on its own mirror and retire sensors whose nodes live on.
+    rcfg.chaos = None;
     // Heal to the deployment's own coverage requirement, not just the
     // rotation target: a hole patched to bare target coverage caps the
     // next partition at a single shift and silently collapses the whole
     // network back to always-on.
     rcfg.k = cfg.k.max(rot.target_coverage);
+    let first_new = map.n_sensors();
     let outcome = placer.place(map, &rcfg);
     if outcome.placed.is_empty() {
         return false;
     }
     report.extra_nodes += outcome.placed.len();
     report.restorations += 1;
-    // The placer registered the sensors in the map; mirror each into the
-    // network and every bookkeeping table, then fold it into the least
-    // loaded shift so the rotation absorbs the replacement.
-    let placed_sids = {
-        let active = map.active_sensors();
-        let known: BTreeSet<crate::coverage::SensorId> = sensor_of.iter().copied().collect();
-        active
-            .into_iter()
-            .filter(|(sid, _)| !known.contains(sid))
-            .collect::<Vec<_>>()
-    };
-    for (sid, pos) in placed_sids {
+    // The placer appended its sensors to the map, and every older active
+    // sensor is already mirrored (invariant 6). Mirror each new one into
+    // the network and every bookkeeping table, then fold it into the
+    // least loaded shift so the rotation absorbs the replacement.
+    for sid in (first_new..map.n_sensors()).filter(|&sid| map.sensor_active(sid)) {
+        let pos = map.sensor_pos(sid);
         let id = net.add_node(pos, cfg.rs, cfg.rc);
         sensor_of.push(sid);
         battery.push(rot.battery);
@@ -554,7 +548,7 @@ fn try_restore(
         last_wake.push(now);
         was_awake.push(true);
         handled_death.push(false);
-        table.on_birth(net, id, map);
+        pts_of.push(covered_points(map, pos, cfg.rs));
         if schedule.n_shifts() > 1 {
             if let Some(si) = schedule.least_loaded_shift() {
                 schedule.assign(id, si);
@@ -572,6 +566,7 @@ fn try_restore(
 mod tests {
     use super::*;
     use crate::centralized::CentralizedGreedy;
+    use crate::InvariantChecker;
     use decor_geom::{Aabb, Point};
     use decor_lds::halton_points;
     use decor_net::FaultPlan;
@@ -696,6 +691,30 @@ mod tests {
         let report = run_endurance(&mut map, &CentralizedGreedy, &cfg, &quick(true));
         assert_eq!(report.chaos_deaths, 2);
         assert_eq!(report.false_positives, 0);
+    }
+
+    #[test]
+    fn the_mirror_matches_the_map_through_crash_disaster_and_spares() {
+        // The Voronoi placer replays `cfg.chaos` on its own mirror when
+        // handed one, so restoration must not hand it the loop's plan.
+        let placers: [&dyn Placer; 2] = [&CentralizedGreedy, &crate::VoronoiDecor { rc: 8.0 }];
+        for placer in placers {
+            let (mut map, mut cfg) = covered_map(3, 300);
+            cfg.chaos = Some(FaultPlan::parse("0 crash 4\n3000 crash 11\n").unwrap());
+            cfg.invariants = InvariantChecker::enabled();
+            let mut e = quick(true);
+            e.spare_budget = 40;
+            e.disasters = vec![(4, Disk::new(Point::new(30.0, 30.0), 9.0))];
+            let report = run_endurance(&mut map, placer, &cfg, &e);
+            assert_eq!(report.chaos_deaths, 2, "{}", placer.name());
+            assert!(report.disaster_deaths > 0 && report.battery_deaths > 0);
+            assert!(report.extra_nodes > 0, "spares must enter the mirror");
+            assert!(
+                report.emergency_periods > 0,
+                "waking everyone must be tried"
+            );
+            cfg.invariants.assert_green();
+        }
     }
 
     #[test]

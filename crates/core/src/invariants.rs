@@ -21,6 +21,11 @@
 //!    so the placers run this check only in debug builds
 //!    (`cfg!(debug_assertions)`); release runs with the checker on, such
 //!    as the benchmark's traced replays, keep their cost profile.
+//! 6. **The endurance mirror matches the map** — every period of
+//!    [`crate::run_endurance`], each mirror node is alive exactly when
+//!    its map sensor is active. Debug builds also recount the on-duty
+//!    verdict of the per-node point lists from `Node::covers`. Both
+//!    report through `check_cache`: the mirror and lists cache the map.
 //!
 //! The checker rides [`crate::DeploymentConfig`] exactly like the trace
 //! handle: the default is *disabled* and every hook reduces to a branch on

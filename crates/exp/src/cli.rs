@@ -89,18 +89,26 @@ pub fn scheme_from(
     }
 }
 
-/// Parses a disaster spec `x,y,r` into a disk.
+/// Parses a disaster spec `x,y,r` into a disk: three finite numbers
+/// and a positive radius, or a `flag --disaster:` error.
 pub fn parse_disaster(spec: &str) -> Result<Disk, String> {
-    let parts: Vec<&str> = spec.split(',').collect();
-    if parts.len() != 3 {
-        return Err(format!("disaster spec must be x,y,r — got '{spec}'"));
+    let nums: Vec<f64> = spec
+        .split(',')
+        .map(|p| p.trim().parse::<f64>())
+        .collect::<Result<_, _>>()
+        .map_err(|_| format!("flag --disaster: expected x,y,r numbers, got '{spec}'"))?;
+    let [x, y, r] = nums[..] else {
+        return Err(format!("flag --disaster: expected x,y,r, got '{spec}'"));
+    };
+    if !nums.iter().all(|v| v.is_finite()) {
+        return Err(format!(
+            "flag --disaster: x, y and r must be finite, got '{spec}'"
+        ));
     }
-    let nums: Result<Vec<f64>, _> = parts.iter().map(|p| p.trim().parse::<f64>()).collect();
-    let nums = nums.map_err(|_| format!("disaster spec has non-numeric parts: '{spec}'"))?;
-    if nums[2] <= 0.0 {
-        return Err("disaster radius must be positive".to_owned());
+    if r <= 0.0 {
+        return Err(format!("flag --disaster: radius must be positive, got {r}"));
     }
-    Ok(Disk::new(Point::new(nums[0], nums[1]), nums[2]))
+    Ok(Disk::new(Point::new(x, y), r))
 }
 
 /// Serializes a deployment's active sensors as `x,y,rs` CSV lines.
@@ -361,6 +369,17 @@ mod tests {
         assert!(parse_disaster("50,60").is_err());
         assert!(parse_disaster("a,b,c").is_err());
         assert!(parse_disaster("1,2,-3").is_err());
+        assert!(parse_disaster("1,2,0").is_err());
+        for bad in ["nan", "inf", "-inf"] {
+            for spec in [
+                format!("{bad},50,24"),
+                format!("50,{bad},24"),
+                format!("50,50,{bad}"),
+            ] {
+                let err = parse_disaster(&spec).unwrap_err();
+                assert!(err.starts_with("flag --disaster: "), "{spec}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -68,5 +68,5 @@ pub use node::{Node, NodeId};
 pub use reports::{collect_reports, sink_near, DeliveryReport};
 pub use rotation::{NodeLifecycle, RotationConfig, ShiftSchedule};
 pub use routing::{greedy_geographic, send_routed, shortest_path};
-pub use sleep::{LifetimeReport, SleepScheduler};
+pub use sleep::SleepScheduler;
 pub use transport::{DeliveryOutcome, Inbound, MsgId, Transport, TransportConfig, TransportStats};

@@ -1,24 +1,29 @@
-//! Sleep scheduling and network-lifetime simulation.
+//! Sleep scheduling: splitting a k-covered deployment into shifts.
 //!
 //! The paper's third motivation for k-coverage (§1): "When k nodes are
 //! covering a point, we have the option of putting some of them to sleep
 //! or balance the workload among all k nodes. Thus, k-coverage leads to
 //! significant energy savings and increases the lifetime for the
-//! network." This module makes that claim measurable:
+//! network." [`SleepScheduler::shifts`] partitions the alive nodes into
+//! disjoint *shifts*, each of which alone keeps every monitored point
+//! covered at the target degree (greedy set-multicover per shift).
+//! `decor_core::rotation::agree_shifts` agrees on that partition
+//! in-network, and `decor_core::run_endurance` duty-cycles it against
+//! the battery model to measure the lifetime it buys.
 //!
-//! - [`SleepScheduler::shifts`] partitions the alive nodes into disjoint
-//!   *shifts*, each of which alone keeps every monitored point covered at
-//!   the target degree (greedy set-multicover per shift);
-//! - [`SleepScheduler::simulate_lifetime`] duty-cycles the shifts
-//!   round-robin against a battery model and reports how much longer the
-//!   network keeps its coverage guarantee compared to leaving every node
-//!   awake.
+//! The greedy is output-sensitive: each assignment touches only the
+//! points the chosen node covers. The most constrained point comes from
+//! an ordered set keyed by (slack, point), a candidate's gain is counted
+//! over its own points, and only the assigned node's points are updated
+//! (DESIGN.md §15).
 
 use crate::network::Network;
 use crate::node::NodeId;
 use decor_geom::Point;
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 
-/// Builds sleep shifts and simulates duty-cycled lifetime.
+/// Builds sleep shifts from a k-covered deployment.
 ///
 /// ```
 /// use decor_geom::{Aabb, Point};
@@ -30,29 +35,13 @@ use decor_geom::Point;
 /// net.add_node(Point::new(5.0, 5.0), 4.0, 8.0);
 /// let points = vec![Point::new(5.0, 5.0)];
 /// let shifts = SleepScheduler::new(1).shifts(&net, &points);
-/// assert_eq!(shifts.len(), 2);
-/// let report = SleepScheduler::new(1).simulate_lifetime(&net, &points, 10.0, 1.0, 0.0);
-/// assert_eq!(report.baseline_periods, 10);
-/// assert_eq!(report.periods_covered, 20); // duty cycling doubles lifetime
+/// assert_eq!(shifts, vec![vec![0], vec![1]]);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct SleepScheduler {
     /// Coverage degree each shift must maintain on its own (usually 1:
     /// the k-covered deployment is split into ~k 1-covering shifts).
     pub target_coverage: u32,
-}
-
-/// Outcome of a lifetime simulation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LifetimeReport {
-    /// Number of disjoint shifts the scheduler extracted.
-    pub shifts: usize,
-    /// Periods until coverage fell below target with duty cycling.
-    pub periods_covered: u64,
-    /// Periods until coverage fell below target with every node awake.
-    pub baseline_periods: u64,
-    /// `periods_covered / baseline_periods`.
-    pub extension_factor: f64,
 }
 
 impl SleepScheduler {
@@ -80,8 +69,9 @@ impl SleepScheduler {
 
     /// Partitions the alive nodes into disjoint shifts, each achieving
     /// `target_coverage` of every point in `points` on its own. Nodes
-    /// left over are appended to the *first* shift as spares. Returns an
-    /// empty vec when even the full network cannot reach the target.
+    /// left over are dealt round-robin across the shifts as spares, so
+    /// every shift gets backup. Returns an empty vec when even the full
+    /// network cannot reach the target.
     ///
     /// Construction is a balanced simultaneous assignment (a domatic-
     /// partition heuristic): extracting complete shifts one at a time lets
@@ -96,12 +86,31 @@ impl SleepScheduler {
         if min_cover < self.target_coverage {
             return Vec::new(); // even everyone awake cannot cover
         }
+        // The coverer lists inverted into rows of one flat buffer: node
+        // `id` covers points `pts[start[id]..start[id + 1]]`, ascending.
+        // Shared by every attempt below.
+        let mut start = vec![0usize; net.len() + 1];
+        for &id in coverers.iter().flatten() {
+            start[id + 1] += 1;
+        }
+        for id in 0..net.len() {
+            start[id + 1] += start[id];
+        }
+        let mut pts = vec![0u32; start[net.len()]];
+        let mut fill = start.clone();
+        for (pi, c) in coverers.iter().enumerate() {
+            let pi = u32::try_from(pi).expect("fewer than 2^32 points");
+            for &id in c {
+                pts[fill[id]] = pi;
+                fill[id] += 1;
+            }
+        }
+        let pts_of = |id: NodeId| &pts[start[id]..start[id + 1]];
         let s_max = (min_cover / self.target_coverage).max(1) as usize;
         for s in (1..=s_max).rev() {
-            if let Some(mut shifts) = self.try_partition(net, &coverers, s) {
+            if let Some(mut shifts) = self.try_partition(&coverers, pts_of, net.len(), s) {
                 // Spares spread round-robin so every shift gets backup.
-                let assigned: std::collections::BTreeSet<NodeId> =
-                    shifts.iter().flatten().copied().collect();
+                let assigned: BTreeSet<NodeId> = shifts.iter().flatten().copied().collect();
                 for (i, id) in net
                     .alive_ids()
                     .into_iter()
@@ -119,191 +128,82 @@ impl SleepScheduler {
         Vec::new()
     }
 
-    /// Attempts to build exactly `s` disjoint shifts simultaneously.
-    fn try_partition(
+    /// Attempts to build exactly `s` disjoint shifts simultaneously out
+    /// of `n_nodes` nodes. `pts_of(id)` is node `id`'s row of `coverers`
+    /// inverted.
+    fn try_partition<'a>(
         &self,
-        net: &Network,
         coverers: &[Vec<NodeId>],
+        pts_of: impl Fn(NodeId) -> &'a [u32],
+        n_nodes: usize,
         s: usize,
     ) -> Option<Vec<Vec<NodeId>>> {
         let n_points = coverers.len();
-        // deficit[si][pi]: coverage still needed by shift si at point pi.
-        let mut deficit = vec![vec![self.target_coverage; n_points]; s];
-        let mut shift_of = vec![usize::MAX; net.len()];
+        // deficit[pi * s + si]: coverage still needed by shift si at pi.
+        let mut deficit = vec![self.target_coverage; n_points * s];
+        // need[pi]: the deficits of pi summed over the shifts.
+        let mut need = vec![self.target_coverage as i64 * s as i64; n_points];
+        // avail[pi]: coverers of pi not yet assigned to a shift.
+        let mut avail: Vec<i64> = coverers.iter().map(|c| c.len() as i64).collect();
+        // The points still in need, keyed by (slack, point): the first
+        // entry is the most constrained point, the lowest id on equal
+        // slack. Each key holds the point's current avail - need.
+        let mut needy: BTreeSet<(i64, usize)> =
+            (0..n_points).map(|pi| (avail[pi] - need[pi], pi)).collect();
+        let mut free = vec![true; n_nodes];
         let mut shifts = vec![Vec::new(); s];
-        loop {
-            // Most-constrained point: smallest slack between available
-            // coverers and total remaining need.
-            let mut pick: Option<(usize, i64)> = None; // (point, slack)
-            let mut any_need = false;
-            for pi in 0..n_points {
-                let need: i64 = (0..s).map(|si| deficit[si][pi] as i64).sum();
-                if need == 0 {
-                    continue;
-                }
-                any_need = true;
-                let avail = coverers[pi]
-                    .iter()
-                    .filter(|&&id| shift_of[id] == usize::MAX)
-                    .count() as i64;
-                let slack = avail - need;
-                if slack < 0 {
-                    return None; // infeasible for this s
-                }
-                if pick.is_none_or(|(_, sl)| slack < sl) {
-                    pick = Some((pi, slack));
-                }
+        while let Some(&(slack, pi)) = needy.first() {
+            if slack < 0 {
+                return None; // infeasible for this s
             }
-            if !any_need {
-                break;
-            }
-            let (pi, _) = pick.expect("need exists");
             // Serve the shift with the largest deficit at pi (ties: low id).
+            let row = &deficit[pi * s..(pi + 1) * s];
             let si = (0..s)
-                .max_by_key(|&si| (deficit[si][pi], std::cmp::Reverse(si)))
-                .unwrap();
-            debug_assert!(deficit[si][pi] > 0);
-            // Among available coverers of pi, pick the one covering the
-            // most still-deficient points *of that shift* (ties: low id).
-            let mut best: Option<(NodeId, u64)> = None;
+                .max_by_key(|&si| (row[si], Reverse(si)))
+                .expect("an attempt builds at least one shift");
+            debug_assert!(row[si] > 0);
+            // Among free coverers of pi, pick the one covering the most
+            // still-deficient points *of that shift* (ties: low id).
+            let mut best: Option<(NodeId, usize)> = None;
             for &id in &coverers[pi] {
-                if shift_of[id] != usize::MAX {
+                if !free[id] {
                     continue;
                 }
-                let gain: u64 = coverers
+                let gain = pts_of(id)
                     .iter()
-                    .enumerate()
-                    .filter(|&(qi, c)| deficit[si][qi] > 0 && c.binary_search(&id).is_ok())
-                    .count() as u64;
-                if best.is_none_or(|(bid, g)| gain > g || (gain == g && id < bid)) {
+                    .filter(|&&qi| deficit[qi as usize * s + si] > 0)
+                    .count();
+                if best.is_none_or(|(_, g)| gain > g) {
                     best = Some((id, gain));
                 }
             }
             let (id, _) = best?; // no available coverer: infeasible
-            shift_of[id] = si;
+            free[id] = false;
             shifts[si].push(id);
-            for (qi, c) in coverers.iter().enumerate() {
-                if deficit[si][qi] > 0 && c.binary_search(&id).is_ok() {
-                    deficit[si][qi] -= 1;
+            // Only the assigned node's points change: each loses a free
+            // coverer, and where shift si still lacked coverage its
+            // deficit falls too (slack unchanged); elsewhere slack drops.
+            for &qi in pts_of(id) {
+                let qi = qi as usize;
+                if need[qi] == 0 {
+                    continue; // satisfied: no longer keyed
+                }
+                let old = (avail[qi] - need[qi], qi);
+                avail[qi] -= 1;
+                let d = &mut deficit[qi * s + si];
+                if *d > 0 {
+                    *d -= 1;
+                    need[qi] -= 1;
+                    if need[qi] == 0 {
+                        needy.remove(&old);
+                    }
+                } else {
+                    needy.remove(&old);
+                    needy.insert((old.0 - 1, qi));
                 }
             }
         }
         Some(shifts)
-    }
-
-    /// Simulates duty-cycled operation: in period `t`, shift `t mod S` is
-    /// awake (cost `awake_cost` from its battery), everyone else sleeps
-    /// (cost `sleep_cost`). When the scheduled shift can no longer meet
-    /// the target (dead batteries), all surviving nodes wake as a last
-    /// resort. The run ends when even that fails.
-    ///
-    /// Returns the lifetime report including the all-awake baseline
-    /// computed under the same battery model.
-    pub fn simulate_lifetime(
-        &self,
-        net: &Network,
-        points: &[Point],
-        battery: f64,
-        awake_cost: f64,
-        sleep_cost: f64,
-    ) -> LifetimeReport {
-        assert!(battery > 0.0 && awake_cost > 0.0, "positive battery/cost");
-        assert!(
-            sleep_cost >= 0.0 && sleep_cost < awake_cost,
-            "sleeping must cost less than waking"
-        );
-        let shifts = self.shifts(net, points);
-        let coverers = Self::coverers(net, points);
-        let n = net.len();
-
-        let covered = |energy: &[f64], awake: &dyn Fn(NodeId) -> bool| -> bool {
-            coverers.iter().all(|c| {
-                let mut have = 0;
-                for &id in c {
-                    if energy[id] >= awake_cost && awake(id) {
-                        have += 1;
-                        if have >= self.target_coverage {
-                            return true;
-                        }
-                    }
-                }
-                false
-            })
-        };
-
-        // Baseline: everyone awake every period.
-        let baseline_periods = {
-            let mut energy = vec![battery; n];
-            let mut t = 0u64;
-            loop {
-                if !covered(&energy, &|_| true) {
-                    break;
-                }
-                for e in energy.iter_mut() {
-                    *e -= awake_cost;
-                }
-                t += 1;
-                if t > 10_000_000 {
-                    break; // guard
-                }
-            }
-            t
-        };
-
-        if shifts.is_empty() {
-            return LifetimeReport {
-                shifts: 0,
-                periods_covered: baseline_periods,
-                baseline_periods,
-                extension_factor: 1.0,
-            };
-        }
-
-        // Duty-cycled run.
-        let mut energy = vec![battery; n];
-        let mut member_of = vec![usize::MAX; n];
-        for (si, shift) in shifts.iter().enumerate() {
-            for &id in shift {
-                member_of[id] = si;
-            }
-        }
-        let s = shifts.len();
-        let mut t = 0u64;
-        loop {
-            let scheduled = (t % s as u64) as usize;
-            let shift_ok = covered(&energy, &|id| member_of[id] == scheduled);
-            let all_ok = shift_ok || covered(&energy, &|_| true);
-            if !all_ok {
-                break;
-            }
-            for id in 0..n {
-                if member_of[id] == usize::MAX {
-                    continue; // never part of the alive schedule
-                }
-                let awake = if shift_ok {
-                    member_of[id] == scheduled
-                } else {
-                    true // emergency all-hands period
-                };
-                energy[id] -= if awake { awake_cost } else { sleep_cost };
-                energy[id] = energy[id].max(-1.0);
-            }
-            t += 1;
-            if t > 10_000_000 {
-                break;
-            }
-        }
-
-        LifetimeReport {
-            shifts: s,
-            periods_covered: t,
-            baseline_periods,
-            extension_factor: if baseline_periods == 0 {
-                1.0
-            } else {
-                t as f64 / baseline_periods as f64
-            },
-        }
     }
 }
 
@@ -373,62 +273,24 @@ mod tests {
     }
 
     #[test]
-    fn lifetime_extension_tracks_layer_count() {
-        let (net, pts) = layered_net(3);
-        let sched = SleepScheduler::new(1);
-        let report = sched.simulate_lifetime(&net, &pts, 100.0, 1.0, 0.01);
-        assert!(report.shifts >= 2);
-        assert!(
-            report.extension_factor > 1.8,
-            "3 layers should nearly triple lifetime, got {:.2}x",
-            report.extension_factor
-        );
-        assert!(report.periods_covered > report.baseline_periods);
-    }
-
-    #[test]
-    fn single_layer_has_no_extension() {
-        let (net, pts) = layered_net(1);
-        let sched = SleepScheduler::new(1);
-        let report = sched.simulate_lifetime(&net, &pts, 50.0, 1.0, 0.0);
-        assert_eq!(report.shifts, 1);
-        assert!(
-            (report.extension_factor - 1.0).abs() < 0.05,
-            "one shift cannot extend lifetime: {report:?}"
-        );
-    }
-
-    #[test]
-    fn baseline_matches_battery_budget() {
-        let (net, pts) = layered_net(2);
-        let sched = SleepScheduler::new(1);
-        let report = sched.simulate_lifetime(&net, &pts, 10.0, 1.0, 0.0);
-        // All-awake: every node dies after exactly 10 periods.
-        assert_eq!(report.baseline_periods, 10);
-    }
-
-    #[test]
-    fn zero_sleep_cost_gives_near_linear_scaling() {
-        let (net, pts) = layered_net(4);
-        let sched = SleepScheduler::new(1);
-        let report = sched.simulate_lifetime(&net, &pts, 20.0, 1.0, 0.0);
-        assert!(report.shifts >= 3);
-        assert!(
-            report.extension_factor >= report.shifts as f64 * 0.8,
-            "{report:?}"
-        );
+    fn spares_are_dealt_round_robin() {
+        // Point a has 4 coverers and point b 6, so at target 2 there are
+        // two shifts of 2 + 2 nodes and b's 2 leftovers are spares.
+        let mut net = Network::new(Aabb::square(40.0));
+        for _ in 0..4 {
+            net.add_node(Point::new(5.0, 5.0), 2.0, 4.0);
+        }
+        for _ in 0..6 {
+            net.add_node(Point::new(30.0, 30.0), 2.0, 4.0);
+        }
+        let pts = [Point::new(5.0, 5.0), Point::new(30.0, 30.0)];
+        let shifts = SleepScheduler::new(2).shifts(&net, &pts);
+        assert_eq!(shifts, vec![vec![0, 2, 4, 6, 8], vec![1, 3, 5, 7, 9]]);
     }
 
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_target_panics() {
         let _ = SleepScheduler::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cost less")]
-    fn sleep_dearer_than_awake_panics() {
-        let (net, pts) = layered_net(1);
-        let _ = SleepScheduler::new(1).simulate_lifetime(&net, &pts, 1.0, 1.0, 2.0);
     }
 }

@@ -7,7 +7,9 @@
 //!   suppression counter proving the three-state lifecycle was actually
 //!   exercised;
 //! - the endurance simulation is deterministic: bit-identical
-//!   [`EnduranceReport`]s across 1/2/8 worker threads.
+//!   [`EnduranceReport`]s across 1/2/8 worker threads;
+//! - the paper-scale endurance and lifetime studies reproduce their
+//!   committed `results/*.csv` byte for byte.
 //!
 //! `ENDURANCE_MAX_PERIODS` caps the simulated horizon (the CI endurance
 //! job sets it); the cap must stay well above the natural herd-death
@@ -17,6 +19,7 @@
 use decor::core::parallel::run_replicas_with_threads;
 use decor::core::{run_endurance, EnduranceConfig, EnduranceReport, SchemeKind};
 use decor::exp::common::{deploy_with, ExpParams};
+use decor::exp::{ext_endurance, ext_lifetime};
 use decor::geom::{Disk, Point};
 use decor::net::RotationConfig;
 
@@ -128,4 +131,21 @@ fn capped_horizon_ends_an_immortal_run() {
     // ENDURANCE_MAX_PERIODS bounds wall-clock.
     assert!(report.ended_by_horizon);
     assert_eq!(report.lifetime_periods, 40);
+}
+
+/// `results/ext_endurance.csv` is the committed referee for the
+/// rotating-vs-always-on study under disaster, chaos and spares: the
+/// paper-scale table must reproduce it byte for byte.
+#[test]
+fn ext_endurance_table_matches_the_committed_csv() {
+    let csv = ext_endurance::run(&ExpParams::paper()).to_csv();
+    assert_eq!(csv, include_str!("../results/ext_endurance.csv"));
+}
+
+/// `results/ext_lifetime.csv` is the committed referee for the lifetime
+/// sweep over k: the paper-scale table must reproduce it byte for byte.
+#[test]
+fn ext_lifetime_table_matches_the_committed_csv() {
+    let csv = ext_lifetime::run(&ExpParams::paper()).to_csv();
+    assert_eq!(csv, include_str!("../results/ext_lifetime.csv"));
 }
