@@ -1,14 +1,15 @@
 //! Ablation benches for the design decisions called out in DESIGN.md §6:
 //!
-//! 1. incremental benefit maintenance vs full recompute per placement;
+//! 1. incremental benefit maintenance (the production `CentralizedGreedy`)
+//!    vs full recompute per placement;
 //! 2. hash-grid spatial index vs brute-force radius queries;
 //! 3. Halton vs random field approximation (cost side; the quality side
 //!    is Fig. 4);
 //! 4. parallel vs sequential replica execution.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use decor_core::parallel::{par_best_candidate, run_replicas};
-use decor_core::{benefit_at, BenefitTable, CoverageMap, DeploymentConfig, Placer};
+use decor_core::{benefit_at, CentralizedGreedy, CoverageMap, DeploymentConfig, Placer};
+use decor_exp::MatrixRunner;
 use decor_geom::{Aabb, GridIndex, Point};
 use decor_lds::{halton_points, random_points};
 use std::hint::black_box;
@@ -21,19 +22,6 @@ fn fresh_map(n_pts: usize, k: u32) -> (CoverageMap, DeploymentConfig) {
     };
     let map = CoverageMap::new(halton_points(n_pts, &field), &field, &cfg);
     (map, cfg)
-}
-
-/// Centralized greedy with the incremental table (the production path).
-fn greedy_incremental(mut map: CoverageMap, cfg: &DeploymentConfig) -> usize {
-    let cands: Vec<usize> = (0..map.n_points()).collect();
-    let mut table = BenefitTable::new(&map, cands, cfg.rs, cfg.k);
-    let mut placed = 0;
-    while let Some((_, _, pos, _)) = table.best() {
-        map.add_sensor(pos, cfg.rs);
-        table.on_sensor_added(&map, pos, cfg.rs);
-        placed += 1;
-    }
-    placed
 }
 
 /// Centralized greedy recomputing every candidate's benefit per step.
@@ -55,25 +43,14 @@ fn greedy_naive(mut map: CoverageMap, cfg: &DeploymentConfig) -> usize {
     placed
 }
 
-/// Naive greedy with the crossbeam-parallel candidate scan.
-fn greedy_parallel_scan(mut map: CoverageMap, cfg: &DeploymentConfig) -> usize {
-    let cands: Vec<usize> = (0..map.n_points()).collect();
-    let mut placed = 0;
-    while let Some((pid, _)) = par_best_candidate(&map, &cands, cfg.rs, cfg.k) {
-        map.add_sensor(map.points()[pid], cfg.rs);
-        placed += 1;
-    }
-    placed
-}
-
 fn bench_benefit_maintenance(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_benefit_maintenance");
     g.sample_size(10);
     let n = 600;
-    g.bench_function("incremental_table", |b| {
+    g.bench_function("centralized_greedy", |b| {
         b.iter_batched(
             || fresh_map(n, 2),
-            |(map, cfg)| black_box(greedy_incremental(map, &cfg)),
+            |(mut map, cfg)| black_box(CentralizedGreedy.place(&mut map, &cfg).placed.len()),
             BatchSize::LargeInput,
         )
     });
@@ -81,13 +58,6 @@ fn bench_benefit_maintenance(c: &mut Criterion) {
         b.iter_batched(
             || fresh_map(n, 2),
             |(map, cfg)| black_box(greedy_naive(map, &cfg)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("parallel_scan", |b| {
-        b.iter_batched(
-            || fresh_map(n, 2),
-            |(map, cfg)| black_box(greedy_parallel_scan(map, &cfg)),
             BatchSize::LargeInput,
         )
     });
@@ -189,8 +159,8 @@ fn bench_replica_parallelism(c: &mut Criterion) {
             black_box(v)
         })
     });
-    g.bench_function("crossbeam_5_replicas", |b| {
-        b.iter(|| black_box(run_replicas(5, 1, |_, seed| work(seed))))
+    g.bench_function("runner_5_replicas", |b| {
+        b.iter(|| black_box(MatrixRunner::auto().replicas(5, 1, |_, seed| work(seed))))
     });
     g.finish();
 }

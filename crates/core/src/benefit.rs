@@ -1,23 +1,17 @@
-//! The benefit function (Equation 1) and its incremental maintenance.
+//! The benefit function (Equation 1).
 //!
 //! The benefit of placing a sensor at candidate point `c` is
 //! `b(c) = Σ_{p : d(p,c) ≤ rs} max(k − k_p, 0)` — the total remaining
 //! coverage deficit the new sensor would bite into. DECOR always places at
 //! the maximum-benefit candidate.
 //!
-//! Two evaluators:
-//! - [`benefit_at`] — direct evaluation, O(points within `rs`);
-//! - [`BenefitTable`] — a table of benefits over a candidate set, updated
-//!   incrementally when a sensor lands: a placement at `q` only changes
-//!   `k_p` for points within `rs` of `q`, and therefore only the benefits
-//!   of candidates within `2·rs` of `q`. The centralized baseline does
-//!   thousands of placements over 2000 candidates; incremental updates
-//!   turn each step from O(N·deg) into O(deg²). The two evaluators are
-//!   property-tested equivalent (and benched against each other in the
-//!   ablation suite).
+//! [`benefit_at`] evaluates it directly, in O(points within `rs`). The
+//! placers keep benefits incrementally in [`crate::ShardedBenefitEngine`],
+//! which tests hold to direct evaluation and to the seed path's table
+//! (the oracle in `tests/oracle/benefit_table.rs`).
 
 use crate::coverage::CoverageMap;
-use decor_geom::{query_bucket_edge, FrozenGridIndex, Point};
+use decor_geom::Point;
 
 /// Direct evaluation of Equation 1 at candidate position `c`.
 ///
@@ -31,122 +25,6 @@ pub fn benefit_at(map: &CoverageMap, c: Point, rs: f64, k: u32) -> u64 {
         return 0;
     }
     map.deficit_within(c, rs, k)
-}
-
-/// Incrementally-maintained benefits over a fixed candidate set.
-///
-/// Candidates are approximation-point ids of the underlying map (DECOR
-/// places new sensors *at* approximation points). The table does not hold
-/// a reference to the map — callers pass it to [`BenefitTable::on_sensor_added`]
-/// right after each `add_sensor`, keeping borrows simple.
-#[derive(Clone, Debug)]
-pub struct BenefitTable {
-    rs: f64,
-    k: u32,
-    /// Candidate point ids, parallel to `benefits`.
-    cand_pids: Vec<usize>,
-    cand_pos: Vec<Point>,
-    benefits: Vec<u64>,
-    /// Spatial index over candidate positions; payload is the *slot*
-    /// index. The candidate set is fixed for the table's lifetime, so it
-    /// lives in the frozen CSR index.
-    cand_index: FrozenGridIndex,
-    /// Scratch slot buffer for `recompute_near`, reused across updates.
-    affected_scratch: Vec<usize>,
-}
-
-impl BenefitTable {
-    /// Builds the table for the given candidate point ids, computing every
-    /// initial benefit directly.
-    pub fn new(map: &CoverageMap, cand_pids: Vec<usize>, rs: f64, k: u32) -> Self {
-        let field = map.field();
-        let bucket = query_bucket_edge(
-            rs,
-            field.width().min(field.height()),
-            cand_pids.len().max(1),
-        );
-        let mut cand_pos = Vec::with_capacity(cand_pids.len());
-        let mut benefits = Vec::with_capacity(cand_pids.len());
-        for &pid in &cand_pids {
-            let pos = map.points()[pid];
-            cand_pos.push(pos);
-            benefits.push(benefit_at(map, pos, rs, k));
-        }
-        let cand_index = FrozenGridIndex::from_points(
-            field.min,
-            (field.width(), field.height()),
-            bucket,
-            cand_pos.iter().copied().enumerate(),
-        );
-        BenefitTable {
-            rs,
-            k,
-            cand_pids,
-            cand_pos,
-            benefits,
-            cand_index,
-            affected_scratch: Vec::new(),
-        }
-    }
-
-    /// Number of candidates.
-    pub fn len(&self) -> usize {
-        self.cand_pids.len()
-    }
-
-    /// True when the candidate set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cand_pids.is_empty()
-    }
-
-    /// Current benefit of candidate slot `slot`.
-    pub fn benefit(&self, slot: usize) -> u64 {
-        self.benefits[slot]
-    }
-
-    /// The best candidate: `(slot, point_id, position, benefit)` with the
-    /// maximum benefit; ties break towards the lowest slot (deterministic).
-    /// Returns `None` when every candidate has zero benefit.
-    pub fn best(&self) -> Option<(usize, usize, Point, u64)> {
-        let mut best: Option<(usize, u64)> = None;
-        for (slot, &b) in self.benefits.iter().enumerate() {
-            if b > 0 && best.is_none_or(|(_, bb)| b > bb) {
-                best = Some((slot, b));
-            }
-        }
-        best.map(|(slot, b)| (slot, self.cand_pids[slot], self.cand_pos[slot], b))
-    }
-
-    /// Notifies the table that a sensor of radius `rs_new` landed at `q`
-    /// *after* the map was updated. Only candidates within `rs_new + rs`
-    /// of `q` can have changed; their benefits are recomputed directly.
-    ///
-    /// Recomputing (rather than differential ±1 bookkeeping) keeps the
-    /// update correct for heterogeneous radii at the same asymptotic cost.
-    pub fn on_sensor_added(&mut self, map: &CoverageMap, q: Point, rs_new: f64) {
-        self.recompute_near(map, q, rs_new);
-    }
-
-    /// Notifies the table that the sensor of radius `rs_old` at `q` was
-    /// deactivated, *after* the map was updated. Same influence radius as
-    /// [`BenefitTable::on_sensor_added`]; affected benefits are recomputed.
-    pub fn on_sensor_removed(&mut self, map: &CoverageMap, q: Point, rs_old: f64) {
-        self.recompute_near(map, q, rs_old);
-    }
-
-    fn recompute_near(&mut self, map: &CoverageMap, q: Point, r: f64) {
-        let radius = r + self.rs;
-        let rs = self.rs;
-        let k = self.k;
-        // Collect affected slots first: recomputation borrows `map`. The
-        // scratch buffer is reused across updates.
-        let mut affected = std::mem::take(&mut self.affected_scratch);
-        self.cand_index.within_into(q, radius, &mut affected);
-        for &slot in &affected {
-            self.benefits[slot] = benefit_at(map, self.cand_pos[slot], rs, k);
-        }
-        self.affected_scratch = affected;
-    }
 }
 
 #[cfg(test)]
@@ -192,93 +70,5 @@ mod tests {
             map.add_sensor(c, 200.0); // covers everything
         }
         assert_eq!(benefit_at(&map, c, cfg.rs, cfg.k), 0);
-    }
-
-    #[test]
-    fn table_matches_direct_evaluation_initially() {
-        let (map, cfg) = setup(400);
-        let cands: Vec<usize> = (0..map.n_points()).collect();
-        let table = BenefitTable::new(&map, cands.clone(), cfg.rs, cfg.k);
-        for (slot, &pid) in cands.iter().enumerate() {
-            assert_eq!(
-                table.benefit(slot),
-                benefit_at(&map, map.points()[pid], cfg.rs, cfg.k)
-            );
-        }
-    }
-
-    #[test]
-    fn table_stays_consistent_across_many_placements() {
-        let (mut map, cfg) = setup(400);
-        let cands: Vec<usize> = (0..map.n_points()).collect();
-        let mut table = BenefitTable::new(&map, cands.clone(), cfg.rs, cfg.k);
-        // Place 40 sensors at a deterministic spread of points.
-        for step in 0..40usize {
-            let pid = (step * 97) % map.n_points();
-            let q = map.points()[pid];
-            map.add_sensor(q, cfg.rs);
-            table.on_sensor_added(&map, q, cfg.rs);
-        }
-        for (slot, &pid) in cands.iter().enumerate() {
-            assert_eq!(
-                table.benefit(slot),
-                benefit_at(&map, map.points()[pid], cfg.rs, cfg.k),
-                "slot {slot} drifted"
-            );
-        }
-    }
-
-    #[test]
-    fn best_picks_maximum_and_breaks_ties_low() {
-        let (map, cfg) = setup(300);
-        let cands: Vec<usize> = (0..map.n_points()).collect();
-        let table = BenefitTable::new(&map, cands, cfg.rs, cfg.k);
-        let (slot, pid, pos, b) = table.best().expect("uncovered map has benefit");
-        assert_eq!(pid, slot, "identity candidate mapping here");
-        assert_eq!(pos, map.points()[pid]);
-        for s in 0..table.len() {
-            assert!(table.benefit(s) <= b);
-            if table.benefit(s) == b {
-                assert!(slot <= s, "tie must break to the lowest slot");
-            }
-        }
-    }
-
-    #[test]
-    fn best_is_none_when_fully_covered() {
-        let (mut map, cfg) = setup(200);
-        for _ in 0..cfg.k {
-            map.add_sensor(Point::new(50.0, 50.0), 200.0);
-        }
-        let cands: Vec<usize> = (0..map.n_points()).collect();
-        let table = BenefitTable::new(&map, cands, cfg.rs, cfg.k);
-        assert!(table.best().is_none());
-    }
-
-    #[test]
-    fn subset_candidate_table() {
-        let (map, cfg) = setup(300);
-        let cands = vec![3, 77, 150];
-        let table = BenefitTable::new(&map, cands.clone(), cfg.rs, cfg.k);
-        assert_eq!(table.len(), 3);
-        let (_, pid, _, _) = table.best().unwrap();
-        assert!(cands.contains(&pid));
-    }
-
-    #[test]
-    fn update_outside_influence_radius_is_noop() {
-        let (mut map, cfg) = setup(400);
-        let cands = vec![0usize];
-        let c0 = map.points()[0];
-        let mut table = BenefitTable::new(&map, cands, cfg.rs, cfg.k);
-        let before = table.benefit(0);
-        // A sensor far from candidate 0 cannot change its benefit.
-        let far = Point::new(
-            if c0.x < 50.0 { 95.0 } else { 5.0 },
-            if c0.y < 50.0 { 95.0 } else { 5.0 },
-        );
-        map.add_sensor(far, cfg.rs);
-        table.on_sensor_added(&map, far, cfg.rs);
-        assert_eq!(table.benefit(0), before);
     }
 }

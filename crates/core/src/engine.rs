@@ -1,10 +1,11 @@
 //! The sharded, incrementally-maintained placement engine.
 //!
-//! [`crate::BenefitTable`] answers `best()` with a linear scan over all
-//! candidates and reacts to placements by *recomputing* every affected
-//! benefit from the map. Both costs are paid on every placement step, and
-//! the centralized baseline takes hundreds of steps per run. This engine
-//! replaces both:
+//! A plain table of candidate benefits (the seed path, kept as the test
+//! oracle `tests/oracle/benefit_table.rs`) answers `best()` with a linear
+//! scan over all candidates and reacts to placements by *recomputing*
+//! every affected benefit from the map. Both costs are paid on every
+//! placement step, and the centralized baseline takes hundreds of steps
+//! per run. This engine replaces both:
 //!
 //! - **Exact delta maintenance.** A sensor landing at `q` changes the
 //!   coverage of exactly the points within its radius; each such point
@@ -20,8 +21,8 @@
 //!   candidates.
 //! - **Parallel shard recomputation.** Building (or wholesale rebuilding)
 //!   the benefit vector evaluates Equation 1 once per candidate; those
-//!   evaluations fan out over crossbeam scoped threads with the same
-//!   chunking pattern as [`crate::parallel::par_best_candidate`].
+//!   evaluations fan out over crossbeam scoped threads, one contiguous
+//!   chunk of candidates per thread.
 //!
 //! Two scoring modes cover all three placement schemes:
 //!
@@ -32,15 +33,15 @@
 //!   the caller's partition (grid DECOR's cells).
 //!
 //! Tie-breaking contract: maximum benefit, ties to the lowest slot —
-//! identical to [`crate::BenefitTable::best`] (global mode) and to grid
-//! DECOR's keep-first cell scan (cells mode).
+//! identical to a direct argmax over [`benefit_at`] in slot order (global
+//! mode) and to grid DECOR's keep-first cell scan (cells mode).
 
 use crate::benefit::benefit_at;
 use crate::coverage::CoverageMap;
 use decor_geom::{query_bucket_edge, FrozenGridIndex, Point};
 
-/// Below this many candidates the initial benefit build stays sequential
-/// (same spirit as the 256-candidate floor in `par_best_candidate`).
+/// Below this many candidates the initial benefit build stays sequential:
+/// spawning threads would cost more than the evaluations.
 const PAR_BUILD_THRESHOLD: usize = 1024;
 
 struct Shard {
@@ -433,8 +434,7 @@ impl ShardedBenefitEngine {
 
 /// Evaluates `f(0..n)` into `out` (cleared first), fanning chunks out
 /// over crossbeam scoped threads when `n` is large enough to amortize
-/// thread spawn — the chunking pattern of
-/// [`crate::parallel::par_best_candidate`]. Workers write disjoint
+/// thread spawn, one contiguous chunk per thread. Workers write disjoint
 /// `chunks_mut` slabs of `out` directly, so a warm buffer makes the
 /// whole evaluation allocation-free; `f` is deterministic per index, so
 /// the result is identical either way.
@@ -469,7 +469,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::benefit::BenefitTable;
     use crate::config::DeploymentConfig;
     use decor_geom::Aabb;
     use decor_lds::halton_points;
@@ -481,31 +480,48 @@ mod tests {
         (map, cfg)
     }
 
+    /// The direct argmax over `cands` in slot order: the engine's
+    /// `(slot, point_id, position, benefit)` answer, recomputed.
+    fn direct_best(
+        map: &CoverageMap,
+        cands: &[usize],
+        rs: f64,
+        k: u32,
+    ) -> Option<(usize, usize, Point, u64)> {
+        let mut best: Option<(usize, u64)> = None;
+        for (slot, &pid) in cands.iter().enumerate() {
+            let b = benefit_at(map, map.points()[pid], rs, k);
+            if b > 0 && best.is_none_or(|(_, bb)| b > bb) {
+                best = Some((slot, b));
+            }
+        }
+        best.map(|(slot, b)| (slot, cands[slot], map.points()[cands[slot]], b))
+    }
+
     #[test]
-    fn global_matches_benefit_table_initially() {
+    fn global_matches_direct_evaluation_initially() {
         let (map, cfg) = setup(500, 2);
         let cands: Vec<usize> = (0..map.n_points()).collect();
-        let table = BenefitTable::new(&map, cands.clone(), cfg.rs, cfg.k);
-        let engine = ShardedBenefitEngine::global(&map, cands, cfg.rs, cfg.k);
-        assert_eq!(engine.len(), table.len());
-        for slot in 0..table.len() {
-            assert_eq!(engine.benefit(slot), table.benefit(slot), "slot {slot}");
+        let engine = ShardedBenefitEngine::global(&map, cands.clone(), cfg.rs, cfg.k);
+        assert_eq!(engine.len(), cands.len());
+        for (slot, &pid) in cands.iter().enumerate() {
+            let direct = benefit_at(&map, map.points()[pid], cfg.rs, cfg.k);
+            assert_eq!(engine.benefit(slot), direct, "slot {slot}");
         }
     }
 
     #[test]
-    fn global_best_matches_benefit_table_under_placements() {
+    fn global_best_matches_direct_argmax_under_placements() {
         let (mut map, cfg) = setup(600, 3);
         let cands: Vec<usize> = (0..map.n_points()).collect();
-        let mut table = BenefitTable::new(&map, cands.clone(), cfg.rs, cfg.k);
-        let mut engine = ShardedBenefitEngine::global(&map, cands, cfg.rs, cfg.k);
+        let mut engine = ShardedBenefitEngine::global(&map, cands.clone(), cfg.rs, cfg.k);
         for step in 0..60usize {
-            assert_eq!(engine.best(&map), table.best(), "step {step}");
-            let Some((_, _, pos, _)) = table.best() else {
+            let want = direct_best(&map, &cands, cfg.rs, cfg.k);
+            assert_eq!(engine.best(&map), want, "step {step}");
+            let Some((_, _, pos, _)) = want else {
                 break;
             };
             map.add_sensor(pos, cfg.rs);
-            table.on_sensor_added(&map, pos, cfg.rs);
             engine.on_sensor_added(&map, pos, cfg.rs);
         }
     }
@@ -631,9 +647,9 @@ mod tests {
     fn subset_candidates_keep_lowest_slot_tiebreak() {
         let (map, cfg) = setup(300, 1);
         let cands = vec![250, 3, 77, 150];
-        let table = BenefitTable::new(&map, cands.clone(), cfg.rs, cfg.k);
+        let want = direct_best(&map, &cands, cfg.rs, cfg.k);
         let mut engine = ShardedBenefitEngine::global(&map, cands, cfg.rs, cfg.k);
-        assert_eq!(engine.best(&map), table.best());
+        assert_eq!(engine.best(&map), want);
     }
 
     #[test]

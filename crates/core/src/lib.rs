@@ -48,7 +48,7 @@ pub mod scratch;
 pub mod voronoi_scheme;
 
 pub use async_grid::AsyncGridDecor;
-pub use benefit::{benefit_at, BenefitTable};
+pub use benefit::benefit_at;
 pub use centralized::CentralizedGreedy;
 pub use config::{ConfigError, DeploymentConfig, LinkConfig, SchemeKind};
 pub use coverage::{CoverageMap, SensorId};

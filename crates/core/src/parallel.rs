@@ -1,18 +1,12 @@
-//! Parallel execution helpers (crossbeam scoped threads).
+//! Replica seeds and worker counts for parallel experiments.
 //!
-//! The paper averages every figure over 5 random fields. Replicas are
-//! embarrassingly parallel, so [`run_replicas`] fans them out over scoped
-//! threads — one per replica up to the hardware parallelism — with
-//! deterministic per-replica seeds derived by splitmix64, guaranteeing
-//! sequential and parallel execution produce identical results.
-//!
-//! [`par_best_candidate`] additionally parallelizes the inner benefit
-//! argmax scan; it exists for the ablation benches (the incremental
-//! [`crate::BenefitTable`] usually beats brute-force parallelism, which is
-//! the point the ablation makes).
+//! The paper averages every figure over 5 random fields. The replicas run
+//! on the experiment executor (`decor_exp::MatrixRunner`); this module
+//! holds what that executor and the benchmark share with it:
+//! [`replica_seed`], the deterministic splitmix64 per-replica seed that
+//! makes sequential and parallel execution produce identical results, and
+//! [`default_threads`], the `DECOR_THREADS`-aware worker count.
 
-use crate::benefit::benefit_at;
-use crate::coverage::CoverageMap;
 use decor_lds::vdc::splitmix64;
 
 /// Derives the seed for replica `i` from a base seed.
@@ -31,12 +25,11 @@ pub fn parse_thread_override(value: &str) -> Option<usize> {
     value.trim().parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
-/// The worker count [`run_replicas`] (and the experiment matrix runner)
-/// uses: the `DECOR_THREADS` environment override when set to a positive
-/// integer, else the hardware parallelism. Bench boxes and CI runners pin
-/// worker counts with the env var; because every parallel helper in this
-/// crate is deterministic in its inputs, the setting can only change wall
-/// time, never results.
+/// The worker count the experiment executor uses by default: the
+/// `DECOR_THREADS` environment override when set to a positive integer,
+/// else the hardware parallelism. Bench boxes and CI runners pin worker
+/// counts with the env var; because every replica is deterministic in its
+/// inputs, the setting can only change wall time, never results.
 pub fn default_threads() -> usize {
     std::env::var("DECOR_THREADS")
         .ok()
@@ -48,124 +41,9 @@ pub fn default_threads() -> usize {
         })
 }
 
-/// Runs `f(replica_index, replica_seed)` for `n` replicas in parallel and
-/// returns the results in replica order.
-///
-/// `f` must be deterministic in its arguments; the output is then
-/// identical to the sequential loop regardless of thread scheduling. The
-/// worker count is the hardware parallelism unless `DECOR_THREADS`
-/// overrides it (see [`default_threads`]).
-pub fn run_replicas<T, F>(n: usize, base_seed: u64, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, u64) -> T + Sync,
-{
-    run_replicas_with_threads(n, base_seed, default_threads(), f)
-}
-
-/// [`run_replicas`] with an explicit worker count instead of the hardware
-/// parallelism. The results must be identical for every `threads >= 1` —
-/// the determinism suite pins this by comparing traces across counts.
-pub fn run_replicas_with_threads<T, F>(n: usize, base_seed: u64, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, u64) -> T + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        return (0..n).map(|i| f(i, replica_seed(base_seed, i))).collect();
-    }
-    // Work-stealing over an atomic index; each worker accumulates its own
-    // `(index, result)` pairs and the results are scattered into their
-    // slots after the joins — disjoint per-slot storage, no shared lock on
-    // the hot path.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            handles.push(scope.spawn(|_| {
-                let mut local: Vec<(usize, T)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    local.push((i, f(i, replica_seed(base_seed, i))));
-                }
-                local
-            }));
-        }
-        for h in handles {
-            for (i, out) in h.join().expect("replica worker panicked") {
-                debug_assert!(results[i].is_none(), "replica {i} computed twice");
-                results[i] = Some(out);
-            }
-        }
-    })
-    .expect("replica scope failed");
-    results
-        .into_iter()
-        .map(|o| o.expect("every replica filled"))
-        .collect()
-}
-
-/// Parallel argmax of the benefit function over candidate point ids.
-///
-/// Returns `(point_id, benefit)` of the best candidate with positive
-/// benefit (ties to the lowest id — same contract as
-/// [`crate::BenefitTable::best`]), or `None` when all benefits are zero.
-pub fn par_best_candidate(
-    map: &CoverageMap,
-    cands: &[usize],
-    rs: f64,
-    k: u32,
-) -> Option<(usize, u64)> {
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(cands.len().max(1));
-    if threads <= 1 || cands.len() < 256 {
-        return best_in_slice(map, cands, rs, k);
-    }
-    let chunk = cands.len().div_ceil(threads);
-    let best = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for part in cands.chunks(chunk) {
-            handles.push(scope.spawn(move |_| best_in_slice(map, part, rs, k)));
-        }
-        handles
-            .into_iter()
-            .filter_map(|h| h.join().expect("benefit scan panicked"))
-            .min_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)))
-    })
-    .expect("scope failed");
-    best
-}
-
-fn best_in_slice(map: &CoverageMap, cands: &[usize], rs: f64, k: u32) -> Option<(usize, u64)> {
-    let mut best: Option<(usize, u64)> = None;
-    for &pid in cands {
-        let b = benefit_at(map, map.points()[pid], rs, k);
-        if b > 0 {
-            match best {
-                Some((bp, bb)) if bb > b || (bb == b && bp < pid) => {}
-                _ => best = Some((pid, b)),
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DeploymentConfig;
-    use decor_geom::Aabb;
-    use decor_lds::halton_points;
 
     #[test]
     fn replica_seeds_are_distinct_and_stable() {
@@ -178,18 +56,6 @@ mod tests {
     }
 
     #[test]
-    fn run_replicas_matches_sequential() {
-        let par = run_replicas(8, 7, |i, seed| (i, seed, (i as u64).wrapping_mul(seed)));
-        let seq: Vec<_> = (0..8)
-            .map(|i| {
-                let seed = replica_seed(7, i);
-                (i, seed, (i as u64).wrapping_mul(seed))
-            })
-            .collect();
-        assert_eq!(par, seq);
-    }
-
-    #[test]
     fn thread_override_parsing() {
         assert_eq!(parse_thread_override("4"), Some(4));
         assert_eq!(parse_thread_override(" 16 "), Some(16));
@@ -198,89 +64,5 @@ mod tests {
         assert_eq!(parse_thread_override("four"), None);
         assert_eq!(parse_thread_override("-2"), None);
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn decor_threads_env_pins_workers_without_changing_results() {
-        // Results are a pure function of (n, base_seed), so every
-        // DECOR_THREADS setting must reproduce the reference exactly.
-        // (Other tests in this binary may race reads of the var; that is
-        // harmless for the same reason.)
-        let reference: Vec<_> = (0..20).map(|i| (i, replica_seed(5, i))).collect();
-        for setting in ["1", "2", "7", "64"] {
-            std::env::set_var("DECOR_THREADS", setting);
-            assert_eq!(
-                default_threads(),
-                setting.parse::<usize>().unwrap(),
-                "override must be honored"
-            );
-            let got = run_replicas(20, 5, |i, seed| (i, seed));
-            assert_eq!(got, reference, "DECOR_THREADS={setting}");
-        }
-        std::env::remove_var("DECOR_THREADS");
-        assert_eq!(run_replicas(20, 5, |i, seed| (i, seed)), reference);
-    }
-
-    #[test]
-    fn run_replicas_zero_is_empty() {
-        let v: Vec<u32> = run_replicas(0, 1, |_, _| 0);
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    fn explicit_thread_counts_agree() {
-        let reference: Vec<_> = (0..12).map(|i| (i, replica_seed(11, i))).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            let got = run_replicas_with_threads(12, 11, threads, |i, seed| (i, seed));
-            assert_eq!(got, reference, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn run_replicas_heavier_than_threads() {
-        // More replicas than cores exercises the work-stealing loop.
-        let v = run_replicas(64, 3, |i, _| i * i);
-        assert_eq!(v.len(), 64);
-        for (i, &x) in v.iter().enumerate() {
-            assert_eq!(x, i * i);
-        }
-    }
-
-    #[test]
-    fn par_best_matches_sequential_table() {
-        use crate::benefit::BenefitTable;
-        let field = Aabb::square(100.0);
-        let cfg = DeploymentConfig::with_k(2);
-        let mut map = CoverageMap::new(halton_points(600, &field), &field, &cfg);
-        // A few sensors to create variation.
-        for i in 0..10 {
-            map.add_sensor(decor_geom::Point::new(10.0 * i as f64 + 5.0, 40.0), cfg.rs);
-        }
-        let cands: Vec<usize> = (0..map.n_points()).collect();
-        let table = BenefitTable::new(&map, cands.clone(), cfg.rs, cfg.k);
-        let (slot, pid, _, b) = table.best().unwrap();
-        assert_eq!(slot, pid);
-        let par = par_best_candidate(&map, &cands, cfg.rs, cfg.k).unwrap();
-        assert_eq!(par, (pid, b));
-    }
-
-    #[test]
-    fn par_best_none_when_covered() {
-        let field = Aabb::square(100.0);
-        let cfg = DeploymentConfig::with_k(1);
-        let mut map = CoverageMap::new(halton_points(300, &field), &field, &cfg);
-        map.add_sensor(decor_geom::Point::new(50.0, 50.0), 200.0);
-        let cands: Vec<usize> = (0..map.n_points()).collect();
-        assert!(par_best_candidate(&map, &cands, cfg.rs, cfg.k).is_none());
-    }
-
-    #[test]
-    fn small_candidate_sets_use_sequential_path() {
-        let field = Aabb::square(100.0);
-        let cfg = DeploymentConfig::with_k(1);
-        let map = CoverageMap::new(halton_points(100, &field), &field, &cfg);
-        let cands = vec![5usize, 10, 20];
-        let best = par_best_candidate(&map, &cands, cfg.rs, cfg.k).unwrap();
-        assert!(cands.contains(&best.0));
     }
 }

@@ -23,9 +23,9 @@
 //! ground truth the dense reference grid only estimates.
 
 use crate::common::ExpParams;
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::{CentralizedGreedy, CoverageMap, DeploymentConfig, Placer};
 use decor_geom::{detect_holes, Point};
 use decor_lds::PointSetKind;
@@ -95,17 +95,18 @@ pub fn run(params: &ExpParams) -> Table {
     let cfg = DeploymentConfig::with_k(1);
     let field = params.field();
     for (bi, _) in BACKENDS.iter().enumerate() {
-        let results = run_replicas(params.seeds, params.base_seed ^ 0xAB, |_, seed| {
-            let pts = backend(bi, seed).points(params.n_points, &field);
-            let mut map = CoverageMap::new(pts, &field, &cfg);
-            let out = CentralizedGreedy.place(&mut map, &cfg);
-            (
-                out.placed.len() as f64,
-                map.fraction_k_covered(1) * 100.0,
-                audit_true_coverage(&map, 1) * 100.0,
-                exact_missed_area(&map, cfg.rs),
-            )
-        });
+        let results =
+            MatrixRunner::auto().replicas(params.seeds, params.base_seed ^ 0xAB, |_, seed| {
+                let pts = backend(bi, seed).points(params.n_points, &field);
+                let mut map = CoverageMap::new(pts, &field, &cfg);
+                let out = CentralizedGreedy.place(&mut map, &cfg);
+                (
+                    out.placed.len() as f64,
+                    map.fraction_k_covered(1) * 100.0,
+                    audit_true_coverage(&map, 1) * 100.0,
+                    exact_missed_area(&map, cfg.rs),
+                )
+            });
         t.push_row(vec![
             bi as f64,
             mean(&results.iter().map(|r| r.0).collect::<Vec<_>>()),

@@ -3,13 +3,16 @@
 //! Usage:
 //! ```text
 //! decor-figures [--quick] [--out DIR] [fig04|fig05|fig06|fig07|fig08|
-//!                fig09|fig10|fig11|fig12|fig13|fig14|all]...
+//!                fig09|fig10|fig11|fig12|fig13|fig14|all|ext]...
 //! ```
 //!
 //! With no figure arguments, `all` is assumed. `--quick` runs the scaled-
 //! down configuration (500 points, 2 seeds) instead of the paper's
-//! (2000 points, 5 seeds). CSVs land in `DIR` (default `results/`).
+//! (2000 points, 5 seeds) and needs an explicit `--out`. CSVs land in
+//! `DIR` (default `results/`). Bad arguments exit with code 2 (parsing:
+//! [`decor_exp::cli::parse_figures_args`]).
 
+use decor_exp::cli::{parse_figures_args, FiguresArgs, FIGURES_USAGE};
 use decor_exp::{
     common::ExpParams, fig04, fig05_06, fig07, fig08, fig09, fig10, fig11, fig12, fig13_14, Table,
 };
@@ -125,21 +128,14 @@ fn write_outputs(dir: &str, tables: &[Table]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "results".to_owned());
-    let mut figs: Vec<String> = args
-        .iter()
-        .filter(|a| a.starts_with("fig") || *a == "all" || *a == "ext")
-        .cloned()
-        .collect();
-    if figs.is_empty() {
-        figs.push("all".to_owned());
-    }
+    let FiguresArgs {
+        quick,
+        out_dir,
+        figs,
+    } = parse_figures_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{FIGURES_USAGE}");
+        std::process::exit(2);
+    });
     let params = if quick {
         ExpParams::quick()
     } else {

@@ -1,8 +1,10 @@
-//! Argument parsing and I/O helpers for the `decor-cli` binary.
+//! Argument parsing and I/O helpers for the `decor-cli` and
+//! `decor-figures` binaries.
 //!
-//! Hand-rolled parsing (no external CLI dependency): flags are
-//! `--name value` pairs after a subcommand. The logic lives here, in
-//! library code, so it is unit-testable; the binary is a thin shell.
+//! Hand-rolled parsing (no external CLI dependency): `decor-cli` flags are
+//! `--name value` pairs after a subcommand; `decor-figures` takes figure
+//! names plus `--quick` and `--out DIR`. The logic lives here, in library
+//! code, so it is unit-testable; the binaries are thin shells.
 
 use crate::common::{voronoi_rc, ExpParams};
 use decor_core::{ConfigError, CoverageMap, DeploymentConfig, EnduranceConfig, SchemeKind};
@@ -318,6 +320,74 @@ pub fn write_trace_out(args: &CliArgs, cfg: &DeploymentConfig) -> Result<Option<
     Ok(Some(path.clone()))
 }
 
+/// The figure names `decor-figures` runs: Figs. 4–14, `all` (every
+/// figure plus the extensions) and `ext` (the extensions alone).
+const FIGURE_NAMES: [&str; 13] = [
+    "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13",
+    "fig14", "all", "ext",
+];
+
+/// The `decor-figures` usage line, printed with every argument error.
+pub const FIGURES_USAGE: &str =
+    "usage: decor-figures [--quick] [--out DIR] [fig04 .. fig14 | all | ext]...";
+
+/// A parsed `decor-figures` command line.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FiguresArgs {
+    /// Run the scaled-down configuration (500 points, 2 seeds).
+    pub quick: bool,
+    /// Directory the CSVs and SVGs land in.
+    pub out_dir: String,
+    /// Figures to run, in command-line order; `["all"]` when none is given.
+    pub figs: Vec<String>,
+}
+
+/// Parses `decor-figures` arguments (without the program name). An
+/// unknown figure name or flag is an error, and so is `--out` without a
+/// directory: a flag or a figure name in its place is refused (write
+/// `./fig07` for a directory of that name). `--quick` needs an explicit
+/// `--out`, so a quick run never overwrites the paper-scale tables in
+/// `results/`, the default directory.
+pub fn parse_figures_args(args: &[String]) -> Result<FiguresArgs, String> {
+    let mut quick = false;
+    let mut out_dir = None;
+    let mut figs = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--out" => match it.next() {
+                Some(dir) if !dir.starts_with('-') && !FIGURE_NAMES.contains(&dir.as_str()) => {
+                    out_dir = Some(dir.clone())
+                }
+                Some(other) => return Err(format!("flag --out needs a directory, got '{other}'")),
+                None => return Err("flag --out needs a directory".into()),
+            },
+            name if FIGURE_NAMES.contains(&name) => figs.push(name.to_owned()),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            other => return Err(format!("unknown figure '{other}'")),
+        }
+    }
+    if figs.is_empty() {
+        figs.push("all".to_owned());
+    }
+    let out_dir = match out_dir {
+        Some(dir) => dir,
+        None if quick => {
+            return Err(
+                "--quick needs an explicit --out DIR (results/ holds the paper-scale tables)"
+                    .into(),
+            )
+        }
+        None => "results".to_owned(),
+    };
+    Ok(FiguresArgs {
+        quick,
+        out_dir,
+        figs,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,5 +686,65 @@ mod tests {
         // Certain loss is rejected up front.
         let bad = parse_args(&argv("deploy --loss 100")).unwrap();
         assert!(params_from(&bad).is_err());
+    }
+
+    #[test]
+    fn figures_defaults_to_all_at_paper_scale_into_results() {
+        let a = parse_figures_args(&[]).unwrap();
+        assert_eq!(
+            a,
+            FiguresArgs {
+                quick: false,
+                out_dir: "results".into(),
+                figs: vec!["all".into()],
+            }
+        );
+        let a = parse_figures_args(&argv("fig08 --quick --out /tmp/q fig14")).unwrap();
+        assert!(a.quick);
+        assert_eq!(a.out_dir, "/tmp/q");
+        assert_eq!(a.figs, vec!["fig08", "fig14"]);
+    }
+
+    #[test]
+    fn figures_rejects_an_unknown_figure() {
+        let err = parse_figures_args(&argv("fig99 --quick --out /tmp/q")).unwrap_err();
+        assert_eq!(err, "unknown figure 'fig99'");
+        assert!(parse_figures_args(&argv("fig8")).is_err());
+    }
+
+    #[test]
+    fn figures_rejects_an_unknown_flag() {
+        assert_eq!(
+            parse_figures_args(&argv("--help")).unwrap_err(),
+            "unknown flag --help"
+        );
+        assert!(parse_figures_args(&argv("fig07 --qiuck --out /tmp/q")).is_err());
+    }
+
+    #[test]
+    fn figures_out_needs_a_directory() {
+        for line in [
+            "--quick --out",
+            "--out --quick fig07",
+            "--quick --out fig07",
+        ] {
+            let err = parse_figures_args(&argv(line)).unwrap_err();
+            assert!(
+                err.starts_with("flag --out needs a directory"),
+                "{line}: {err}"
+            );
+        }
+        let a = parse_figures_args(&argv("--out ./fig07 fig07")).unwrap();
+        assert_eq!(
+            (a.out_dir.as_str(), a.figs),
+            ("./fig07", vec!["fig07".into()])
+        );
+    }
+
+    #[test]
+    fn figures_quick_needs_an_explicit_out() {
+        let err = parse_figures_args(&argv("fig08 --quick")).unwrap_err();
+        assert!(err.starts_with("--quick needs an explicit --out"), "{err}");
+        assert!(parse_figures_args(&argv("fig08 --quick --out results")).is_ok());
     }
 }

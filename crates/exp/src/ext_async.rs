@@ -21,9 +21,9 @@
 //! Within the async family, node count is monotone in `L/T`.
 
 use crate::common::ExpParams;
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::{AsyncGridDecor, DeploymentConfig, GridDecor, Placer};
 
 /// Latency/work-period ratios swept.
@@ -48,30 +48,32 @@ pub fn run(params: &ExpParams) -> Table {
             "overhead_pct".into(),
         ],
     );
-    let sync_counts = run_replicas(params.seeds, params.base_seed ^ 0xA57C, |_, seed| {
-        let cfg = DeploymentConfig::with_k(K);
-        let mut map = params.make_map(&cfg, params.initial_nodes, seed);
-        GridDecor { cell_size: 5.0 }
-            .place(&mut map, &cfg)
-            .placed
-            .len() as f64
-    });
+    let sync_counts =
+        MatrixRunner::auto().replicas(params.seeds, params.base_seed ^ 0xA57C, |_, seed| {
+            let cfg = DeploymentConfig::with_k(K);
+            let mut map = params.make_map(&cfg, params.initial_nodes, seed);
+            GridDecor { cell_size: 5.0 }
+                .place(&mut map, &cfg)
+                .placed
+                .len() as f64
+        });
     let sync = mean(&sync_counts);
     for &ratio in &RATIOS {
         let latency = (ratio * WORK as f64).round().max(1.0) as u64;
-        let counts = run_replicas(params.seeds, params.base_seed ^ 0xA57C, |_, seed| {
-            let cfg = DeploymentConfig::with_k(K);
-            let mut map = params.make_map(&cfg, params.initial_nodes, seed);
-            let placer = AsyncGridDecor {
-                cell_size: 5.0,
-                work_period: WORK,
-                notice_latency: latency,
-                seed,
-            };
-            let out = placer.place(&mut map, &cfg);
-            assert!(out.fully_covered);
-            out.placed.len() as f64
-        });
+        let counts =
+            MatrixRunner::auto().replicas(params.seeds, params.base_seed ^ 0xA57C, |_, seed| {
+                let cfg = DeploymentConfig::with_k(K);
+                let mut map = params.make_map(&cfg, params.initial_nodes, seed);
+                let placer = AsyncGridDecor {
+                    cell_size: 5.0,
+                    work_period: WORK,
+                    notice_latency: latency,
+                    seed,
+                };
+                let out = placer.place(&mut map, &cfg);
+                assert!(out.fully_covered);
+                out.placed.len() as f64
+            });
         let a = mean(&counts);
         t.push_row(vec![ratio, a, sync, (a / sync - 1.0) * 100.0]);
     }

@@ -13,9 +13,9 @@
 //! hole has.
 
 use crate::common::ExpParams;
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::{CoverageMap, DeploymentConfig, SchemeKind};
 use decor_geom::Point;
 use decor_lds::halton_points;
@@ -98,12 +98,12 @@ pub fn run(params: &ExpParams) -> Table {
         ],
     );
     for (si, &scheme) in schemes.iter().enumerate() {
-        let uniform = mean(&run_replicas(
+        let uniform = mean(&MatrixRunner::auto().replicas(
             params.seeds,
             params.base_seed ^ 0xC1,
             |_, seed| nodes_needed(params, scheme, 2, seed, false),
         ));
-        let clustered = mean(&run_replicas(
+        let clustered = mean(&MatrixRunner::auto().replicas(
             params.seeds,
             params.base_seed ^ 0xC1,
             |_, seed| nodes_needed(params, scheme, 2, seed, true),

@@ -15,9 +15,9 @@
 
 use crate::common::{deploy, ExpParams};
 use crate::fig05_06::disaster_disk;
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::{CoverageMap, DeploymentConfig, SchemeKind};
 use decor_geom::Point;
 use decor_net::{collect_reports, sink_near, FailurePlan, Network};
@@ -111,36 +111,37 @@ pub fn run(params: &ExpParams) -> Table {
     let scheme = SchemeKind::VoronoiBig;
     let disk = disaster_disk(params);
     for &k in &KS {
-        let results = run_replicas(params.seeds, params.base_seed ^ 0xDE11, |_, seed| {
-            let (mut map, _, mut cfg) = deploy(params, scheme, k, seed);
-            let (before, hops) = observability_of(&map, &cfg);
-            // Disaster.
-            let sensors = map.active_sensors();
-            let mut net = Network::new(*map.field());
-            for &(_, pos) in &sensors {
-                net.add_node(pos, cfg.rs, cfg.rc);
-            }
-            for v in (FailurePlan::Area { disk }).victims(&net) {
-                map.deactivate_sensor(sensors[v].0);
-            }
-            let (after_failure, _) = observability_of(&map, &cfg);
-            // Restoration with the same scheme, over the configured
-            // medium, with a counting trace sink attached.
-            cfg.trace = decor_trace::TraceHandle::counting();
-            let placer = params.placer(scheme, seed ^ 0x77);
-            let restore = placer.place(&mut map, &cfg);
-            let (after_restore, _) = observability_of(&map, &cfg);
-            let counts = cfg.trace.counts().unwrap_or_default();
-            let kinds = TRACE_KINDS.map(|kind| counts.get(kind).copied().unwrap_or(0) as f64);
-            (
-                before,
-                after_failure,
-                after_restore,
-                hops,
-                restore.messages.retries as f64,
-                kinds,
-            )
-        });
+        let results =
+            MatrixRunner::auto().replicas(params.seeds, params.base_seed ^ 0xDE11, |_, seed| {
+                let (mut map, _, mut cfg) = deploy(params, scheme, k, seed);
+                let (before, hops) = observability_of(&map, &cfg);
+                // Disaster.
+                let sensors = map.active_sensors();
+                let mut net = Network::new(*map.field());
+                for &(_, pos) in &sensors {
+                    net.add_node(pos, cfg.rs, cfg.rc);
+                }
+                for v in (FailurePlan::Area { disk }).victims(&net) {
+                    map.deactivate_sensor(sensors[v].0);
+                }
+                let (after_failure, _) = observability_of(&map, &cfg);
+                // Restoration with the same scheme, over the configured
+                // medium, with a counting trace sink attached.
+                cfg.trace = decor_trace::TraceHandle::counting();
+                let placer = params.placer(scheme, seed ^ 0x77);
+                let restore = placer.place(&mut map, &cfg);
+                let (after_restore, _) = observability_of(&map, &cfg);
+                let counts = cfg.trace.counts().unwrap_or_default();
+                let kinds = TRACE_KINDS.map(|kind| counts.get(kind).copied().unwrap_or(0) as f64);
+                (
+                    before,
+                    after_failure,
+                    after_restore,
+                    hops,
+                    restore.messages.retries as f64,
+                    kinds,
+                )
+            });
         let mut row = vec![
             k as f64,
             mean(&results.iter().map(|r| r.0 * 100.0).collect::<Vec<_>>()),

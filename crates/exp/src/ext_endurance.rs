@@ -18,9 +18,9 @@
 //!   (reschedules > 0 on the rotating arm).
 
 use crate::common::{deploy_with, ExpParams};
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::{run_endurance, EnduranceConfig, EnduranceReport, SchemeKind};
 use decor_geom::{Disk, Point};
 use decor_lds::vdc::splitmix64;
@@ -98,7 +98,7 @@ pub fn run(params: &ExpParams) -> Table {
             "extra_nodes".into(),
         ],
     );
-    let pairs = run_replicas(params.seeds, params.base_seed ^ 0xE7D, |_, seed| {
+    let pairs = MatrixRunner::auto().replicas(params.seeds, params.base_seed ^ 0xE7D, |_, seed| {
         endurance_pair(params, seed)
     });
     for (rotating, pick) in [

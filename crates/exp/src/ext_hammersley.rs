@@ -9,9 +9,9 @@
 //! should be small for every algorithm.
 
 use crate::common::ExpParams;
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::{CoverageMap, DeploymentConfig, SchemeKind};
 use decor_lds::{random_points, PointSetKind};
 
@@ -54,12 +54,12 @@ pub fn run(params: &ExpParams) -> Table {
     for &k in &KS {
         let mut row = vec![k as f64];
         for scheme in [SchemeKind::Centralized, SchemeKind::GridSmall] {
-            let halton = mean(&run_replicas(
+            let halton = mean(&MatrixRunner::auto().replicas(
                 params.seeds,
                 params.base_seed ^ 0x4A17,
                 |_, seed| nodes_needed(params, PointSetKind::Halton, scheme, k, seed),
             ));
-            let hammersley = mean(&run_replicas(
+            let hammersley = mean(&MatrixRunner::auto().replicas(
                 params.seeds,
                 params.base_seed ^ 0x4A17,
                 |_, seed| nodes_needed(params, PointSetKind::Hammersley, scheme, k, seed),
@@ -82,7 +82,7 @@ mod tests {
         // algorithm: within 10% of each other.
         let params = ExpParams::quick();
         let k = 2;
-        let halton = mean(&run_replicas(params.seeds, 1, |_, seed| {
+        let halton = mean(&MatrixRunner::auto().replicas(params.seeds, 1, |_, seed| {
             nodes_needed(
                 &params,
                 PointSetKind::Halton,
@@ -91,7 +91,7 @@ mod tests {
                 seed,
             )
         }));
-        let hammersley = mean(&run_replicas(params.seeds, 1, |_, seed| {
+        let hammersley = mean(&MatrixRunner::auto().replicas(params.seeds, 1, |_, seed| {
             nodes_needed(
                 &params,
                 PointSetKind::Hammersley,

@@ -11,9 +11,9 @@
 //! all-large homogeneous references.
 
 use crate::common::ExpParams;
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::{CoverageMap, DeploymentConfig, SchemeKind};
 use decor_lds::{halton_points, random_points};
 use rand::rngs::StdRng;
@@ -58,17 +58,21 @@ pub fn run(params: &ExpParams) -> Table {
     for &k in &KS {
         let mut row = vec![k as f64];
         for &scheme in &schemes {
-            let placed = run_replicas(params.seeds, params.base_seed ^ 0x8E7E, |_, seed| {
-                let cfg = DeploymentConfig::with_k(k);
-                let mut map = mixed_radius_map(params, &cfg, params.initial_nodes, seed);
-                let out = params.placer(scheme, seed).place(&mut map, &cfg);
-                assert!(
-                    out.fully_covered,
-                    "{} failed on heterogeneous field at k={k}",
-                    scheme.label()
-                );
-                out.placed.len() as f64
-            });
+            let placed = MatrixRunner::auto().replicas(
+                params.seeds,
+                params.base_seed ^ 0x8E7E,
+                |_, seed| {
+                    let cfg = DeploymentConfig::with_k(k);
+                    let mut map = mixed_radius_map(params, &cfg, params.initial_nodes, seed);
+                    let out = params.placer(scheme, seed).place(&mut map, &cfg);
+                    assert!(
+                        out.fully_covered,
+                        "{} failed on heterogeneous field at k={k}",
+                        scheme.label()
+                    );
+                    out.placed.len() as f64
+                },
+            );
             row.push(mean(&placed));
         }
         t.push_row(row);

@@ -12,9 +12,9 @@
 //! factor tracks k (each extra layer of coverage becomes another shift).
 
 use crate::common::{deploy_with, ExpParams};
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::{run_endurance, EnduranceConfig, SchemeKind};
 use decor_net::RotationConfig;
 
@@ -66,9 +66,10 @@ pub fn run(params: &ExpParams) -> Table {
         ],
     );
     for &k in &KS {
-        let results = run_replicas(params.seeds, params.base_seed ^ 0x51EE9, |_, seed| {
-            lifetime_sample(params, k, seed)
-        });
+        let results =
+            MatrixRunner::auto().replicas(params.seeds, params.base_seed ^ 0x51EE9, |_, seed| {
+                lifetime_sample(params, k, seed)
+            });
         t.push_row(vec![
             k as f64,
             mean(&results.iter().map(|r| r.0).collect::<Vec<_>>()),
@@ -88,9 +89,10 @@ mod tests {
     fn lifetime_extension_grows_with_k() {
         let params = ExpParams::quick();
         let factor = |k: u32| {
-            let results = run_replicas(params.seeds, params.base_seed, |_, seed| {
-                lifetime_sample(&params, k, seed).3
-            });
+            let results =
+                MatrixRunner::auto().replicas(params.seeds, params.base_seed, |_, seed| {
+                    lifetime_sample(&params, k, seed).3
+                });
             mean(&results)
         };
         let f1 = factor(1);

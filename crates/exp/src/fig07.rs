@@ -8,9 +8,9 @@
 //! times more nodes for the same coverage.
 
 use crate::common::{deploy, ExpParams};
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::{SchemeKind, TracePoint};
 
 /// The coverage requirement of the figure.
@@ -52,10 +52,11 @@ pub fn run(params: &ExpParams) -> Table {
     // series[scheme][x-index] = mean coverage %.
     let mut series: Vec<Vec<f64>> = Vec::new();
     for &scheme in &SchemeKind::ALL {
-        let traces = run_replicas(params.seeds, params.base_seed ^ 0x07, |_, seed| {
-            let (_, out, _) = deploy(params, scheme, K, seed);
-            out.trace
-        });
+        let traces =
+            MatrixRunner::auto().replicas(params.seeds, params.base_seed ^ 0x07, |_, seed| {
+                let (_, out, _) = deploy(params, scheme, K, seed);
+                out.trace
+            });
         let per_x: Vec<f64> = xs
             .iter()
             .map(|&x| {

@@ -55,7 +55,6 @@ mod tests {
     use super::*;
     use crate::common::deploy;
     use crate::stats::mean;
-    use decor_core::parallel::run_replicas;
 
     /// A scaled-down sweep: k in {1, 2} under quick params to keep test
     /// time sane; asserts the orderings the paper reports.
@@ -68,10 +67,11 @@ mod tests {
         for k in [1u32, 2] {
             let mut row = vec![k as f64];
             for &scheme in &SchemeKind::ALL {
-                let totals = run_replicas(params.seeds, params.base_seed, |_, seed| {
-                    let (_, out, _) = deploy(&params, scheme, k, seed);
-                    out.total_sensors() as f64
-                });
+                let totals =
+                    MatrixRunner::auto().replicas(params.seeds, params.base_seed, |_, seed| {
+                        let (_, out, _) = deploy(&params, scheme, k, seed);
+                        out.total_sensors() as f64
+                    });
                 row.push(mean(&totals));
             }
             rows.push(row);
@@ -108,16 +108,18 @@ mod tests {
         let mut prev = 0.0;
         for k in [1u32, 2] {
             let count = |scheme: SchemeKind| {
-                mean(&run_replicas(params.seeds, params.base_seed, |_, seed| {
-                    let (map, out, cfg) = deploy(&params, scheme, k, seed);
-                    assert!(
-                        out.fully_covered,
-                        "{} failed to cover at k={k}",
-                        scheme.label()
-                    );
-                    assert_eq!(map.count_below(cfg.k), 0, "{}", scheme.label());
-                    out.total_sensors() as f64
-                }))
+                mean(
+                    &MatrixRunner::auto().replicas(params.seeds, params.base_seed, |_, seed| {
+                        let (map, out, cfg) = deploy(&params, scheme, k, seed);
+                        assert!(
+                            out.fully_covered,
+                            "{} failed to cover at k={k}",
+                            scheme.label()
+                        );
+                        assert_eq!(map.count_below(cfg.k), 0, "{}", scheme.label());
+                        out.total_sensors() as f64
+                    }),
+                )
             };
             let holes = count(SchemeKind::Holes);
             let central = count(SchemeKind::Centralized);

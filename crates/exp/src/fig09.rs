@@ -10,9 +10,9 @@
 //! nodes"); EXPERIMENTS.md records which reading our mechanism matches.
 
 use crate::common::{deploy, ExpParams};
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::redundancy::redundancy_stats;
 use decor_core::SchemeKind;
 
@@ -28,7 +28,7 @@ pub fn run(params: &ExpParams) -> Table {
     for &k in &KS {
         let mut row = vec![k as f64];
         for &scheme in &SchemeKind::ALL {
-            let fracs = run_replicas(
+            let fracs = MatrixRunner::auto().replicas(
                 params.seeds,
                 params.base_seed ^ (k as u64) << 16,
                 |_, seed| {
@@ -52,7 +52,7 @@ mod tests {
         let params = ExpParams::quick();
         let k = 2;
         let frac_of = |scheme: SchemeKind| {
-            let fracs = run_replicas(params.seeds, params.base_seed, |_, seed| {
+            let fracs = MatrixRunner::auto().replicas(params.seeds, params.base_seed, |_, seed| {
                 let (mut map, _, cfg) = deploy(&params, scheme, k, seed);
                 redundancy_stats(&mut map, cfg.k).1 * 100.0
             });

@@ -8,9 +8,9 @@
 //! ≈4 messages/node for the small cell and ≈2 for the big cell).
 
 use crate::common::{deploy, ExpParams};
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::SchemeKind;
 
 /// The k values swept (paper: 1..=5).
@@ -36,7 +36,7 @@ pub fn run(params: &ExpParams) -> Table {
         let mut row = vec![k as f64];
         let mut rotated = Vec::new();
         for &scheme in &DECOR_SCHEMES {
-            let stats = run_replicas(
+            let stats = MatrixRunner::auto().replicas(
                 params.seeds,
                 params.base_seed ^ (k as u64) << 24,
                 |_, seed| {
@@ -64,7 +64,7 @@ mod tests {
         let params = ExpParams::quick();
         let k = 2;
         let per_cell = |scheme: SchemeKind| {
-            let stats = run_replicas(params.seeds, params.base_seed, |_, seed| {
+            let stats = MatrixRunner::auto().replicas(params.seeds, params.base_seed, |_, seed| {
                 let (_, out, _) = deploy(&params, scheme, k, seed);
                 out.messages.per_cell
             });

@@ -8,9 +8,9 @@
 //! in the failure fraction.
 
 use crate::common::{deploy, ExpParams};
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::restore::coverage_after_failure;
 use decor_core::SchemeKind;
 use decor_net::FailurePlan;
@@ -35,20 +35,21 @@ pub fn run(params: &ExpParams) -> Table {
     // clone so levels are comparable.
     let mut series: Vec<Vec<f64>> = Vec::new();
     for &scheme in &SchemeKind::ALL {
-        let per_seed = run_replicas(params.seeds, params.base_seed ^ 0x11, |i, seed| {
-            let (map, _, cfg) = deploy(params, scheme, K, seed);
-            FAIL_PCTS
-                .iter()
-                .map(|&pct| {
-                    let mut m = map.clone();
-                    let plan = FailurePlan::Fraction {
-                        frac: pct as f64 / 100.0,
-                        seed: seed ^ (i as u64) << 32 ^ pct as u64,
-                    };
-                    coverage_after_failure(&mut m, &cfg, &plan, K) * 100.0
-                })
-                .collect::<Vec<f64>>()
-        });
+        let per_seed =
+            MatrixRunner::auto().replicas(params.seeds, params.base_seed ^ 0x11, |i, seed| {
+                let (map, _, cfg) = deploy(params, scheme, K, seed);
+                FAIL_PCTS
+                    .iter()
+                    .map(|&pct| {
+                        let mut m = map.clone();
+                        let plan = FailurePlan::Fraction {
+                            frac: pct as f64 / 100.0,
+                            seed: seed ^ (i as u64) << 32 ^ pct as u64,
+                        };
+                        coverage_after_failure(&mut m, &cfg, &plan, K) * 100.0
+                    })
+                    .collect::<Vec<f64>>()
+            });
         let per_pct: Vec<f64> = (0..FAIL_PCTS.len())
             .map(|pi| mean(&per_seed.iter().map(|s| s[pi]).collect::<Vec<_>>()))
             .collect();
@@ -72,7 +73,7 @@ mod tests {
         // monotonicity and ordering logic is identical.
         let params = ExpParams::quick();
         let scheme = SchemeKind::Centralized;
-        let per_seed = run_replicas(params.seeds, params.base_seed, |_, seed| {
+        let per_seed = MatrixRunner::auto().replicas(params.seeds, params.base_seed, |_, seed| {
             let (map, _, cfg) = deploy(&params, scheme, 2, seed);
             [0u32, 15, 30]
                 .iter()
@@ -97,7 +98,7 @@ mod tests {
     fn random_deployment_tolerates_failures_best() {
         let params = ExpParams::quick();
         let survive = |scheme: SchemeKind| {
-            let v = run_replicas(params.seeds, params.base_seed, |_, seed| {
+            let v = MatrixRunner::auto().replicas(params.seeds, params.base_seed, |_, seed| {
                 let (mut map, _, cfg) = deploy(&params, scheme, 2, seed);
                 let plan = FailurePlan::Fraction {
                     frac: 0.3,

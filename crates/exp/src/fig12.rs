@@ -7,9 +7,9 @@
 //! reports up to 75%); for k ≥ 2 even 30% failures keep 90% 1-coverage.
 
 use crate::common::{deploy, ExpParams};
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::restore::coverage_after_failure;
 use decor_core::SchemeKind;
 use decor_net::FailurePlan;
@@ -62,10 +62,11 @@ pub fn run(params: &ExpParams) -> Table {
     for &k in &KS {
         let mut row = vec![k as f64];
         for &scheme in &SchemeKind::ALL {
-            let tolerated = run_replicas(params.seeds, params.base_seed ^ 0x12, |i, seed| {
-                let (map, _, cfg) = deploy(params, scheme, k, seed);
-                max_tolerated_pct(&map, &cfg, seed ^ (i as u64) << 40) as f64
-            });
+            let tolerated =
+                MatrixRunner::auto().replicas(params.seeds, params.base_seed ^ 0x12, |i, seed| {
+                    let (map, _, cfg) = deploy(params, scheme, k, seed);
+                    max_tolerated_pct(&map, &cfg, seed ^ (i as u64) << 40) as f64
+                });
             row.push(mean(&tolerated));
         }
         t.push_row(row);
@@ -81,7 +82,7 @@ mod tests {
     fn tolerance_grows_with_k() {
         let params = ExpParams::quick();
         let tolerance = |k: u32| {
-            let v = run_replicas(params.seeds, params.base_seed, |_, seed| {
+            let v = MatrixRunner::auto().replicas(params.seeds, params.base_seed, |_, seed| {
                 let (map, _, cfg) = deploy(&params, SchemeKind::Centralized, k, seed);
                 max_tolerated_pct(&map, &cfg, seed ^ 0xF) as f64
             });

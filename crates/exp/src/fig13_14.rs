@@ -10,9 +10,9 @@
 
 use crate::common::{deploy, ExpParams};
 use crate::fig05_06::disaster_disk;
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::restore::fail_and_restore;
 use decor_core::SchemeKind;
 use decor_net::FailurePlan;
@@ -40,16 +40,17 @@ pub fn run(params: &ExpParams) -> (Table, Table) {
         let mut row13 = vec![k as f64];
         let mut row14 = vec![k as f64];
         for &scheme in &SchemeKind::ALL {
-            let results = run_replicas(params.seeds, params.base_seed ^ 0x13, |_, seed| {
-                let (mut map, _, cfg) = deploy(params, scheme, k, seed);
-                let placer = params.placer(scheme, seed ^ 0xABCD);
-                let plan = FailurePlan::Area { disk };
-                let report = fail_and_restore(&mut map, placer.as_ref(), &cfg, &plan, None);
-                (
-                    report.coverage_after_failure * 100.0,
-                    report.extra_nodes as f64,
-                )
-            });
+            let results =
+                MatrixRunner::auto().replicas(params.seeds, params.base_seed ^ 0x13, |_, seed| {
+                    let (mut map, _, cfg) = deploy(params, scheme, k, seed);
+                    let placer = params.placer(scheme, seed ^ 0xABCD);
+                    let plan = FailurePlan::Area { disk };
+                    let report = fail_and_restore(&mut map, placer.as_ref(), &cfg, &plan, None);
+                    (
+                        report.coverage_after_failure * 100.0,
+                        report.extra_nodes as f64,
+                    )
+                });
             row13.push(mean(&results.iter().map(|&(c, _)| c).collect::<Vec<_>>()));
             row14.push(mean(&results.iter().map(|&(_, e)| e).collect::<Vec<_>>()));
         }
@@ -71,7 +72,7 @@ mod tests {
         let k = 1;
         let disk = disaster_disk(&params);
         let after = |scheme: SchemeKind| {
-            let v = run_replicas(params.seeds, params.base_seed, |_, seed| {
+            let v = MatrixRunner::auto().replicas(params.seeds, params.base_seed, |_, seed| {
                 let (mut map, _, cfg) = deploy(&params, scheme, k, seed);
                 let placer = params.placer(scheme, seed);
                 let plan = FailurePlan::Area { disk };
@@ -107,7 +108,7 @@ mod tests {
         let params = ExpParams::quick();
         let disk = disaster_disk(&params);
         let extra = |scheme: SchemeKind| {
-            let v = run_replicas(params.seeds, params.base_seed, |_, seed| {
+            let v = MatrixRunner::auto().replicas(params.seeds, params.base_seed, |_, seed| {
                 let (mut map, _, cfg) = deploy(&params, scheme, 1, seed);
                 let placer = params.placer(scheme, seed ^ 0xEE);
                 let plan = FailurePlan::Area { disk };

@@ -4,7 +4,7 @@
 //! - builds the paper's setup (100×100 field, 2000 Halton points, `rs = 4`,
 //!   up to 200 initial random sensors) via [`common::ExpParams`];
 //! - runs all relevant algorithm configurations over several seeds,
-//!   parallelized with `decor-core::parallel`;
+//!   on [`runner::MatrixRunner`], the one work-stealing executor;
 //! - returns a [`table::Table`] whose rows are the series the paper plots,
 //!   renderable as an aligned ASCII table or CSV.
 //!

@@ -1,11 +1,12 @@
-//! Work-stealing matrix runner with checkpoint journals.
+//! The one executor every experiment runs on, with checkpoint journals.
 //!
-//! [`MatrixRunner`] drives a [`ScenarioMatrix`] to completion over a pool
-//! of scoped worker threads, using the same atomic-index stealing as
-//! [`decor_core::parallel::run_replicas_with_threads`]: workers claim run
-//! indices with a `fetch_add`, accumulate `(index, result)` pairs locally,
-//! and the pairs are scattered into their slots after the joins — no
-//! shared lock on the hot path, results identical for every worker count.
+//! One private worker pool runs every replica loop in `decor-exp`: scoped
+//! worker threads, each owning a [`WorkerArena`], claim job indices with a
+//! `fetch_add` on one atomic counter, accumulate `(index, result)` pairs
+//! locally, and the pairs are scattered into their slots after the joins —
+//! no shared lock on the hot path, results identical for every worker
+//! count. [`MatrixRunner::run_with`] drives a [`ScenarioMatrix`] on it;
+//! [`MatrixRunner::replicas`] runs a figure's per-seed closure on it.
 //!
 //! Long matrices checkpoint through a [`CheckpointJournal`]: a header line
 //! pinning the matrix fingerprint followed by one [`RunResult`] JSON line
@@ -14,9 +15,10 @@
 //! skip-map, and the resumed matrix is bit-identical to an uninterrupted
 //! one — `tests/matrix_checkpoint.rs` pins this end to end.
 
-use crate::scenario::{RunResult, ScenarioMatrix};
+use crate::arena::WorkerArena;
+use crate::scenario::{execute_run_in, RunResult, ScenarioMatrix};
 use crate::stats::mean;
-use decor_core::parallel::default_threads;
+use decor_core::parallel::{default_threads, replica_seed};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -30,7 +32,7 @@ pub struct RunnerHooks<'a> {
     /// Called as each run finishes, from worker threads — the streaming
     /// output / journal-append hook. Must be cheap or internally locked.
     pub on_result: Option<&'a (dyn Fn(&RunResult) + Sync)>,
-    /// Execute at most this many runs, then stop claiming work (the
+    /// Execute at most this many runs, then decline the rest (the
     /// "process died mid-flight" lever for checkpoint tests). Remaining
     /// slots stay `None` in the outcome.
     pub stop_after: Option<usize>,
@@ -44,7 +46,7 @@ pub struct MatrixOutcome {
     pub results: Vec<Option<RunResult>>,
     /// Wall time of the whole matrix, nanoseconds.
     pub wall_ns: u64,
-    /// Time workers spent inside `execute_run`, summed across workers.
+    /// Time spent inside `execute_run`: the executed runs' `wall_ns`, summed.
     pub busy_ns: u64,
     /// Worker threads used.
     pub threads: usize,
@@ -90,7 +92,9 @@ impl MatrixOutcome {
     }
 }
 
-/// The work-stealing executor.
+/// The work-stealing executor: scenario matrices through
+/// [`MatrixRunner::run_with`], figure replica loops through
+/// [`MatrixRunner::replicas`], both on the same pool.
 #[derive(Clone, Copy, Debug)]
 pub struct MatrixRunner {
     threads: usize,
@@ -124,74 +128,34 @@ impl MatrixRunner {
     pub fn run_with(&self, matrix: &ScenarioMatrix, hooks: RunnerHooks<'_>) -> MatrixOutcome {
         let runs = matrix.expand();
         let cells = matrix.cells();
-        let n = runs.len();
-        let threads = self.threads.min(n.max(1));
         let stop_budget = hooks.stop_after.unwrap_or(usize::MAX);
-        let t0 = std::time::Instant::now();
-
-        let next = AtomicUsize::new(0);
         let claimed = AtomicUsize::new(0);
-        let mut results: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
+        let t0 = std::time::Instant::now();
+        let (mut results, threads) = pool(self.threads, runs.len(), |i, arena| {
+            if hooks.skip.contains_key(&i) {
+                return None;
+            }
+            // Claim an execution permit; past the budget every index is
+            // declined (a claim is never returned, so the cut is exact).
+            if claimed.fetch_add(1, Ordering::Relaxed) >= stop_budget {
+                return None;
+            }
+            let run = runs[i];
+            let result = execute_run_in(&cells[run.cell], &run, arena);
+            if let Some(f) = hooks.on_result {
+                f(&result);
+            }
+            Some(result)
+        });
+        let executed = results.iter().flatten().count();
+        let busy_ns = results.iter().flatten().map(|r| r.wall_ns).sum();
         let mut skipped = 0usize;
-        // Skipped slots are filled up front, outside the pool.
         for (&i, cached) in &hooks.skip {
-            if i < n {
-                results[i] = Some(cached.clone());
+            if let Some(slot) = results.get_mut(i) {
+                *slot = Some(cached.clone());
                 skipped += 1;
             }
         }
-        let skip = &hooks.skip;
-        let on_result = hooks.on_result;
-
-        let mut busy_ns = 0u64;
-        let mut executed = 0usize;
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                handles.push(scope.spawn(|_| {
-                    let mut local: Vec<(usize, RunResult)> = Vec::new();
-                    let mut local_busy = 0u64;
-                    // Each worker owns one arena: after the first run per
-                    // scenario shape, the hot loop reuses its allocations.
-                    let mut arena = crate::arena::WorkerArena::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        if skip.contains_key(&i) {
-                            continue;
-                        }
-                        // Claim an execution permit; past the budget the
-                        // worker retires (the claim is never returned, so
-                        // the cut is exact).
-                        if claimed.fetch_add(1, Ordering::Relaxed) >= stop_budget {
-                            break;
-                        }
-                        let run = runs[i];
-                        let result =
-                            crate::scenario::execute_run_in(&cells[run.cell], &run, &mut arena);
-                        local_busy += result.wall_ns;
-                        if let Some(f) = on_result {
-                            f(&result);
-                        }
-                        local.push((i, result));
-                    }
-                    (local, local_busy)
-                }));
-            }
-            for h in handles {
-                let (local, local_busy) = h.join().expect("matrix worker panicked");
-                busy_ns += local_busy;
-                executed += local.len();
-                for (i, out) in local {
-                    debug_assert!(results[i].is_none(), "run {i} computed twice");
-                    results[i] = Some(out);
-                }
-            }
-        })
-        .expect("matrix scope failed");
-
         MatrixOutcome {
             results,
             wall_ns: t0.elapsed().as_nanos() as u64,
@@ -201,6 +165,69 @@ impl MatrixRunner {
             skipped,
         }
     }
+
+    /// Runs `f(i, replica_seed(base_seed, i))` for replicas `0..n` on the
+    /// pool and returns the results in replica order. `f` must be
+    /// deterministic in its arguments; the output is then identical to
+    /// the sequential loop for every worker count.
+    pub fn replicas<T, F>(&self, n: usize, base_seed: u64, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, u64) -> T + Sync,
+    {
+        let (slots, _) = pool(self.threads, n, |i, _| {
+            Some(f(i, replica_seed(base_seed, i)))
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every replica filled"))
+            .collect()
+    }
+}
+
+/// The pool: `threads` scoped workers (at most one per job, at least one),
+/// each owning a [`WorkerArena`], claim indices `0..n` off one atomic
+/// counter and run `job` on them; `None` declines an index. Each worker
+/// keeps its `(index, result)` pairs locally and the pairs are scattered
+/// into their slots after the joins. Returns the slots and the worker
+/// count.
+fn pool<T, F>(threads: usize, n: usize, job: F) -> (Vec<Option<T>>, usize)
+where
+    T: Send,
+    F: Fn(usize, &mut WorkerArena) -> Option<T> + Sync,
+{
+    let threads = threads.clamp(1, n.max(1));
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|_| {
+                    let mut local = Vec::new();
+                    // After the first run per scenario shape, a worker's
+                    // runs reuse its arena's allocations.
+                    let mut arena = WorkerArena::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break local;
+                        }
+                        if let Some(out) = job(i, &mut arena) {
+                            local.push((i, out));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            for (i, out) in h.join().expect("pool worker panicked") {
+                debug_assert!(slots[i].is_none(), "job {i} computed twice");
+                slots[i] = Some(out);
+            }
+        }
+    })
+    .expect("pool scope failed");
+    (slots, threads)
 }
 
 /// Aggregated view of one cell: the replica means the figure tables print.
@@ -464,6 +491,35 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    #[test]
+    fn replicas_match_sequential() {
+        let work = |i: usize, seed: u64| (i, seed, (i as u64).wrapping_mul(seed));
+        let seq: Vec<_> = (0..8).map(|i| work(i, replica_seed(7, i))).collect();
+        assert_eq!(MatrixRunner::auto().replicas(8, 7, work), seq);
+    }
+
+    #[test]
+    fn explicit_thread_counts_agree() {
+        let reference: Vec<_> = (0..12).map(|i| (i, replica_seed(11, i))).collect();
+        for threads in [1, 2, 3, 8, 64] {
+            let got = MatrixRunner::new(threads).replicas(12, 11, |i, seed| (i, seed));
+            assert_eq!(got, reference, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn replicas_zero_is_empty() {
+        let v: Vec<u32> = MatrixRunner::new(4).replicas(0, 1, |_, _| 0);
+        assert!(v.is_empty());
+    }
+
+    #[test]
+    fn replicas_heavier_than_threads() {
+        // Far more replicas than workers exercises the work stealing.
+        let v = MatrixRunner::new(3).replicas(500, 3, |i, _| i * i);
+        assert_eq!(v, (0..500).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Determinism guarantees: every algorithm is a pure function of its
 //! seed-derived inputs, and parallel replica execution matches sequential.
 
-use decor::core::parallel::{replica_seed, run_replicas, run_replicas_with_threads};
+use decor::core::parallel::replica_seed;
 use decor::core::SchemeKind;
 use decor::exp::common::{deploy, deploy_traced, ExpParams};
+use decor::exp::MatrixRunner;
 use decor::trace::first_divergence;
 
 #[test]
@@ -38,7 +39,7 @@ fn parallel_replicas_equal_sequential_for_real_workload() {
         let (_, out, _) = deploy(&params, SchemeKind::GridBig, 1, seed);
         (out.placed.len(), out.messages.protocol_total)
     };
-    let par = run_replicas(4, 99, work);
+    let par = MatrixRunner::auto().replicas(4, 99, work);
     let seq: Vec<_> = (0..4).map(|i| work(i, replica_seed(99, i))).collect();
     assert_eq!(par, seq);
 }
@@ -53,7 +54,7 @@ fn traces_are_identical_across_worker_counts() {
     let params = ExpParams::quick();
     for scheme in [SchemeKind::GridSmall, SchemeKind::VoronoiBig] {
         let run = |threads: usize| {
-            run_replicas_with_threads(4, 42, threads, |_, seed| {
+            MatrixRunner::new(threads).replicas(4, 42, |_, seed| {
                 let (_, _, _, text) = deploy_traced(&params, scheme, 2, seed);
                 assert!(!text.is_empty(), "trace must not be empty");
                 text
@@ -78,7 +79,7 @@ fn lossy_traces_are_identical_across_worker_counts() {
     let mut params = ExpParams::quick();
     params.loss_pct = 20;
     let run = |threads: usize| {
-        run_replicas_with_threads(3, 7, threads, |_, seed| {
+        MatrixRunner::new(threads).replicas(3, 7, |_, seed| {
             let (_, _, _, text) = deploy_traced(&params, SchemeKind::VoronoiSmall, 1, seed);
             text
         })

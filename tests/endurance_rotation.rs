@@ -16,10 +16,9 @@
 //! time (~100 periods at default batteries) or the capped run reports
 //! `ended_by_horizon` instead of a lifetime.
 
-use decor::core::parallel::run_replicas_with_threads;
 use decor::core::{run_endurance, EnduranceConfig, EnduranceReport, SchemeKind};
 use decor::exp::common::{deploy_with, ExpParams};
-use decor::exp::{ext_endurance, ext_lifetime};
+use decor::exp::{ext_endurance, ext_lifetime, MatrixRunner};
 use decor::geom::{Disk, Point};
 use decor::net::RotationConfig;
 
@@ -103,7 +102,7 @@ fn detected_disaster_heals_into_the_rotation() {
 #[test]
 fn endurance_reports_are_bit_identical_across_worker_counts() {
     let run_with = |threads: usize| -> Vec<EnduranceReport> {
-        run_replicas_with_threads(3, 0xE2D, threads, |i, seed| {
+        MatrixRunner::new(threads).replicas(3, 0xE2D, |i, seed| {
             endure(3, seed, i % 2 == 0, |e| e.max_periods = 500)
         })
     };

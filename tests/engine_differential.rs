@@ -1,13 +1,18 @@
 //! Differential tests for the placement engine: the incremental benefit
-//! machinery ([`BenefitTable`], [`ShardedBenefitEngine`]) must stay
-//! bit-identical to direct evaluation ([`benefit_at`], [`par_best_candidate`])
-//! under arbitrary sensor churn, and the engine-backed centralized placement
-//! must reproduce the seed placement path, kept here as an oracle
-//! ([`benefit_table_greedy`]), exactly.
+//! machinery ([`ShardedBenefitEngine`], and the seed path's
+//! [`BenefitTable`] oracle) must stay bit-identical to direct evaluation
+//! ([`benefit_at`] and its argmax, [`direct_best`]) under arbitrary sensor
+//! churn, and the engine-backed centralized placement must reproduce the
+//! seed placement path, kept here as an oracle ([`benefit_table_greedy`]),
+//! exactly.
 
+#[path = "oracle/benefit_table.rs"]
+mod benefit_table;
+
+use benefit_table::BenefitTable;
 use decor::core::{
-    benefit_at, parallel::par_best_candidate, BenefitTable, CentralizedGreedy, CoverageMap,
-    DeploymentConfig, PlacementOutcome, Placer, ShardedBenefitEngine, TracePoint,
+    benefit_at, CentralizedGreedy, CoverageMap, DeploymentConfig, PlacementOutcome, Placer,
+    ShardedBenefitEngine, TracePoint,
 };
 use decor::geom::{Aabb, Point};
 use decor::lds::halton_points;
@@ -86,9 +91,20 @@ fn arb_churn() -> impl Strategy<Value = Churn> {
         })
 }
 
+/// The direct argmax of Equation 1 over `cands`: `(point_id, benefit)`
+/// of the maximum positive benefit, ties to the lowest id; `None` when
+/// every benefit is zero.
+fn direct_best(map: &CoverageMap, cands: &[usize], rs: f64, k: u32) -> Option<(usize, u64)> {
+    cands
+        .iter()
+        .map(|&pid| (pid, benefit_at(map, map.points()[pid], rs, k)))
+        .filter(|&(_, b)| b > 0)
+        .min_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)))
+}
+
 /// Checks that every incremental benefit view agrees with direct
-/// evaluation: table slots, engine slots, `best()` of both, and
-/// `par_best_candidate`.
+/// evaluation: table slots, engine slots, and `best()` of both against
+/// [`direct_best`].
 fn assert_all_views_agree(
     map: &CoverageMap,
     table: &BenefitTable,
@@ -108,9 +124,9 @@ fn assert_all_views_agree(
     }
     let tb = table.best().map(|(_, pid, _, b)| (pid, b));
     let eb = engine.best(map).map(|(_, pid, _, b)| (pid, b));
-    let pb = par_best_candidate(map, cands, rs, k);
-    assert_eq!(tb, pb, "table.best vs par_best_candidate");
-    assert_eq!(eb, pb, "engine.best vs par_best_candidate");
+    let db = direct_best(map, cands, rs, k);
+    assert_eq!(tb, db, "table.best vs direct argmax");
+    assert_eq!(eb, db, "engine.best vs direct argmax");
 }
 
 proptest! {

@@ -1,7 +1,11 @@
 //! Property-based tests over the workspace's core invariants, spanning
 //! crates through the facade API.
 
-use decor::core::{benefit_at, BenefitTable, CoverageMap, DeploymentConfig};
+#[path = "oracle/benefit_table.rs"]
+mod benefit_table;
+
+use benefit_table::BenefitTable;
+use decor::core::{benefit_at, CoverageMap, DeploymentConfig};
 use decor::geom::{Aabb, GridIndex, Point};
 use decor::lds::{halton_points, radical_inverse, star_discrepancy};
 use proptest::prelude::*;

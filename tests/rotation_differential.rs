@@ -7,9 +7,9 @@
 //! [`decor::net::SleepScheduler::shifts`] output — on lossless and lossy
 //! links, and regardless of how many worker threads run the replicas.
 
-use decor::core::parallel::run_replicas_with_threads;
 use decor::core::{agree_shifts, LinkConfig, SchemeKind};
 use decor::exp::common::{deploy_with, ExpParams};
+use decor::exp::MatrixRunner;
 use decor::geom::Point;
 use decor::net::{Network, NodeId, RotationConfig, SleepScheduler};
 
@@ -58,7 +58,7 @@ fn agreement_matches_centralized_partition_lossless_and_lossy() {
 #[test]
 fn agreement_is_bit_identical_across_worker_counts() {
     let run_with = |threads: usize| -> Vec<Vec<Vec<NodeId>>> {
-        run_replicas_with_threads(4, 0xD1FF, threads, |i, seed| {
+        MatrixRunner::new(threads).replicas(4, 0xD1FF, |i, seed| {
             let loss = if i % 2 == 0 { None } else { Some(0.2) };
             agreed_shifts(3, seed, loss)
         })
