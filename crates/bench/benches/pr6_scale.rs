@@ -5,8 +5,12 @@
 //! to `n` approximation points ([`ExpParams::scaled`]: side `100·√(n/2000)`,
 //! density 0.2 points/unit², `rs = 4`, `k = 2`), pre-covers it with a
 //! sensor lattice, punches an area failure of radius 24 at the center, and
-//! times `CentralizedGreedy::place` restoring the hole on a fresh clone
-//! per iteration (setup excluded from timing).
+//! times `CentralizedGreedy::place` restoring the hole. Each iteration
+//! first resets one working map from the damaged template with
+//! `CoverageMap::reset_from`, untimed, as the benchmark's `restore-200k`
+//! workload does. A fresh `clone()` would not do: a clone's sensor list
+//! has no spare capacity, so the first placement would copy every sensor
+//! of the field and the sample would time that copy, not the restoration.
 //!
 //! The damage — and therefore the restoration work — is the same at every
 //! size; only the surrounding healthy field grows. With the hierarchical
@@ -29,6 +33,7 @@ use decor_core::{CentralizedGreedy, CoverageMap, DeploymentConfig, Placer};
 use decor_exp::ExpParams;
 use decor_geom::Point;
 use decor_lds::halton_points;
+use std::cell::RefCell;
 use std::hint::black_box;
 
 /// Lattice pitch guaranteeing 2-coverage everywhere at `rs = 4`: a node
@@ -36,8 +41,8 @@ use std::hint::black_box;
 /// location (worst case is a cell center at `3.5·√2/2 ≈ 2.47` from four
 /// nodes; field edges keep two axis neighbors within 3.5).
 const LATTICE: f64 = 3.5;
-/// Area-failure radius. At tile edge `16·rs = 64` the hole plus its
-/// one-tile candidate ring stays a tiny fraction of the larger fields.
+/// Area-failure radius. The hole plus its candidate ring stays a tiny
+/// fraction of the larger fields.
 const HOLE_R: f64 = 24.0;
 
 fn sweep_sizes() -> Vec<usize> {
@@ -90,10 +95,11 @@ fn bench_scale_sweep(c: &mut Criterion) {
             assert!(out.fully_covered, "restoration failed at n={n}");
             assert!(!out.placed.is_empty());
         }
+        let work = RefCell::new(base.clone());
         g.bench_function(&format!("n{n}"), |b| {
             b.iter_batched(
-                || base.clone(),
-                |mut map| black_box(CentralizedGreedy.place(&mut map, &cfg)),
+                || work.borrow_mut().reset_from(&base),
+                |()| black_box(CentralizedGreedy.place(&mut work.borrow_mut(), &cfg)),
                 BatchSize::LargeInput,
             )
         });

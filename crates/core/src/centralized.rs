@@ -7,6 +7,7 @@
 //! efficient placement than DECOR"); it exchanges no messages because a
 //! central authority sees everything.
 
+use crate::benefit::benefit_at;
 use crate::config::DeploymentConfig;
 use crate::coverage::CoverageMap;
 use crate::metrics::{PlacementOutcome, TracePoint};
@@ -38,12 +39,12 @@ impl Placer for CentralizedGreedy {
         cfg.validate();
         let initial = map.n_active_sensors();
         // Output-sensitive candidate set: any positive-benefit candidate
-        // has a deficient point within `rs`, so it lives in a deficient
-        // tile or its one-ring — and coverage only grows during greedy
-        // placement, so the initial set stays a superset throughout. The
-        // tile summaries track deficiency at `k_target`; a stricter
-        // requirement would see deficits the tiles don't, so fall back to
-        // the full sweep there.
+        // has a below-target point within `rs`, so it lives in that
+        // point's point-index bucket or the ring around it — and coverage
+        // only grows during greedy placement, so the initial set stays a
+        // superset throughout. The tile summaries track deficiency at
+        // `k_target`; a stricter requirement would see deficits the tiles
+        // don't, so fall back to the full sweep there.
         let cands = &mut scratch.cands;
         if cfg.k <= map.k_target() {
             map.deficit_candidates_into(cfg.rs, &mut scratch.tile_flags, cands);
@@ -61,8 +62,21 @@ impl Placer for CentralizedGreedy {
             total_sensors: initial,
             fraction_k_covered: map.fraction_k_covered(cfg.k),
         });
+        // Invariant 5: the engine's answer is an argmax over every point,
+        // which also proves the candidate set a superset. A full sweep per
+        // placement, so debug builds only.
+        let audit = cfg!(debug_assertions) && cfg.invariants.is_enabled();
         while out.placed.len() < cfg.max_new_nodes {
-            let Some((_, _, pos, _)) = engine.best(map) else {
+            let best = engine.best(map);
+            if audit {
+                cfg.invariants.check_cache(
+                    "centralized engine best at placement",
+                    out.placed.len(),
+                    &best.map(|(_, pid, _, b)| (pid, b)),
+                    &argmax_benefit(map, cfg),
+                );
+            }
+            let Some((_, _, pos, _)) = best else {
                 break; // zero benefit everywhere => fully k-covered
             };
             map.add_sensor(pos, cfg.rs);
@@ -76,6 +90,20 @@ impl Placer for CentralizedGreedy {
         out.fully_covered = map.count_below(cfg.k) == 0;
         out
     }
+}
+
+/// `(point_id, benefit)` of the positive-benefit point with the largest
+/// Equation 1 benefit, ties to the lowest id: the answer the engine must
+/// give over any candidate superset in ascending id order.
+fn argmax_benefit(map: &CoverageMap, cfg: &DeploymentConfig) -> Option<(usize, u64)> {
+    let mut best: Option<(usize, u64)> = None;
+    for (pid, &p) in map.points().iter().enumerate() {
+        let b = benefit_at(map, p, cfg.rs, cfg.k);
+        if b > 0 && best.is_none_or(|(_, bb)| b > bb) {
+            best = Some((pid, b));
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -185,6 +213,34 @@ mod tests {
         let mut map = fresh_map(300, &cfg);
         let out = CentralizedGreedy.place(&mut map, &cfg);
         assert_eq!(out.messages.protocol_total, 0);
+    }
+
+    /// Invariant 5 audits every engine answer against an argmax over the
+    /// whole field; a candidate set missing a positive-benefit point, or
+    /// a stale shard, turns this red (debug builds).
+    #[test]
+    fn engine_answers_match_a_whole_field_argmax() {
+        let field = Aabb::square(100.0);
+        for (k, rs_place) in [(1, 4.0), (2, 4.0), (2, 6.5), (3, 3.0)] {
+            let map_cfg = DeploymentConfig::with_k(k);
+            let mut map = CoverageMap::new(halton_points(900, &field), &field, &map_cfg);
+            CentralizedGreedy.place(&mut map, &map_cfg);
+            for sid in 0..map.n_sensors() {
+                let p = map.sensor_pos(sid);
+                if p.dist(decor_geom::Point::new(35.0, 60.0)) < 21.0 || sid % 11 == 0 {
+                    map.deactivate_sensor(sid);
+                }
+            }
+            let cfg = DeploymentConfig {
+                rs: rs_place,
+                rc: 2.0 * rs_place,
+                invariants: crate::InvariantChecker::enabled(),
+                ..DeploymentConfig::with_k(k)
+            };
+            let out = CentralizedGreedy.place(&mut map, &cfg);
+            assert!(out.fully_covered && !out.placed.is_empty());
+            cfg.invariants.assert_green();
+        }
     }
 
     #[test]

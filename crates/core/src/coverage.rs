@@ -58,6 +58,14 @@ pub struct CoverageMap {
     pt_index: FrozenGridIndex,
     sensors: Vec<Sensor>,
     sensor_index: GridIndex,
+    /// Ids of the inactive sensors: `inactive[..inactive_sorted]` ascends,
+    /// and ids deactivated out of order since the last
+    /// [`CoverageMap::inactive_sensors`] call follow it unsorted. A
+    /// deactivation is then O(1) in any order (endurance battery deaths
+    /// come in no particular order), and `n_active_sensors` is a
+    /// subtraction.
+    inactive: Vec<SensorId>,
+    inactive_sorted: usize,
     /// Histogram of *active* sensing radii keyed by `f64::to_bits`
     /// (positive finite floats order the same as their bit patterns), so
     /// the maximum query radius follows deactivations instead of
@@ -154,6 +162,8 @@ impl CoverageMap {
             pt_index,
             sensors: Vec::new(),
             sensor_index,
+            inactive: Vec::new(),
+            inactive_sorted: 0,
             rs_hist: BTreeMap::new(),
             max_rs: 0.0,
             k_target: cfg.k,
@@ -181,6 +191,8 @@ impl CoverageMap {
         self.pt_index.clone_from(&template.pt_index);
         self.sensors.clone_from(&template.sensors);
         self.sensor_index.clone_from(&template.sensor_index);
+        self.inactive.clone_from(&template.inactive);
+        self.inactive_sorted = template.inactive_sorted;
         self.rs_hist.clone_from(&template.rs_hist);
         self.max_rs = template.max_rs;
         self.k_target = template.k_target;
@@ -381,9 +393,24 @@ impl CoverageMap {
         self.sensors.len()
     }
 
-    /// Number of currently active sensors.
+    /// Number of currently active sensors. O(1).
     pub fn n_active_sensors(&self) -> usize {
-        self.sensors.iter().filter(|s| s.active).count()
+        self.sensors.len() - self.inactive.len()
+    }
+
+    /// Ids of the inactive sensors, ascending. Takes `&mut self` because
+    /// ids deactivated out of order are merged in here, not at each
+    /// deactivation; with none pending this is O(1).
+    ///
+    /// An active sensor's *rank*, its position in
+    /// [`CoverageMap::active_sensors`], is its id minus the number of
+    /// inactive ids below it — a binary search in this list.
+    pub(crate) fn inactive_sensors(&mut self) -> &[SensorId] {
+        if self.inactive_sorted < self.inactive.len() {
+            self.inactive.sort_unstable();
+            self.inactive_sorted = self.inactive.len();
+        }
+        &self.inactive
     }
 
     /// Position of sensor `id`.
@@ -408,6 +435,12 @@ impl CoverageMap {
             return false;
         }
         self.sensors[id].active = false;
+        if self.inactive_sorted == self.inactive.len()
+            && self.inactive.last().is_none_or(|&last| last < id)
+        {
+            self.inactive_sorted += 1;
+        }
+        self.inactive.push(id);
         let pos = self.sensors[id].pos;
         let rs = self.sensors[id].rs;
         self.sensor_index.remove(id, pos);
@@ -437,6 +470,20 @@ impl CoverageMap {
             return false;
         }
         self.sensors[id].active = true;
+        let at = match self.inactive[..self.inactive_sorted].binary_search(&id) {
+            Ok(at) => {
+                self.inactive_sorted -= 1;
+                at
+            }
+            // In the unsorted tail, most often its last entry (a probe
+            // that deactivates and at once reactivates).
+            Err(_) => self
+                .inactive
+                .iter()
+                .rposition(|&i| i == id)
+                .expect("an inactive sensor is listed"),
+        };
+        self.inactive.remove(at);
         let pos = self.sensors[id].pos;
         let rs = self.sensors[id].rs;
         self.sensor_index.insert(id, pos);
@@ -630,61 +677,92 @@ impl CoverageMap {
         sum
     }
 
-    /// Ascending ids of every point in a tile that is deficient or within
-    /// `margin` of one: the output-sensitive restoration candidate set.
-    /// Any location whose `rs`-disk (for `rs <= margin`) touches a
-    /// below-target point lies in this set's tiles, so greedy placement
-    /// restricted to these candidates sees every positive-benefit point.
-    /// Returns all ids when every tile is deficient.
+    /// Ascending ids of every point in a point-index bucket that holds a
+    /// below-target point or lies within `margin` of one: the
+    /// output-sensitive restoration candidate set. Any location whose
+    /// `rs`-disk (for `rs <= margin`) reaches a below-target point lies in
+    /// one of these buckets, so greedy placement restricted to these
+    /// candidates sees every positive-benefit point. Empty on a field
+    /// with nothing below target; every id when every bucket is marked.
     pub fn deficit_candidates(&self, margin: f64) -> Vec<usize> {
-        let mut wanted = Vec::new();
+        let mut marked = Vec::new();
         let mut out = Vec::new();
-        self.deficit_candidates_into(margin, &mut wanted, &mut out);
+        self.deficit_candidates_into(margin, &mut marked, &mut out);
         out
     }
 
     /// Buffer-reuse variant of [`CoverageMap::deficit_candidates`]:
-    /// `wanted` is a tile-flag scratch buffer and `out` receives the
+    /// `marked` is a bucket-flag scratch buffer and `out` receives the
     /// candidate ids (both cleared first). With warm buffers this does
     /// not allocate unless the candidate set outgrows `out`.
+    ///
+    /// The below-target points are found through the deficient tiles'
+    /// CSR. Each marks its own bucket and the buckets around it: one ring
+    /// when `margin` is at most the bucket edge, because a disk query no
+    /// wider than a bucket scans exactly the 3×3 bucket neighbourhood of
+    /// its centre, so a candidate whose scan reaches the point sits in
+    /// that point's neighbourhood too. A wider query scans the buckets
+    /// its rounded bounding box touches, so a wider margin marks
+    /// `⌈margin / bucket⌉` rings plus one that absorbs the rounding.
     pub fn deficit_candidates_into(
         &self,
         margin: f64,
-        wanted: &mut Vec<bool>,
+        marked: &mut Vec<bool>,
         out: &mut Vec<usize>,
     ) {
         out.clear();
-        let ring = (margin / self.tile_edge).ceil().max(0.0) as usize;
-        wanted.clear();
-        wanted.resize(self.tile_below.len(), false);
-        let mut any = false;
+        marked.clear();
+        if self.count_below(self.k_target) == 0 {
+            return;
+        }
+        let cell = self.pt_index.cell();
+        let (nx, ny) = self.pt_index.dims();
+        let ring = if margin <= cell {
+            1
+        } else {
+            (margin / cell).ceil() as usize + 1
+        };
+        marked.resize(nx * ny, false);
+        let (mut x0, mut y0, mut x1, mut y1) = (nx, ny, 0, 0);
+        let mut n_marked = 0usize;
         for (t, &below) in self.tile_below.iter().enumerate() {
             if below == 0 {
                 continue;
             }
-            any = true;
-            let tx = t % self.tile_cols;
-            let ty = t / self.tile_cols;
-            let x0 = tx.saturating_sub(ring);
-            let x1 = (tx + ring).min(self.tile_cols - 1);
-            let y0 = ty.saturating_sub(ring);
-            let y1 = (ty + ring).min(self.tile_rows - 1);
-            for y in y0..=y1 {
-                for x in x0..=x1 {
-                    wanted[y * self.tile_cols + x] = true;
-                }
-            }
-        }
-        if !any {
-            return;
-        }
-        for (t, &w) in wanted.iter().enumerate() {
-            if !w {
-                continue;
-            }
             let start = self.tile_starts[t] as usize;
             let end = self.tile_starts[t + 1] as usize;
-            out.extend(self.tile_pids[start..end].iter().map(|&pid| pid as usize));
+            for &pid in &self.tile_pids[start..end] {
+                let pid = pid as usize;
+                if self.coverage[pid] as u32 >= self.k_target {
+                    continue;
+                }
+                let (bx, by) = self.pt_index.bucket_coords(self.points[pid]);
+                let (bx0, bx1) = (bx.saturating_sub(ring), (bx + ring).min(nx - 1));
+                let (by0, by1) = (by.saturating_sub(ring), (by + ring).min(ny - 1));
+                for y in by0..=by1 {
+                    for flag in &mut marked[y * nx + bx0..=y * nx + bx1] {
+                        n_marked += usize::from(!*flag);
+                        *flag = true;
+                    }
+                }
+                (x0, y0, x1, y1) = (x0.min(bx0), y0.min(by0), x1.max(bx1), y1.max(by1));
+            }
+        }
+        if n_marked == nx * ny {
+            out.extend(0..self.points.len());
+            return;
+        }
+        for y in y0..=y1 {
+            for x in x0..=x1 {
+                if marked[y * nx + x] {
+                    out.extend(
+                        self.pt_index
+                            .bucket_ids(x, y)
+                            .iter()
+                            .map(|&pid| pid as usize),
+                    );
+                }
+            }
         }
         out.sort_unstable();
     }
@@ -727,8 +805,8 @@ impl CoverageMap {
 
     /// Recomputes every point's coverage from scratch (O(n·deg)) and
     /// asserts it matches the incremental counters, the coverage
-    /// histogram, the per-tile deficiency summaries, and the active-radius
-    /// histogram. Test/debug aid.
+    /// histogram, the per-tile deficiency summaries, the active-radius
+    /// histogram and the inactive-id list. Test/debug aid.
     pub fn verify_consistency(&self) {
         for (pid, &p) in self.points.iter().enumerate() {
             let truth = self
@@ -763,6 +841,17 @@ impl CoverageMap {
             .next_back()
             .map_or(0.0, |&b| f64::from_bits(b));
         assert_eq!(true_max, self.max_rs, "max active radius drift");
+        let prefix = &self.inactive[..self.inactive_sorted];
+        assert!(
+            prefix.windows(2).all(|w| w[0] < w[1]),
+            "inactive-id prefix out of order"
+        );
+        let mut inactive = self.inactive.clone();
+        inactive.sort_unstable();
+        let truth: Vec<SensorId> = (0..self.sensors.len())
+            .filter(|&id| !self.sensors[id].active)
+            .collect();
+        assert_eq!(inactive, truth, "inactive-id list drift");
     }
 }
 
@@ -837,6 +926,36 @@ mod tests {
         let after: Vec<u32> = (0..m.n_points()).map(|i| m.coverage(i)).collect();
         assert_eq!(before, after);
         m.verify_consistency();
+    }
+
+    /// The inactive-id list follows deactivations in any order,
+    /// reactivations from its sorted part and from its unsorted tail, and
+    /// `reset_from`.
+    #[test]
+    fn inactive_ids_track_out_of_order_churn() {
+        let mut m = map();
+        for i in 0..20 {
+            m.add_sensor(Point::new(4.0 + 4.5 * i as f64, 50.0), 5.0);
+        }
+        for sid in [2, 5, 9, 7, 1, 15, 3] {
+            assert!(m.deactivate_sensor(sid));
+        }
+        m.verify_consistency();
+        assert_eq!(m.n_active_sensors(), 13);
+        assert!(m.reactivate_sensor(5)); // from the sorted part
+        assert!(m.reactivate_sensor(1)); // from the unsorted tail
+        m.verify_consistency();
+        let mut copy = CoverageMap::new(grid_points(4), &field(), &DeploymentConfig::default());
+        copy.reset_from(&m);
+        assert_eq!(copy.inactive_sensors(), &[2, 3, 7, 9, 15]);
+        assert_eq!(m.inactive_sensors(), &[2, 3, 7, 9, 15]);
+        assert!(m.deactivate_sensor(19)); // appends in order
+        assert!(m.deactivate_sensor(0)); // out of order again
+        m.verify_consistency();
+        assert_eq!(m.inactive_sensors(), &[0, 2, 3, 7, 9, 15, 19]);
+        assert_eq!(m.n_active_sensors(), 13);
+        let active: Vec<SensorId> = m.active_sensors().iter().map(|&(s, _)| s).collect();
+        assert_eq!(active.len(), m.n_active_sensors());
     }
 
     #[test]
@@ -1042,6 +1161,16 @@ mod tests {
             }
         }
         assert!(cands.windows(2).all(|w| w[0] < w[1]), "sorted unique");
+        // Bucket-tight: far from every deficient point, nothing is a
+        // candidate. The bucket edge here is `rs` = 4, so the margin of 8
+        // marks 2 + 1 rings, and a marked bucket lies within 16 units of
+        // a deficient point along each axis (a tile is 64 units wide).
+        for &pid in &cands {
+            let p = m.points()[pid];
+            assert!(deficient
+                .iter()
+                .any(|&d| m.points()[d].dist(p) < 16.0 * 2f64.sqrt()));
+        }
     }
 
     /// A sensor stack reaching 255 coverers trips the saturation guard.

@@ -19,6 +19,12 @@
 //!   refreshes the dirty shards (a scan over their few slots — no
 //!   geometry) and reduces over the per-shard maxima instead of all
 //!   candidates.
+//! - **Occupied shards only.** Global mode tiles the whole field into up
+//!   to 64×64 shards, but a restoration's candidates crowd around the
+//!   damage, so nearly all of them are empty. Each reset lists the
+//!   non-empty shards in ascending order, and `best()` walks that list
+//!   alone. Ties go to the lowest slot, not the lowest shard, so the walk
+//!   order cannot change an answer.
 //! - **Parallel shard recomputation.** Building (or wholesale rebuilding)
 //!   the benefit vector evaluates Equation 1 once per candidate; those
 //!   evaluations fan out over crossbeam scoped threads, one contiguous
@@ -80,6 +86,9 @@ pub struct ShardedBenefitEngine {
     benefits: Vec<u64>,
     shard_of_slot: Vec<u32>,
     shards: Vec<Shard>,
+    /// Indices of the shards holding at least one slot, ascending. Rebuilt
+    /// by every reset, capacity retained.
+    occupied: Vec<u32>,
     mode: Mode,
     /// Global mode's candidate index. Kept as a field (not an enum
     /// payload) so its slabs survive a mode switch and resets reuse them.
@@ -116,6 +125,7 @@ impl ShardedBenefitEngine {
             benefits: Vec::new(),
             shard_of_slot: Vec::new(),
             shards: Vec::new(),
+            occupied: Vec::new(),
             mode: Mode::Global,
             cand_index: FrozenGridIndex::empty(),
             shard_of_pid: Vec::new(),
@@ -164,6 +174,7 @@ impl ShardedBenefitEngine {
             self.shard_of_slot.push(si as u32);
             self.slot_pos.push(pos);
         }
+        self.list_occupied();
         self.cand_index.rebuild_from_points(
             field.min,
             (w, h),
@@ -226,6 +237,7 @@ impl ShardedBenefitEngine {
                 self.slot_pos.push(map.points()[pid]);
             }
         }
+        self.list_occupied();
         let shards_ref = &self.shards;
         let shard_of_slot_ref = &self.shard_of_slot;
         let slot_pos_ref = &self.slot_pos;
@@ -267,15 +279,15 @@ impl ShardedBenefitEngine {
 
     /// The globally best candidate: `(slot, point_id, position, benefit)`
     /// with maximum benefit, ties to the lowest slot; `None` when every
-    /// (eligible) candidate has zero benefit. Refreshes dirty shards
-    /// first, then reduces over the per-shard cached maxima.
+    /// (eligible) candidate has zero benefit. Walks the occupied shards
+    /// only, refreshing each if dirty and reducing over their cached
+    /// maxima.
     pub fn best(&mut self, map: &CoverageMap) -> Option<(usize, usize, Point, u64)> {
-        for si in 0..self.shards.len() {
-            self.refresh_shard(map, si);
-        }
         let mut best: Option<(usize, u64)> = None;
-        for sh in &self.shards {
-            if let Some((slot, b)) = sh.best {
+        for i in 0..self.occupied.len() {
+            let si = self.occupied[i] as usize;
+            self.refresh_shard(map, si);
+            if let Some((slot, b)) = self.shards[si].best {
                 if best.is_none_or(|(bs, bb)| b > bb || (b == bb && slot < bs)) {
                     best = Some((slot, b));
                 }
@@ -296,6 +308,14 @@ impl ShardedBenefitEngine {
     /// Number of shards (equals the partition length in cells mode).
     pub fn n_shards(&self) -> usize {
         self.shards.len()
+    }
+
+    /// Lists the shards holding at least one slot, ascending.
+    fn list_occupied(&mut self) {
+        self.occupied.clear();
+        let shards = &self.shards;
+        self.occupied
+            .extend((0..shards.len() as u32).filter(|&si| !shards[si as usize].slots.is_empty()));
     }
 
     fn refresh_shard(&mut self, map: &CoverageMap, si: usize) {
@@ -661,6 +681,85 @@ mod tests {
         let cands: Vec<usize> = (0..map.n_points()).collect();
         let mut engine = ShardedBenefitEngine::global(&map, cands, cfg.rs, cfg.k);
         assert!(engine.best(&map).is_none());
+    }
+
+    /// The `best()` answers of `engine`, reset over `cands`, along a
+    /// greedy run on a copy of `map`.
+    fn greedy_answers(
+        engine: &mut ShardedBenefitEngine,
+        map: &CoverageMap,
+        cands: &[usize],
+        rs: f64,
+        k: u32,
+    ) -> Vec<Option<(usize, usize, Point, u64)>> {
+        let mut map = map.clone();
+        let mut buf = cands.to_vec();
+        engine.reset_global(&map, &mut buf, rs, k);
+        let mut answers = Vec::new();
+        loop {
+            let best = engine.best(&map);
+            answers.push(best);
+            let Some((_, _, pos, _)) = best else {
+                return answers;
+            };
+            map.add_sensor(pos, rs);
+            engine.on_sensor_added(&map, pos, rs);
+        }
+    }
+
+    /// A pooled engine carried through global → cells → global resets
+    /// (different candidate sets, shard grids and radii) answers exactly
+    /// like a fresh one: no reset may leave a stale occupied-shard list.
+    #[test]
+    fn reused_engine_matches_fresh_across_mode_switches() {
+        let (mut map, cfg) = setup(1200, 2);
+        for i in 0..8 {
+            for j in 0..8 {
+                let p = Point::new(6.0 + 12.5 * i as f64, 6.0 + 12.5 * j as f64);
+                map.add_sensor(p, 6.0);
+                map.add_sensor(p, 6.0);
+            }
+        }
+        let below: Vec<usize> = map.uncovered_ids(cfg.k);
+        assert!(!below.is_empty());
+        let all: Vec<usize> = (0..map.n_points()).collect();
+        let mut pooled = ShardedBenefitEngine::empty();
+        let fresh = |cands: &[usize], rs: f64| {
+            greedy_answers(&mut ShardedBenefitEngine::empty(), &map, cands, rs, cfg.k)
+        };
+        assert_eq!(
+            greedy_answers(&mut pooled, &map, &all, cfg.rs, cfg.k),
+            fresh(&all, cfg.rs)
+        );
+        // Cells mode over a partition with empty entries.
+        let partition: Vec<Vec<usize>> = (0..12)
+            .map(|c| {
+                if c % 3 == 1 {
+                    Vec::new()
+                } else {
+                    below.iter().copied().filter(|p| p % 12 == c).collect()
+                }
+            })
+            .collect();
+        pooled.reset_cells(&map, &partition, cfg.rs, cfg.k);
+        let mut fresh_cells = ShardedBenefitEngine::cells(&map, &partition, cfg.rs, cfg.k);
+        assert_eq!(pooled.best(&map), fresh_cells.best(&map));
+        for si in 0..partition.len() {
+            assert_eq!(
+                pooled.best_in_shard(&map, si),
+                fresh_cells.best_in_shard(&map, si)
+            );
+        }
+        // Back to global mode: first the tight candidate set, then a wider
+        // radius over every point.
+        assert_eq!(
+            greedy_answers(&mut pooled, &map, &below, cfg.rs, cfg.k),
+            fresh(&below, cfg.rs)
+        );
+        assert_eq!(
+            greedy_answers(&mut pooled, &map, &all, 7.0, cfg.k),
+            fresh(&all, 7.0)
+        );
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!    no resource cap intervened, the placer reaches full `k`-coverage.
 //! 5. **Caches are transparent** — a cached answer equals a fresh
 //!    recomputation: every Voronoi ownership-cache entry, each round,
-//!    and every per-cell best the grid's sharded engine serves. The
+//!    every per-cell best the grid's sharded engine serves, and every
+//!    global best the centralized engine serves (against an argmax of
+//!    Equation 1 over every point, not just the candidates). The
 //!    fresh side is the full recomputation the caches exist to avoid,
 //!    so the placers run this check only in debug builds
 //!    (`cfg!(debug_assertions)`); release runs with the checker on, such
@@ -26,6 +28,13 @@
 //!    its map sensor is active. Debug builds also recount the on-duty
 //!    verdict of the per-node point lists from `Node::covers`. Both
 //!    report through `check_cache`: the mirror and lists cache the map.
+//! 7. **Failures hit what the plan names** — in
+//!    [`crate::restore::fail_and_restore`] and
+//!    [`crate::restore::coverage_after_failure`], each victim's mirror id
+//!    (its rank among the active sensors, the id trace events carry)
+//!    maps back to its sensor id both ways, and after an area failure no
+//!    active sensor is left inside the disc. Both are cheap, so they run
+//!    in every build.
 //!
 //! The checker rides [`crate::DeploymentConfig`] exactly like the trace
 //! handle: the default is *disabled* and every hook reduces to a branch on
@@ -209,6 +218,33 @@ impl InvariantChecker {
         });
     }
 
+    /// Invariant 7, id form: the victim with sensor id `sensor` was
+    /// emitted as mirror node `node`. `rank` is the rank that sensor maps
+    /// to and `back` the sensor that rank `node` maps back to; both must
+    /// agree with the pair.
+    pub fn check_mirror_id(&self, node: u64, sensor: u64, rank: u64, back: u64) {
+        self.with(|s| {
+            if rank != node || back != sensor {
+                s.violations.push(format!(
+                    "victim sensor {sensor} emitted as mirror node {node}, but its rank is \
+                     {rank} and node {node} maps back to sensor {back}"
+                ));
+            }
+        });
+    }
+
+    /// Invariant 7, area form: `survivors` active sensors are left inside
+    /// the disc of an area failure that just fired; there must be none.
+    pub fn check_disc_cleared(&self, survivors: usize) {
+        self.with(|s| {
+            if survivors > 0 {
+                s.violations.push(format!(
+                    "{survivors} active sensors survived inside the disaster disc"
+                ));
+            }
+        });
+    }
+
     /// Nodes recorded dead so far (accounting-network ids).
     pub fn dead(&self) -> Vec<u64> {
         self.with(|s| s.dead.iter().copied().collect())
@@ -269,6 +305,8 @@ mod tests {
         c.check_ledger(1, 2, true, false);
         c.check_converged(false, false, false);
         c.check_cache("voronoi ownership of point", 4, &[1usize, 2][..], &[1][..]);
+        c.check_mirror_id(1, 2, 3, 4);
+        c.check_disc_cleared(5);
         assert!(c.is_green());
         assert!(c.violations().is_empty());
         assert!(c.dead().is_empty());
@@ -367,6 +405,22 @@ mod tests {
         assert!(c.is_green());
         c.check_converged(false, false, false);
         assert!(!c.is_green());
+    }
+
+    #[test]
+    fn failures_must_hit_what_the_plan_names() {
+        let c = InvariantChecker::enabled();
+        c.check_mirror_id(3, 5, 3, 5);
+        c.check_disc_cleared(0);
+        assert!(c.is_green());
+        c.check_mirror_id(3, 5, 4, 5);
+        c.check_mirror_id(3, 5, 3, 6);
+        c.check_disc_cleared(2);
+        let v = c.violations();
+        assert_eq!(v.len(), 3);
+        assert!(v[0].contains("its rank is 4"));
+        assert!(v[1].contains("maps back to sensor 6"));
+        assert!(v[2].contains("2 active sensors survived"));
     }
 
     #[test]

@@ -22,7 +22,9 @@ pub struct SimScratch {
     pub engine: ShardedBenefitEngine,
     /// Candidate point-id buffer (swapped into the engine and back).
     pub cands: Vec<usize>,
-    /// Tile-flag scratch for `CoverageMap::deficit_candidates_into`.
+    /// Flag scratch for `CoverageMap::deficit_candidates_into`: one flag
+    /// per point-index bucket (the candidate set is built at bucket
+    /// granularity, not from the coarse tiles the name recalls).
     pub tile_flags: Vec<bool>,
     /// Simulated radio network, reused via `Network::reset`. Lazily
     /// built so placers that never simulate radio pay nothing.

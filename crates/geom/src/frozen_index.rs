@@ -342,8 +342,31 @@ impl FrozenGridIndex {
         self.ids.is_empty()
     }
 
+    /// Bucket edge length.
     #[inline]
-    fn bucket_coords(&self, p: Point) -> (usize, usize) {
+    pub fn cell(&self) -> f64 {
+        self.cell
+    }
+
+    /// Bucket-grid dimensions `(nx, ny)`; bucket `(bx, by)` is the
+    /// `by * nx + bx`-th of the grid.
+    #[inline]
+    pub fn dims(&self) -> (usize, usize) {
+        (self.nx, self.ny)
+    }
+
+    /// Ids stored in bucket `(bx, by)`, in insertion order.
+    #[inline]
+    pub fn bucket_ids(&self, bx: usize, by: usize) -> &[u32] {
+        let b = by * self.nx + bx;
+        &self.ids[self.bucket_starts[b] as usize..self.bucket_starts[b + 1] as usize]
+    }
+
+    /// Clamped coordinates `(bx, by)` of the bucket holding location `p`:
+    /// the bucket an entry at `p` is stored in, and the centre of the
+    /// 3×3 neighbourhood a query at `p` no wider than a bucket scans.
+    #[inline]
+    pub fn bucket_coords(&self, p: Point) -> (usize, usize) {
         let bx = ((p.x - self.origin.x) / self.cell).floor();
         let by = ((p.y - self.origin.y) / self.cell).floor();
         let bx = (bx.max(0.0) as usize).min(self.nx - 1);
@@ -656,6 +679,28 @@ mod tests {
                 assert_eq!(idx.count_within(q, r), got.len(), "q={q} r={r}");
             }
         }
+    }
+
+    #[test]
+    fn buckets_list_every_entry_once_in_insertion_order() {
+        let pts = sample_points(500);
+        let idx = frozen(&pts);
+        assert_eq!(idx.cell(), 4.0);
+        let (nx, ny) = idx.dims();
+        assert_eq!((nx, ny), (25, 25));
+        let mut seen = Vec::new();
+        for by in 0..ny {
+            for bx in 0..nx {
+                let ids = idx.bucket_ids(bx, by);
+                assert!(ids.windows(2).all(|w| w[0] < w[1]));
+                for &id in ids {
+                    assert_eq!(idx.bucket_coords(pts[id as usize].1), (bx, by));
+                }
+                seen.extend_from_slice(ids);
+            }
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, (0..500).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -59,10 +59,34 @@ impl FailurePlan {
     pub fn victims(&self, net: &Network) -> Vec<NodeId> {
         let alive = net.alive_ids();
         match *self {
+            FailurePlan::Area { disk } => alive
+                .into_iter()
+                .filter(|&id| disk.contains(net.node(id).pos))
+                .collect(),
+            _ => self
+                .draw_ranks(alive.len())
+                .into_iter()
+                .flatten()
+                .map(|rank| alive[rank])
+                .collect(),
+        }
+    }
+
+    /// The victims a random plan draws among `n_alive` alive nodes, as
+    /// ranks: positions in the ascending list of alive ids, ascending.
+    /// `None` for an [`FailurePlan::Area`] plan, whose victims depend on
+    /// positions rather than ranks.
+    ///
+    /// The draw depends only on `n_alive` and the seed, so a caller that
+    /// keeps its nodes elsewhere (the coverage map's sensors) picks the
+    /// same victims as [`FailurePlan::victims`] on a network of those
+    /// nodes, without building one.
+    pub fn draw_ranks(&self, n_alive: usize) -> Option<Vec<usize>> {
+        match *self {
             FailurePlan::Iid { q, seed } => {
                 assert!((0.0..=1.0).contains(&q), "probability q must be in [0,1]");
                 let mut rng = StdRng::seed_from_u64(seed);
-                alive.into_iter().filter(|_| rng.gen::<f64>() < q).collect()
+                Some((0..n_alive).filter(|_| rng.gen::<f64>() < q).collect())
             }
             FailurePlan::Fraction { frac, seed } => {
                 assert!(
@@ -70,17 +94,14 @@ impl FailurePlan {
                     "fraction must be in [0,1], got {frac}"
                 );
                 let mut rng = StdRng::seed_from_u64(seed);
-                let count = (alive.len() as f64 * frac).round() as usize;
-                let mut pool = alive;
+                let count = (n_alive as f64 * frac).round() as usize;
+                let mut pool: Vec<usize> = (0..n_alive).collect();
                 pool.shuffle(&mut rng);
-                let mut victims: Vec<NodeId> = pool.into_iter().take(count).collect();
-                victims.sort_unstable();
-                victims
+                pool.truncate(count);
+                pool.sort_unstable();
+                Some(pool)
             }
-            FailurePlan::Area { disk } => alive
-                .into_iter()
-                .filter(|&id| disk.contains(net.node(id).pos))
-                .collect(),
+            FailurePlan::Area { .. } => None,
         }
     }
 
@@ -208,6 +229,52 @@ mod tests {
         let second = FailurePlan::Area { disk }.apply(&mut net);
         assert!(!first.is_empty());
         assert!(second.is_empty(), "no alive nodes left in the disc");
+    }
+
+    /// The random draws as they were written over the alive ids, before
+    /// they moved to ranks.
+    fn draw_over_alive_ids(plan: FailurePlan, net: &Network) -> Vec<NodeId> {
+        let alive = net.alive_ids();
+        match plan {
+            FailurePlan::Iid { q, seed } => {
+                let mut rng = StdRng::seed_from_u64(seed);
+                alive.into_iter().filter(|_| rng.gen::<f64>() < q).collect()
+            }
+            FailurePlan::Fraction { frac, seed } => {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let count = (alive.len() as f64 * frac).round() as usize;
+                let mut pool = alive;
+                pool.shuffle(&mut rng);
+                let mut victims: Vec<NodeId> = pool.into_iter().take(count).collect();
+                victims.sort_unstable();
+                victims
+            }
+            FailurePlan::Area { .. } => unreachable!("random plans only"),
+        }
+    }
+
+    #[test]
+    fn ranks_draw_what_the_alive_ids_drew() {
+        let mut net = grid_network(9);
+        for id in [0, 7, 8, 20, 35, 36, 37, 80] {
+            net.fail_node(id);
+        }
+        let alive = net.alive_ids();
+        for seed in 0..20 {
+            for plan in [
+                FailurePlan::Iid { q: 0.4, seed },
+                FailurePlan::Fraction { frac: 0.3, seed },
+                FailurePlan::Fraction { frac: 1.0, seed },
+            ] {
+                let ranks = plan.draw_ranks(alive.len()).expect("a random plan");
+                assert!(ranks.windows(2).all(|w| w[0] < w[1]));
+                let via_ranks: Vec<NodeId> = ranks.iter().map(|&r| alive[r]).collect();
+                assert_eq!(via_ranks, draw_over_alive_ids(plan, &net), "{plan:?}");
+                assert_eq!(plan.victims(&net), via_ranks);
+            }
+        }
+        let disk = Disk::new(Point::new(50.0, 50.0), 10.0);
+        assert_eq!(FailurePlan::Area { disk }.draw_ranks(alive.len()), None);
     }
 
     #[test]
