@@ -1,18 +1,20 @@
 //! Microbenchmarks of the substrate crates: LDS generation, discrepancy
-//! measures, geometry queries, the event queue, heartbeat detection, the
-//! reliable transport, connectivity checks and the sleep-shift partition.
+//! measures, geometry queries, the event queue, heartbeat detection (a
+//! line and an `ext-loss`-shaped probe), the reliable transport,
+//! connectivity checks and the sleep-shift partition.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use decor_core::SchemeKind;
 use decor_exp::common::deploy_with;
+use decor_exp::scenario::PROBE_PERIOD;
 use decor_exp::ExpParams;
 use decor_geom::{Aabb, Point, UnitDiskGraph};
 use decor_lds::{
     hammersley_unit, l2_star_discrepancy, random_points, star_discrepancy, HaltonSequence, Sobol2D,
 };
 use decor_net::{
-    EventQueue, HeartbeatConfig, HeartbeatSim, Message, Network, NodeId, RotationConfig,
-    SleepScheduler, Transport, TransportConfig,
+    EventQueue, FailurePlan, HeartbeatConfig, HeartbeatSim, Message, Network, NodeId,
+    RotationConfig, SleepScheduler, Transport, TransportConfig,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -84,6 +86,46 @@ fn bench_heartbeat_sim(c: &mut Criterion) {
             });
             black_box(sim.run(&mut net, &[50], 500, 2000))
         })
+    });
+    g.finish();
+}
+
+/// The heartbeat detector as one `ext-loss` failure probe runs it: the
+/// paper field's k=2 centralized deployment (seed 7), 10% loss, 10% of
+/// the nodes failing at 4 periods, and a horizon of 34 periods. Each
+/// iteration runs on a fresh copy of the deployed network, so it pays
+/// for the hello exchange and the first fill of every hearer row.
+fn bench_detect_probe(c: &mut Criterion) {
+    let (map, _, cfg) = deploy_with(&ExpParams::paper(), SchemeKind::Centralized, 2, 7, |_| {});
+    let mut base = Network::new(*map.field());
+    for (_, pos) in map.active_sensors() {
+        base.add_node(pos, cfg.rs, cfg.rc);
+    }
+    base.set_loss(0.1, 11);
+    let victims = FailurePlan::Fraction {
+        frac: 0.1,
+        seed: 13,
+    }
+    .victims(&base);
+    let period = PROBE_PERIOD;
+    let sim = HeartbeatSim::new(HeartbeatConfig {
+        period,
+        timeout_periods: 3,
+        seed: 17,
+    });
+    println!(
+        "net/detect/probe: {} nodes, {} victims",
+        base.len(),
+        victims.len()
+    );
+    let mut g = c.benchmark_group("net/detect");
+    g.sample_size(20);
+    g.bench_function("probe", |b| {
+        b.iter_batched(
+            || base.clone(),
+            |mut net| black_box(sim.run(&mut net, &victims, 4 * period, 34 * period)),
+            BatchSize::LargeInput,
+        )
     });
     g.finish();
 }
@@ -266,6 +308,7 @@ criterion_group!(
     bench_discrepancy,
     bench_event_queue,
     bench_heartbeat_sim,
+    bench_detect_probe,
     bench_transport_fanout,
     bench_unit_disk_graph,
     bench_network_traffic,

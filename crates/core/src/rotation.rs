@@ -109,10 +109,11 @@ pub fn agree_shifts(
     // up the tree; the partition is computed from the network's ground
     // truth, this round charges the traffic that makes the coordinator's
     // knowledge plausible).
+    let mut heard = Vec::new();
     for &id in &alive {
         if id != coord {
             let pos = net.node(id).pos;
-            let _ = net.broadcast(id, Message::Hello { pos });
+            net.broadcast_into(id, Message::Hello { pos }, &mut heard);
         }
     }
 
@@ -123,10 +124,12 @@ pub fn agree_shifts(
     seen[coord] = true;
     let mut order = vec![coord];
     let mut qi = 0;
+    let mut nbs = Vec::new();
     while qi < order.len() {
         let u = order[qi];
         qi += 1;
-        for v in net.neighbors_of(u) {
+        net.neighbors_into(u, &mut nbs);
+        for &v in &nbs {
             if !seen[v] {
                 seen[v] = true;
                 parent[v] = Some(u);

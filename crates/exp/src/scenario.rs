@@ -234,7 +234,7 @@ impl ScenarioSpec {
             spec.workload = Workload::parse_spec_name(req_str(w, "workload")?)?;
         }
         if let Some(x) = v.get("k") {
-            spec.k = req_u64(x, "k")? as u32;
+            spec.k = req_u32(x, "k")?;
         }
         if let Some(x) = v.get("field_side") {
             spec.field_side = req_f64(x, "field_side")?;
@@ -246,7 +246,7 @@ impl ScenarioSpec {
             spec.initial_nodes = req_u64(x, "initial_nodes")? as usize;
         }
         if let Some(x) = v.get("loss_pct") {
-            spec.loss_pct = req_u64(x, "loss_pct")? as u32;
+            spec.loss_pct = req_u32(x, "loss_pct")?;
         }
         if let Some(x) = v.get("fail_frac") {
             spec.fail_frac = req_f64(x, "fail_frac")?;
@@ -281,6 +281,12 @@ fn req_str<'a>(v: &'a Json, field: &str) -> Result<&'a str, String> {
 fn req_u64(v: &Json, field: &str) -> Result<u64, String> {
     v.as_u64()
         .ok_or_else(|| format!("scenario spec: field '{field}' must be a non-negative integer"))
+}
+
+/// A `u32` field: a non-negative integer that fits, never a wrapped one.
+fn req_u32(v: &Json, field: &str) -> Result<u32, String> {
+    u32::try_from(req_u64(v, field)?)
+        .map_err(|_| format!("scenario spec: field '{field}' out of range"))
 }
 
 fn req_f64(v: &Json, field: &str) -> Result<f64, String> {
@@ -873,6 +879,14 @@ mod tests {
             (r#"{"scheme":"random","replicas":0}"#, "replicas"),
             (r#"{"scheme":"random","fail_frac":1.5}"#, "fail_frac"),
             (r#"{"scheme":"random","k":"three"}"#, "field 'k'"),
+            (
+                r#"{"scheme":"random","k":4294967298}"#,
+                "field 'k' out of range",
+            ),
+            (
+                r#"{"scheme":"random","loss_pct":4294967306}"#,
+                "field 'loss_pct' out of range",
+            ),
             (r#"not json"#, "scenario spec"),
             (r#"[1,2]"#, "expected a JSON object"),
         ] {

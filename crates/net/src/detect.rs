@@ -5,17 +5,27 @@
 //! from one of its neighbors, this indicates that the neighbor has failed.
 //! The nodes do not need to be synchronized."
 //!
-//! [`HeartbeatSim`] runs that protocol on the discrete-event engine: every
-//! alive node broadcasts a heartbeat each period (with a per-node random
-//! phase — *unsynchronized*), remembers when it last heard each neighbor,
-//! and declares a neighbor failed after `timeout_periods` silent periods.
+//! [`HeartbeatSim`] runs that protocol as a discrete-event simulation:
+//! every alive node broadcasts a heartbeat each period (with a per-node
+//! random phase — *unsynchronized*), remembers when it last heard each
+//! neighbor, and declares a neighbor failed after `timeout_periods` silent
+//! periods.
+//!
+//! Every beat and every check recurs exactly one period later, so the
+//! events of one period come in the same order as those of the period
+//! before. The simulation therefore walks a fixed per-period calendar, the
+//! nodes sorted by phase, instead of a priority queue, and merges in the
+//! events that happen once (shift boundaries, the failure instant) at
+//! their ticks. Events at one tick run in the order the queue's FIFO
+//! tie-break gave them (DESIGN.md §16); the frozen queue-based detector in
+//! `tests/detect_oracle.rs` referees that.
 //!
 //! What each node remembers lives in a [`WatchTable`], shared with the
 //! period-clocked detector of `decor_core::endurance`: one dense row per
 //! observer, built by the t=0 hello exchange.
 
 use crate::chaos::ChaosEngine;
-use crate::event::{EventQueue, Time};
+use crate::event::Time;
 use crate::messages::Message;
 use crate::network::Network;
 use crate::node::NodeId;
@@ -224,20 +234,6 @@ fn stamp(rows: &mut [Vec<WatchSlot>], observer: NodeId, sender: NodeId, now: Tim
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Ev {
-    /// Node broadcasts its heartbeat and reschedules.
-    Beat(NodeId),
-    /// Node scans its neighbor table for silent neighbors.
-    Check(NodeId),
-    /// The failure instant: victims drop out of the network.
-    Fail,
-    /// A shift boundary: re-apply the schedule's sleep flags to the
-    /// network. Pre-scheduled before all Beats/Checks so FIFO tie-breaking
-    /// pops it first at an equal tick — a node waking at `t` beats at `t`.
-    Rotate,
-}
-
 /// Discrete-event heartbeat detector simulation.
 pub struct HeartbeatSim {
     cfg: HeartbeatConfig,
@@ -307,8 +303,8 @@ impl HeartbeatSim {
     }
 
     /// Like [`HeartbeatSim::run`], but interleaves a [`ChaosEngine`] with
-    /// the detector's event queue: every scripted fault due at or before
-    /// an event's tick is injected before the event is handled, so
+    /// the detector's calendar: every scripted fault due at or before an
+    /// event's tick is injected before the event is handled, so
     /// blackholes and partitions can open and close *between heartbeats*.
     /// With an exhausted or empty plan this is exactly `run`.
     pub fn run_with_chaos(
@@ -329,124 +325,108 @@ impl HeartbeatSim {
         fail_at: Time,
         horizon: Time,
         schedule: Option<&ShiftSchedule>,
-        mut chaos: Option<&mut ChaosEngine>,
+        chaos: Option<&mut ChaosEngine>,
     ) -> DetectionReport {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut q: EventQueue<Ev> = EventQueue::new();
         let period = self.cfg.period;
 
         // Neighbor tables and last-heard clocks, established by an initial
         // hello exchange at t=0 (charged to the maintenance plane).
         let ids = net.alive_ids();
-        let mut watch = WatchTable::exchange_hellos(net);
-
-        // Shift boundaries, pre-scheduled before any Beat/Check so the
-        // queue's FIFO tie-break applies the new sleep flags first when a
-        // boundary coincides with a beat. Rotating schedules only: an
-        // always-on schedule must leave the event stream bit-identical to
-        // the schedule-free run.
-        let rotating = schedule.filter(|s| s.n_shifts() > 1);
-        if let Some(sched) = rotating {
-            let mut t = 0;
-            while t <= horizon {
-                q.schedule(t, Ev::Rotate);
-                t += sched.period();
-            }
-        }
+        let watch = WatchTable::exchange_hellos(net);
 
         // Unsynchronized start: each node's first beat at a random phase.
-        for &id in &ids {
-            let phase = rng.gen_range(0..period);
-            q.schedule(phase, Ev::Beat(id));
-            q.schedule(phase + period, Ev::Check(id));
-        }
-        q.schedule(fail_at, Ev::Fail);
+        // The stable sort keeps ids ascending within a phase.
+        let mut slots: Vec<Slot> = ids
+            .iter()
+            .map(|&id| Slot {
+                phase: rng.gen_range(0..period),
+                id,
+                beating: true,
+                checking: true,
+            })
+            .collect();
+        slots.sort_by_key(|s| s.phase);
 
-        let mut report = DetectionReport::default();
-        // Earliest suspicion of each node: (time, observer).
-        let mut detected: Vec<Option<(Time, NodeId)>> = vec![None; net.len()];
+        // Rotating schedules only: an always-on schedule must leave the
+        // run bit-identical to the schedule-free one.
+        let rotating = schedule.filter(|s| s.n_shifts() > 1);
+        let detected = vec![None; net.len()];
+        let mut run = Run {
+            cfg: self.cfg,
+            horizon,
+            live: slots.len(),
+            next_shift: rotating.map(|_| 0),
+            fail_at: (fail_at <= horizon).then_some(fail_at),
+            net,
+            chaos,
+            rotating,
+            victims,
+            watch,
+            report: DetectionReport::default(),
+            detected,
+        };
 
-        while let Some((now, ev)) = q.pop() {
-            if now > horizon {
-                break;
-            }
-            if let Some(engine) = chaos.as_deref_mut() {
-                engine.advance_to(net, now);
-            }
-            match ev {
-                Ev::Fail => {
-                    for &v in victims {
-                        net.fail_node(v);
-                    }
+        // Walk the ticks `m·period + phase`, phases ascending, until the
+        // horizon or until no slot is left on the calendar.
+        let mut m: u64 = 0;
+        let mut start: Time = 0;
+        'calendar: while run.live > 0 {
+            let mut g = 0;
+            while g < slots.len() {
+                let phase = slots[g].phase;
+                let Some(now) = start.checked_add(phase).filter(|&t| t <= horizon) else {
+                    break 'calendar;
+                };
+                let end = g + slots[g..].partition_point(|s| s.phase == phase);
+                run.one_offs_before(Some(now));
+                if run.next_shift == Some(now) {
+                    run.rotate(now);
                 }
-                Ev::Rotate => {
-                    if let Some(sched) = rotating {
-                        sched.apply_sleep_flags(net, now);
-                    }
-                }
-                Ev::Beat(id) => {
-                    if !net.is_alive(id) {
-                        continue; // dead nodes stop beating — that is the signal
-                    }
-                    // A scheduled-asleep node's radio is off: it skips the
-                    // beat but keeps its cadence for the next awake shift.
-                    let asleep = rotating.is_some_and(|s| s.is_scheduled_asleep(id, now));
-                    if !asleep {
-                        watch.beat(net, id, now);
-                        report.heartbeats_sent += 1;
-                    }
-                    q.schedule(now + period, Ev::Beat(id));
-                }
-                Ev::Check(id) => {
-                    if !net.is_alive(id) {
-                        continue;
-                    }
-                    if rotating.is_some_and(|s| s.is_scheduled_asleep(id, now)) {
-                        // A sleeping observer scans nothing (radio off)
-                        // but keeps its check cadence.
-                        q.schedule(now + period, Ev::Check(id));
-                        continue;
-                    }
-                    for slot in watch.row(id) {
-                        // Suspicion is based purely on silence: the
-                        // observer cannot consult ground truth. On a
-                        // lossy medium this can misfire on alive
-                        // neighbors (classified below).
-                        let (nb, last) = (slot.neighbor(), slot.last_heard());
-                        match rotating {
-                            Some(sched) if sched.is_scheduled_asleep(nb, now) => {
-                                // Three-state lifecycle: the schedule says
-                                // Asleep, not Dead. Count the would-be
-                                // alarm, never raise it.
-                                if silent_too_long(now, last, period, self.cfg.timeout_periods) {
-                                    report.sleeping_suppressed += 1;
-                                }
-                            }
-                            Some(sched) => {
-                                // Silence only counts across windows where
-                                // both ends were on duty: a neighbor (or
-                                // the observer itself) fresh off a sleep
-                                // shift gets a full timeout before
-                                // suspicion.
-                                let eff = last
-                                    .max(sched.last_wake_at(nb, now))
-                                    .max(sched.last_wake_at(id, now));
-                                if silent_too_long(now, eff, period, self.cfg.timeout_periods) {
-                                    detected[nb].get_or_insert((now, id));
-                                }
-                            }
-                            None => {
-                                if silent_too_long(now, last, period, self.cfg.timeout_periods) {
-                                    detected[nb].get_or_insert((now, id));
-                                }
-                            }
+                let fail = run.fail_at.take_if(|&mut t| t == now).is_some();
+                let group = &mut slots[g..end];
+                // The order the event queue's (time, seq) tie-break gave
+                // one tick (DESIGN.md §16). Period 0's Beats and period 1's
+                // Checks were scheduled before the failure, every later
+                // Beat and Check after it, each Check ahead of its tick's
+                // Beats.
+                match m {
+                    0 => {
+                        run.beats(group, now);
+                        if fail {
+                            run.fail(now);
                         }
                     }
-                    q.schedule(now + period, Ev::Check(id));
+                    1 => {
+                        run.checks(group, now);
+                        if fail {
+                            run.fail(now);
+                        }
+                        run.beats(group, now);
+                    }
+                    _ => {
+                        if fail {
+                            run.fail(now);
+                        }
+                        run.checks(group, now);
+                        run.beats(group, now);
+                    }
                 }
+                g = end;
+            }
+            m += 1;
+            match start.checked_add(period) {
+                Some(next) => start = next,
+                None => break,
             }
         }
+        run.one_offs_before(None);
 
+        let Run {
+            mut report,
+            detected,
+            ..
+        } = run;
         report.undetected = victims
             .iter()
             .copied()
@@ -455,7 +435,7 @@ impl HeartbeatSim {
         // Classify suspicions: real failures vs false alarms. A suspicion
         // of a node that is alive at the end of the run (i.e. never in
         // `victims`) is a false positive.
-        let mut is_victim = vec![false; net.len()];
+        let mut is_victim = vec![false; detected.len()];
         for &v in victims {
             if let Some(flag) = is_victim.get_mut(v) {
                 *flag = true;
@@ -470,6 +450,170 @@ impl HeartbeatSim {
             }
         }
         report
+    }
+}
+
+/// One node's place on [`HeartbeatSim`]'s calendar: it beats at every
+/// tick `m·period + phase` and checks at each of them from `m = 1` on.
+struct Slot {
+    phase: Time,
+    id: NodeId,
+    /// Its beats are still on the calendar. Cleared at the first beat
+    /// that finds the node dead: death is final.
+    beating: bool,
+    /// Likewise for its checks.
+    checking: bool,
+}
+
+/// The state of one [`HeartbeatSim`] run as it walks its calendar.
+struct Run<'a, 'p> {
+    cfg: HeartbeatConfig,
+    horizon: Time,
+    /// Slots with a beat or a check still on the calendar.
+    live: usize,
+    /// The next shift boundary within the horizon (rotating schedules
+    /// only).
+    next_shift: Option<Time>,
+    /// The failure instant, while it is pending and within the horizon.
+    fail_at: Option<Time>,
+    net: &'a mut Network,
+    chaos: Option<&'a mut ChaosEngine<'p>>,
+    rotating: Option<&'a ShiftSchedule>,
+    victims: &'a [NodeId],
+    watch: WatchTable,
+    report: DetectionReport,
+    /// Earliest suspicion of each node: (time, observer).
+    detected: Vec<Option<(Time, NodeId)>>,
+}
+
+impl Run<'_, '_> {
+    /// Injects every chaos fault due at or before `now`. Called before
+    /// every event, so faults open and close between heartbeats.
+    fn advance(&mut self, now: Time) {
+        if let Some(engine) = self.chaos.as_deref_mut() {
+            engine.advance_to(self.net, now);
+        }
+    }
+
+    /// Runs the shift boundaries and the failure due before `end` (all
+    /// that are left, for `None`) in time order. A boundary goes first at
+    /// an equal tick: every boundary was scheduled before the failure.
+    fn one_offs_before(&mut self, end: Option<Time>) {
+        let due = |t: Option<Time>| t.filter(|&t| end.is_none_or(|e| t < e));
+        loop {
+            match (due(self.next_shift), due(self.fail_at)) {
+                (Some(r), f) if f.is_none_or(|f| r <= f) => self.rotate(r),
+                (_, Some(f)) => {
+                    self.fail_at = None;
+                    self.fail(f);
+                }
+                _ => return,
+            }
+        }
+    }
+
+    /// A shift boundary: re-apply the schedule's sleep flags to the
+    /// network, and move to the next boundary. A node waking at `now`
+    /// beats at `now`.
+    fn rotate(&mut self, now: Time) {
+        self.advance(now);
+        let sched = self.rotating.expect("shift boundaries need a schedule");
+        sched.apply_sleep_flags(self.net, now);
+        self.next_shift = now
+            .checked_add(sched.period())
+            .filter(|&t| t <= self.horizon);
+    }
+
+    /// The failure instant: victims drop out of the network.
+    fn fail(&mut self, now: Time) {
+        self.advance(now);
+        for &v in self.victims {
+            self.net.fail_node(v);
+        }
+    }
+
+    /// The beats of one phase group at `now`, ascending by id.
+    fn beats(&mut self, group: &mut [Slot], now: Time) {
+        for slot in group {
+            if !slot.beating {
+                continue;
+            }
+            self.advance(now);
+            if !self.net.is_alive(slot.id) {
+                // Dead nodes stop beating — that is the signal.
+                slot.beating = false;
+                self.live -= usize::from(!slot.checking);
+                continue;
+            }
+            // A scheduled-asleep node's radio is off: it skips the beat
+            // but keeps its cadence for the next awake shift.
+            let asleep = self
+                .rotating
+                .is_some_and(|s| s.is_scheduled_asleep(slot.id, now));
+            if !asleep {
+                self.watch.beat(self.net, slot.id, now);
+                self.report.heartbeats_sent += 1;
+            }
+        }
+    }
+
+    /// The checks of one phase group at `now`, ascending by id: each
+    /// observer scans its neighbor row for silent neighbors.
+    fn checks(&mut self, group: &mut [Slot], now: Time) {
+        let (period, timeout) = (self.cfg.period, self.cfg.timeout_periods);
+        for slot in group {
+            if !slot.checking {
+                continue;
+            }
+            self.advance(now);
+            let id = slot.id;
+            if !self.net.is_alive(id) {
+                slot.checking = false;
+                self.live -= usize::from(!slot.beating);
+                continue;
+            }
+            if self
+                .rotating
+                .is_some_and(|s| s.is_scheduled_asleep(id, now))
+            {
+                // A sleeping observer scans nothing (radio off) but keeps
+                // its check cadence.
+                continue;
+            }
+            for watched in self.watch.row(id) {
+                // Suspicion is based purely on silence: the observer
+                // cannot consult ground truth. On a lossy medium this can
+                // misfire on alive neighbors (classified by `run_inner`).
+                let (nb, last) = (watched.neighbor(), watched.last_heard());
+                match self.rotating {
+                    Some(sched) if sched.is_scheduled_asleep(nb, now) => {
+                        // Three-state lifecycle: the schedule says Asleep,
+                        // not Dead. Count the would-be alarm, never raise
+                        // it.
+                        if silent_too_long(now, last, period, timeout) {
+                            self.report.sleeping_suppressed += 1;
+                        }
+                    }
+                    Some(sched) => {
+                        // Silence only counts across windows where both
+                        // ends were on duty: a neighbor (or the observer
+                        // itself) fresh off a sleep shift gets a full
+                        // timeout before suspicion.
+                        let eff = last
+                            .max(sched.last_wake_at(nb, now))
+                            .max(sched.last_wake_at(id, now));
+                        if silent_too_long(now, eff, period, timeout) {
+                            self.detected[nb].get_or_insert((now, id));
+                        }
+                    }
+                    None => {
+                        if silent_too_long(now, last, period, timeout) {
+                            self.detected[nb].get_or_insert((now, id));
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -1,5 +1,15 @@
 //! The network fabric: node storage, neighbor lookup, range-checked
 //! message delivery, and per-node message/energy accounting.
+//!
+//! A broadcast reads its receivers from the sender's *hearer row*: the
+//! ids within the sender's `rc`, ascending, filled by one spatial-grid
+//! query the first time the sender broadcasts and extended by
+//! [`Network::add_node`] while any row is filled. A new node has the
+//! largest id so far, so appending it keeps every row sorted, and
+//! [`Network::fail_node`] is final, so readers skip dead ids instead of
+//! editing rows. A network that never broadcasts (every placer's) fills
+//! no row and pays nothing for the table. [`Network::neighbors_into`]
+//! keeps the grid query.
 
 use crate::energy::EnergyModel;
 use crate::event::Time;
@@ -145,9 +155,22 @@ pub struct Network {
     blackholes: BTreeSet<(NodeId, NodeId)>,
     /// Chaos latency spike: extra ticks added to every transport backoff.
     extra_latency: Time,
-    /// Scratch for [`Network::broadcast_into`]: the nodes in the sender's
-    /// range, kept between calls so a broadcast allocates nothing.
-    in_range: Vec<NodeId>,
+    /// Hearer rows: once node `i` has broadcast, `hearers[i]` holds every
+    /// node within `i`'s `rc` that was alive then or was added since,
+    /// ascending and without `i`. Ids that died since stay in the row.
+    /// Rows are created by the first fill; rows past `filled.len()` are
+    /// empty spares that keep their capacity across [`Network::reset`].
+    hearers: Vec<Vec<NodeId>>,
+    /// `filled[i]`: has node `i`'s hearer row been filled? As long as no
+    /// row is filled this may be shorter than `nodes`; after a fill it
+    /// grows with every `add_node`.
+    filled: Vec<bool>,
+    /// The largest `rc` among the filled rows, `None` while none is
+    /// filled: the radius of `add_node`'s reverse query.
+    fill_radius: Option<f64>,
+    /// Scratch for `add_node`'s reverse query, kept between calls so an
+    /// insertion allocates nothing.
+    near: Vec<NodeId>,
 }
 
 impl Network {
@@ -172,17 +195,27 @@ impl Network {
             partition: None,
             blackholes: BTreeSet::new(),
             extra_latency: 0,
-            in_range: Vec::new(),
+            hearers: Vec::new(),
+            filled: Vec::new(),
+            fill_radius: None,
+            near: Vec::new(),
         }
     }
 
     /// Returns the network to the state of `Network::new(field)` — no
     /// nodes, perfect medium, default energy model, zeroed counters,
-    /// disabled trace — while keeping the node storage, spatial-index
-    /// buckets, and stats vectors allocated. A reset network behaves
-    /// bit-identically to a freshly constructed one.
+    /// disabled trace, no hearer row filled — while keeping the node
+    /// storage, spatial-index buckets, hearer rows and stats vectors
+    /// allocated. A reset network behaves bit-identically to a freshly
+    /// constructed one.
     pub fn reset(&mut self, field: Aabb) {
         let cell = (field.width().min(field.height()) / 20.0).max(1.0);
+        // Rows past `filled` have not been filled since the last reset.
+        for row in &mut self.hearers[..self.filled.len()] {
+            row.clear();
+        }
+        self.filled.clear();
+        self.fill_radius = None;
         self.nodes.clear();
         self.sleeping.clear();
         self.index
@@ -312,14 +345,58 @@ impl Network {
         &self.field
     }
 
-    /// Adds an alive node, returning its id.
+    /// Adds an alive node, returning its id. While any hearer row is
+    /// filled, the new node is appended to each filled row whose node's
+    /// `rc` reaches it.
     pub fn add_node(&mut self, pos: Point, rs: f64, rc: f64) -> NodeId {
         let id = self.nodes.len();
+        if let Some(radius) = self.fill_radius {
+            self.append_hearer(id, pos, radius);
+        }
         self.nodes.push(Node::new(pos, rs, rc));
         self.sleeping.push(false);
         self.index.insert(id, pos);
         self.stats.grow_to(self.nodes.len());
         id
+    }
+
+    /// One reverse query finds the filled rows whose node's `rc` reaches
+    /// the new node `id` at `pos` (`radius` is the largest such `rc`), and
+    /// `id` is appended to each. It is the largest id so far, so every row
+    /// stays sorted. The test is the grid query's own, so the row holds
+    /// what a fresh fill would.
+    fn append_hearer(&mut self, id: NodeId, pos: Point, radius: f64) {
+        let mut near = std::mem::take(&mut self.near);
+        self.index.within_into(pos, radius, &mut near);
+        for &s in &near {
+            let hub = &self.nodes[s];
+            if self.filled[s] && hub.pos.in_disk(pos, hub.rc) {
+                debug_assert!(self.hearers[s].last().is_none_or(|&last| last < id));
+                self.hearers[s].push(id);
+            }
+        }
+        self.near = near;
+        self.filled.push(false);
+        if self.hearers.len() == id {
+            self.hearers.push(Vec::new());
+        }
+    }
+
+    /// Fills node `from`'s hearer row with one grid query: the alive
+    /// nodes within its `rc`, without itself, ascending.
+    fn fill_row(&mut self, from: NodeId) {
+        let n = self.nodes.len();
+        self.filled.resize(n, false);
+        if self.hearers.len() < n {
+            self.hearers.resize_with(n, Vec::new);
+        }
+        let Node { pos, rc, .. } = self.nodes[from];
+        let row = &mut self.hearers[from];
+        self.index.within_into(pos, rc, row);
+        row.retain(|&i| i != from);
+        row.sort_unstable();
+        self.filled[from] = true;
+        self.fill_radius = Some(self.fill_radius.map_or(rc, |r| r.max(rc)));
     }
 
     /// Sets node `id`'s scheduled-asleep flag (see [`crate::rotation`]).
@@ -538,20 +615,20 @@ impl Network {
     /// Buffer-reuse variant of [`Network::broadcast`]: clears `heard` and
     /// fills it with the same receivers in the same (ascending) order,
     /// with the same accounting, trace events and loss-stream draws. The
-    /// in-range scratch lives inside the network, so a warm call allocates
-    /// nothing. A dead or sleeping sender transmits nothing and leaves
-    /// `heard` empty.
+    /// receivers come from the sender's hearer row, filled on its first
+    /// broadcast, so a warm call queries no index and allocates nothing.
+    /// A dead or sleeping sender transmits nothing and leaves `heard`
+    /// empty.
     pub fn broadcast_into(&mut self, from: NodeId, msg: Message, heard: &mut Vec<NodeId>) {
         heard.clear();
         let sender = match self.nodes.get(from) {
             Some(n) if n.alive && !self.sleeping[from] => *n,
             _ => return,
         };
-        let mut receivers = std::mem::take(&mut self.in_range);
-        self.index
-            .within_into(sender.pos, sender.rc, &mut receivers);
-        receivers.retain(|&i| i != from);
-        receivers.sort_unstable();
+        if !self.filled.get(from).copied().unwrap_or(false) {
+            self.fill_row(from);
+        }
+        let receivers = std::mem::take(&mut self.hearers[from]);
         let bytes = msg.payload_bytes();
         self.stats.sent[from] += 1;
         self.stats.energy[from] += self.energy_model.tx_cost(bytes, sender.rc);
@@ -572,6 +649,9 @@ impl Network {
         // a sleeping listener misses it for free (radio off, no rx
         // energy, no loss-stream draw).
         for &r in &receivers {
+            if !self.nodes[r].alive {
+                continue; // death is final: the row keeps the id
+            }
             if self.link_cut(from, r) || self.sleeping[r] {
                 self.trace.emit(TraceEvent::MsgDrop {
                     from: from as u64,
@@ -597,7 +677,7 @@ impl Network {
             });
             heard.push(r);
         }
-        self.in_range = receivers;
+        self.hearers[from] = receivers;
     }
 }
 

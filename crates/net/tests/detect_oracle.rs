@@ -321,3 +321,210 @@ fn oracle_agrees_on_a_lossy_line_with_an_isolated_node() {
     assert_eq!(got, expected);
     assert_eq!(counters(&net), counters(&oracle_net));
 }
+
+/// The phase `HeartbeatSim` draws for each alive node: one `gen_range`
+/// per alive id, in ascending id order, from the config's seed.
+fn phases(net: &Network, cfg: &HeartbeatConfig) -> Vec<(NodeId, Time)> {
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    net.alive_ids()
+        .into_iter()
+        .map(|id| (id, rng.gen_range(0..cfg.period)))
+        .collect()
+}
+
+/// Runs `HeartbeatSim` and the frozen reference on copies of `net` and
+/// asserts that they agree: the report, every traffic counter, and which
+/// nodes are alive and asleep, and whether a partition is up, at the end.
+fn assert_agrees(
+    net: &Network,
+    cfg: HeartbeatConfig,
+    victims: &[NodeId],
+    fail_at: Time,
+    horizon: Time,
+    schedule: Option<&ShiftSchedule>,
+    plan: Option<&FaultPlan>,
+) -> DetectionReport {
+    let (mut got_net, mut oracle_net) = (net.clone(), net.clone());
+    let mut oracle_chaos = plan.cloned().map(ChaosEngine::new);
+    let expected = reference_run(
+        cfg,
+        &mut oracle_net,
+        victims,
+        fail_at,
+        horizon,
+        schedule,
+        oracle_chaos.as_mut(),
+    );
+    let sim = HeartbeatSim::new(cfg);
+    let mut chaos = plan.cloned().map(ChaosEngine::new);
+    let got = match (schedule, chaos.as_mut()) {
+        (None, None) => sim.run(&mut got_net, victims, fail_at, horizon),
+        (None, Some(c)) => sim.run_with_chaos(&mut got_net, victims, fail_at, horizon, c),
+        (Some(s), None) => sim.run_scheduled(&mut got_net, victims, fail_at, horizon, s),
+        (Some(s), Some(c)) => {
+            sim.run_scheduled_with_chaos(&mut got_net, victims, fail_at, horizon, s, c)
+        }
+    };
+    let end_state = |net: &Network| {
+        let asleep: Vec<bool> = (0..net.len()).map(|id| net.is_sleeping(id)).collect();
+        (net.alive_ids(), asleep, net.is_partitioned())
+    };
+    let case = format!("victims {victims:?}, fail_at {fail_at}, horizon {horizon}");
+    assert_eq!(got, expected, "{case}");
+    assert_eq!(counters(&got_net), counters(&oracle_net), "{case}");
+    assert_eq!(end_state(&got_net), end_state(&oracle_net), "{case}");
+    got
+}
+
+/// A lossy line of ten nodes, each hearing two on either side.
+fn lossy_line() -> Network {
+    let mut net = Network::new(Aabb::square(100.0));
+    for i in 0..10 {
+        net.add_node(Point::new(5.0 + i as f64 * 4.0, 50.0), 4.0, 8.0);
+    }
+    net.set_loss(0.3, 17);
+    net
+}
+
+/// Periods of 4 ticks put two or three nodes on every phase; periods of
+/// 100 spread them out.
+fn tie_configs() -> [HeartbeatConfig; 2] {
+    [
+        HeartbeatConfig {
+            period: 4,
+            timeout_periods: 2,
+            seed: 41,
+        },
+        HeartbeatConfig {
+            period: 100,
+            timeout_periods: 3,
+            seed: 42,
+        },
+    ]
+}
+
+/// The failure lands on a beat tick of the victims: before that tick's
+/// failure in period 0, between its Checks and its Beats in period 1, and
+/// ahead of both from period 2 on.
+#[test]
+fn failure_on_a_beat_tick_in_periods_0_1_and_5() {
+    let net = lossy_line();
+    for cfg in tie_configs() {
+        let phases = phases(&net, &cfg);
+        for (_, phase) in [phases[2], phases[5]] {
+            // Every node on that phase fails.
+            let victims: Vec<NodeId> = phases
+                .iter()
+                .filter(|&&(_, p)| p == phase)
+                .map(|&(id, _)| id)
+                .collect();
+            for m in [0, 1, 5] {
+                let fail_at = m * cfg.period + phase;
+                assert_agrees(&net, cfg, &victims, fail_at, 40 * cfg.period, None, None);
+            }
+        }
+    }
+}
+
+/// A shift boundary on a beat tick runs first, so a node waking there
+/// beats there.
+#[test]
+fn shift_boundary_on_a_beat_tick() {
+    let net = lossy_line();
+    for cfg in tie_configs() {
+        let phases = phases(&net, &cfg);
+        let (waker, phase) = phases[3];
+        // Odd ids sleep through shift 0 and wake at the first boundary,
+        // which is the waker's beat tick in period 2.
+        let shifts = vec![
+            (0..10).filter(|id| id % 2 == 0).collect(),
+            (0..10).filter(|id| id % 2 == 1).collect(),
+        ];
+        assert_eq!(waker % 2, 1);
+        let sched = ShiftSchedule::new(shifts, 2 * cfg.period + phase, net.len());
+        let horizon = 8 * sched.period();
+        assert_agrees(&net, cfg, &[6], horizon / 3, horizon, Some(&sched), None);
+    }
+}
+
+/// A failure after the last recurring tick, but within the horizon, still
+/// runs, and injects the chaos faults due by then.
+#[test]
+fn failure_after_the_last_recurring_tick() {
+    let net = lossy_line();
+    let cfg = tie_configs()[1];
+    let mut ticks: Vec<Time> = phases(&net, &cfg).iter().map(|&(_, p)| p).collect();
+    ticks.sort_unstable();
+    // The widest gap between consecutive phases.
+    let (lo, hi) = ticks
+        .windows(2)
+        .map(|w| (w[0], w[1]))
+        .max_by_key(|&(lo, hi)| hi - lo)
+        .unwrap();
+    assert!(hi - lo >= 3, "phases {ticks:?}");
+    let horizon = 5 * cfg.period + hi - 1;
+    let plan = FaultPlan::new(vec![FaultEvent {
+        at: horizon - 1,
+        kind: FaultKind::Crash { node: 0 },
+    }]);
+    let report = assert_agrees(&net, cfg, &[4, 7], horizon, horizon, None, Some(&plan));
+    assert_eq!(report.undetected, vec![4, 7], "failed after every check");
+}
+
+/// With no node alive only the one-off events run: the failure and the
+/// shift boundaries, each injecting the chaos faults due by its tick.
+#[test]
+fn network_without_an_alive_node() {
+    let cfg = tie_configs()[1];
+    let plan = FaultPlan::new(vec![FaultEvent {
+        at: 150,
+        kind: FaultKind::Partition { side_a: vec![0] },
+    }]);
+    let empty = Network::new(Aabb::square(100.0));
+    assert_agrees(&empty, cfg, &[], 200, 1_000, None, Some(&plan));
+    let mut dead = lossy_line();
+    for id in 0..dead.len() {
+        dead.fail_node(id);
+    }
+    let sched = ShiftSchedule::new(vec![vec![0, 1], vec![2, 3]], 130, dead.len());
+    for fail_at in [100, 5_000] {
+        let report = assert_agrees(&dead, cfg, &[3], fail_at, 1_000, Some(&sched), Some(&plan));
+        assert_eq!(report.heartbeats_sent, 0);
+    }
+}
+
+/// A horizon shorter than one period runs part of period 0 only.
+#[test]
+fn horizon_shorter_than_one_period() {
+    let net = lossy_line();
+    let cfg = tie_configs()[1];
+    for (fail_at, horizon) in [(20, 50), (0, 0), (60, 99)] {
+        assert_agrees(&net, cfg, &[1, 2], fail_at, horizon, None, None);
+    }
+}
+
+/// A node's first slot after its death still runs the chaos faults due by
+/// then, as the event queue did when it popped the node's last event. A
+/// lone node makes that slot the run's last event. Failing it on its own
+/// tick in period 1 pins that tick's order: its check runs before the
+/// failure and stays on the calendar one more period; its beat runs after
+/// and leaves.
+#[test]
+fn a_dead_nodes_last_slot_still_injects_due_faults() {
+    let mut net = Network::new(Aabb::square(100.0));
+    net.add_node(Point::new(10.0, 10.0), 4.0, 8.0);
+    let cfg = tie_configs()[1];
+    let phase = phases(&net, &cfg)[0].1;
+    let period = cfg.period;
+    for (fail_at, fault_at) in [
+        (phase + 1, phase + period),
+        (phase + period, phase + 2 * period),
+        (phase + period, phase + 2 * period + 1),
+    ] {
+        let plan = FaultPlan::new(vec![FaultEvent {
+            at: fault_at,
+            kind: FaultKind::Partition { side_a: vec![0] },
+        }]);
+        assert_agrees(&net, cfg, &[0], fail_at, 10_000, None, Some(&plan));
+    }
+}
