@@ -111,6 +111,30 @@ fn holes_3x3_zero_loss_matches_golden() {
     assert_matches_fixture("holes_3x3_loss0.jsonl", &trace);
 }
 
+/// Runs `placer` on the canonical scenario over a 20%-loss link under the
+/// scripted fault `plan`, with the invariant checker attached, and
+/// returns the JSONL trace. The run must converge with no violation.
+fn run_chaos_scenario(placer: &dyn Placer, plan: &str) -> String {
+    let field = Aabb::square(FIELD_SIDE);
+    let mut cfg = DeploymentConfig::with_k(1);
+    cfg.link = LinkConfig::lossy(0.2, 23);
+    cfg.chaos = Some(FaultPlan::parse(plan).unwrap());
+    cfg.invariants = InvariantChecker::enabled();
+    cfg.trace = TraceHandle::jsonl_writer();
+    let mut map = CoverageMap::new(halton_points(N_POINTS, &field), &field, &cfg);
+    for p in random_points(INITIAL_SENSORS, &field, SEED) {
+        map.add_sensor(p, cfg.rs);
+    }
+    let out = placer.place(&mut map, &cfg);
+    assert!(out.fully_covered, "placer must out-place the fault plan");
+    assert!(
+        cfg.invariants.violations().is_empty(),
+        "invariants: {:?}",
+        cfg.invariants.violations()
+    );
+    cfg.trace.jsonl().expect("JSONL sink attached")
+}
+
 /// The hole healer under a scripted chaos plan on a 20%-loss link, with
 /// the invariant checker attached: two of the four initial sensors crash
 /// mid-restoration and the healer must route around its own repairs,
@@ -118,25 +142,28 @@ fn holes_3x3_zero_loss_matches_golden() {
 /// exercises the accounting mirror, not a protocol.)
 #[test]
 fn holes_chaos_20pct_loss_matches_golden() {
-    let field = Aabb::square(FIELD_SIDE);
-    let mut cfg = DeploymentConfig::with_k(1);
-    cfg.link = LinkConfig::lossy(0.2, 23);
-    cfg.chaos = Some(FaultPlan::parse("0 crash 1\n3 crash 3\n5 latency 2\n").unwrap());
-    cfg.invariants = InvariantChecker::enabled();
-    cfg.trace = TraceHandle::jsonl_writer();
-    let mut map = CoverageMap::new(halton_points(N_POINTS, &field), &field, &cfg);
-    for p in random_points(INITIAL_SENSORS, &field, SEED) {
-        map.add_sensor(p, cfg.rs);
-    }
-    let out = HoleHealing.place(&mut map, &cfg);
-    assert!(out.fully_covered, "healer must out-place the fault plan");
-    assert!(
-        cfg.invariants.violations().is_empty(),
-        "invariants: {:?}",
-        cfg.invariants.violations()
-    );
-    let trace = cfg.trace.jsonl().expect("JSONL sink attached");
+    let trace = run_chaos_scenario(&HoleHealing, "0 crash 1\n3 crash 3\n5 latency 2\n");
     assert_matches_fixture("holes_chaos_loss20.jsonl", &trace);
+}
+
+/// The distributed placers' round protocol under chaos. The plan crashes
+/// an initial sensor at round start and another mid-flush, then leaves
+/// faults pending once the field is covered, so the runs also force the
+/// next fault batch after a covered round and at a stall, retire the
+/// crash that batch brings, and (for the grid) count a notice to a
+/// crashed leader as one multi-hop message.
+const PROTOCOL_CHAOS_PLAN: &str = "0 crash 1\n3 crash 3\n5 latency 2\n400 latency 0\n800 crash 2\n";
+
+#[test]
+fn grid_chaos_20pct_loss_matches_golden() {
+    let trace = run_chaos_scenario(&GridDecor { cell_size: 10.0 }, PROTOCOL_CHAOS_PLAN);
+    assert_matches_fixture("grid_chaos_loss20.jsonl", &trace);
+}
+
+#[test]
+fn voronoi_chaos_20pct_loss_matches_golden() {
+    let trace = run_chaos_scenario(&VoronoiDecor { rc: 8.0 }, PROTOCOL_CHAOS_PLAN);
+    assert_matches_fixture("voronoi_chaos_loss20.jsonl", &trace);
 }
 
 /// Restoration at 100× the seed field area: a 300×300 field (15k points,
