@@ -44,6 +44,7 @@ pub mod redundancy;
 pub mod reliability;
 pub mod restore;
 pub mod rotation;
+mod rounds;
 pub mod scratch;
 pub mod voronoi_scheme;
 

@@ -1,9 +1,6 @@
 //! Result records produced by placement algorithms.
 
-use crate::config::DeploymentConfig;
-use crate::coverage::CoverageMap;
 use decor_geom::Point;
-use decor_trace::TraceEvent;
 use serde::{Deserialize, Serialize};
 
 /// One sample of the coverage-vs-nodes curve (Fig. 7).
@@ -65,26 +62,6 @@ impl PlacementOutcome {
     /// Total sensors after the run (initial + placed).
     pub fn total_sensors(&self) -> usize {
         self.initial_sensors + self.placed.len()
-    }
-
-    /// Closes one synchronous round of a round-based placer: emits the
-    /// round's `RoundEnd` (`placed` = sensors added this round) and the
-    /// resulting `CoverageDelta`, counts the round on [`Self::rounds`],
-    /// and samples the coverage trace. Callers set the trace clock and
-    /// retire crashes first, so the event order is theirs to keep.
-    pub(crate) fn close_round(&mut self, map: &CoverageMap, cfg: &DeploymentConfig, placed: usize) {
-        cfg.trace.emit(TraceEvent::RoundEnd {
-            round: self.rounds as u64,
-            placed: placed as u64,
-        });
-        cfg.trace.emit(TraceEvent::CoverageDelta {
-            below_target: map.count_below(cfg.k) as u64,
-        });
-        self.rounds += 1;
-        self.trace.push(TracePoint {
-            total_sensors: self.total_sensors(),
-            fraction_k_covered: map.fraction_k_covered(cfg.k),
-        });
     }
 }
 

@@ -31,11 +31,14 @@ pub struct SimScratch {
     pub net: Option<Network>,
     /// ARQ transport layer, reused via `Transport::reset`.
     pub transport: Option<Transport>,
+    /// The round protocol's buffers (node → sensor mirror, notices,
+    /// flush outcomes), shared by the distributed placers.
+    pub(crate) rounds: crate::rounds::RoundScratch,
     /// Grid-scheme round-loop buffers (cell partition, decisions,
-    /// notices, adoption lists).
+    /// adoption lists).
     pub(crate) grid: crate::grid_scheme::GridScratch,
     /// Voronoi-scheme round-loop buffers (ownership cache, decisions,
-    /// notices, id maps).
+    /// sensor → node map).
     pub(crate) voro: crate::voronoi_scheme::VoronoiScratch,
 }
 
@@ -48,6 +51,7 @@ impl SimScratch {
             tile_flags: Vec::new(),
             net: None,
             transport: None,
+            rounds: Default::default(),
             grid: Default::default(),
             voro: Default::default(),
         }

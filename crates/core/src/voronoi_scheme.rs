@@ -33,13 +33,13 @@
 //! of silent.
 
 use crate::config::DeploymentConfig;
-use crate::coverage::CoverageMap;
+use crate::coverage::{CoverageMap, SensorId};
 use crate::knowledge::NeighborKnowledge;
-use crate::metrics::{MessageStats, PlacementOutcome, TracePoint};
+use crate::metrics::PlacementOutcome;
+use crate::rounds::{Rounds, World};
 use crate::scratch::SimScratch;
 use crate::Placer;
-use decor_net::{ChaosEngine, DeliveryOutcome, Message, MsgId, Network, NodeId, Transport};
-use decor_trace::TraceEvent;
+use decor_net::NodeId;
 use std::collections::BTreeSet;
 
 /// Voronoi-based DECOR. `rc` overrides the config's communication radius
@@ -50,9 +50,6 @@ pub struct VoronoiDecor {
     /// local Voronoi cells.
     pub rc: f64,
 }
-
-/// Safety cap on synchronous rounds.
-const MAX_ROUNDS: usize = 100_000;
 
 impl VoronoiDecor {
     /// Coverage of point `p` as estimated by the agent at `viewer`:
@@ -179,12 +176,14 @@ struct OwnersScratch {
 /// The per-point ownership cache: `owners[pid]` is the last
 /// [`VoronoiDecor::point_owners_into`] result for point `pid`. An entry
 /// goes stale when a sensor lands within `rc` of the point or a crash
-/// retires one within `max(rc, rs)` of it (see [`retire_crashed`]); ledger
+/// retires one within `max(rc, rs)` of it (see its [`World`] impl); ledger
 /// writes need no hook of their own (DESIGN.md §17). Stale points wait on
 /// the `dirty` worklist, so a round's recompute cost is proportional to
 /// the disturbed area, not the field.
 #[derive(Default)]
 struct OwnerCache {
+    /// The run's communication radius.
+    rc: f64,
     /// Cached owners per point; the inner vecs are recycled in place.
     owners: Vec<Vec<usize>>,
     /// Dedup guard of `dirty` (`true` = awaiting a recompute).
@@ -198,8 +197,10 @@ struct OwnerCache {
 }
 
 impl OwnerCache {
-    /// Marks all `n_points` entries stale, keeping the allocations.
-    fn reset(&mut self, n_points: usize) {
+    /// Marks all `n_points` entries stale for a run at radius `rc`,
+    /// keeping the allocations.
+    fn reset(&mut self, n_points: usize, rc: f64) {
+        self.rc = rc;
         for o in self.owners.iter_mut() {
             o.clear();
         }
@@ -238,10 +239,6 @@ pub(crate) struct VoronoiScratch {
     owned: Vec<(usize, usize)>,
     /// Per-round `(agent sid, point id, estimated benefit)` decisions.
     decisions: Vec<(usize, usize, u64)>,
-    /// Per-round `(msg handle, recipient sid, announced sid)` notices.
-    pending: Vec<(MsgId, usize, usize)>,
-    /// Per-round flush outcomes, sorted by message id for lookup.
-    flushed: Vec<(MsgId, DeliveryOutcome)>,
     /// Candidate/coverer buffers for the ownership pass.
     owners_scratch: OwnersScratch,
     /// Neighbor-list buffer for placement notices.
@@ -249,35 +246,18 @@ pub(crate) struct VoronoiScratch {
     /// Dense sid → node id map (`usize::MAX` = sensor has no node, i.e.
     /// it was inactive when the run started).
     net_of: Vec<NodeId>,
-    /// Dense node id → sid map (node ids are insertion-dense).
-    sid_of: Vec<usize>,
-    /// Initial active-sensor list buffer.
-    sensors: Vec<(usize, decor_geom::Point)>,
     /// Stall-rescue deficient-point buffer.
     deficient: Vec<usize>,
 }
 
-/// Retires chaos-crashed nodes from the Voronoi placer's world: the
-/// coverage map deactivates the sensor (a dead agent neither covers nor
-/// owns points — map queries only visit active sensors), the invariant
-/// checker learns the death, and the ownership cache drops every entry
-/// the sensor could have shaped. Those are the points within `rc` of it
-/// (where it was a candidate owner) and within its own sensing radius
-/// (where it was a coverer) — initial sensors may sense wider than `rc`,
-/// so the disk has radius `max(rc, rs)`.
-fn retire_crashed(
-    crashed: Vec<NodeId>,
-    map: &mut CoverageMap,
-    sid_of: &[usize],
-    checker: &crate::invariants::InvariantChecker,
-    rc: f64,
-    cache: &mut OwnerCache,
-) {
-    for nid in crashed {
-        let sid = sid_of[nid];
-        checker.note_crash(nid as u64);
-        map.deactivate_sensor(sid);
-        cache.invalidate(map, map.sensor_pos(sid), rc.max(map.sensor_rs(sid)));
+/// A crashed agent neither covers nor owns points (map queries only visit
+/// active sensors), so the cache drops every entry the sensor could have
+/// shaped: the points within `rc` of it, where it was a candidate owner,
+/// and within its own sensing radius, where it was a coverer. Initial
+/// sensors may sense wider than `rc`, so the disk has radius `max(rc, rs)`.
+impl World for OwnerCache {
+    fn retire(&mut self, map: &CoverageMap, _: NodeId, sid: SensorId) {
+        self.invalidate(map, map.sensor_pos(sid), self.rc.max(map.sensor_rs(sid)));
     }
 }
 
@@ -307,42 +287,26 @@ impl Placer for VoronoiDecor {
             "Voronoi scheme needs rc >= rs (got rc={rc}, rs={})",
             cfg.rs
         );
-        let field = *map.field();
-        // Pooled network/transport: a warm pool hands back last run's
-        // structures, reset to the same state a fresh construction yields.
-        let mut net = match pool.net.take() {
-            Some(mut n) => {
-                n.reset(field);
-                n
-            }
-            None => Network::new(field),
-        };
-        cfg.link.apply(&mut net);
-        net.set_trace(cfg.trace.clone());
-        let mut transport = match pool.transport.take() {
-            Some(mut t) => {
-                t.reset(cfg.link.transport());
-                t
-            }
-            None => Transport::new(cfg.link.transport()),
-        };
-        let mut chaos = cfg.chaos.as_ref().map(ChaosEngine::borrowed);
-        let mut knowledge = NeighborKnowledge::new();
         // Pooled round-loop buffers, destructured into disjoint `&mut`s so
         // the borrow checker accepts simultaneous use across the loop.
-        let VoronoiScratch {
-            cache,
-            owned,
-            decisions,
-            pending,
-            flushed,
-            owners_scratch,
-            nbs_buf,
-            net_of,
-            sid_of,
-            sensors,
-            deficient,
-        } = &mut pool.voro;
+        let SimScratch {
+            net,
+            transport,
+            rounds: round_pool,
+            voro:
+                VoronoiScratch {
+                    cache,
+                    owned,
+                    decisions,
+                    owners_scratch,
+                    nbs_buf,
+                    net_of,
+                    deficient,
+                },
+            ..
+        } = pool;
+        // Ledger rows are sensor ids: each agent keeps its own.
+        let mut rounds = Rounds::start("voronoi", rc, map, cfg, net, transport, round_pool);
         // Both id spaces are insertion-dense (`add_sensor`/`add_node`
         // hand out sequential ids), so plain vecs replace the old
         // `BTreeMap` sid↔nid maps. Sensors inactive at run start (failed
@@ -350,38 +314,13 @@ impl Placer for VoronoiDecor {
         // because dead agents neither own points nor place.
         net_of.clear();
         net_of.resize(map.n_sensors(), usize::MAX);
-        sid_of.clear();
-        map.active_sensors_into(sensors);
-        for &(sid, pos) in sensors.iter() {
-            let nid = net.add_node(pos, cfg.rs, rc);
+        for (nid, &sid) in rounds.sid_of().iter().enumerate() {
             net_of[sid] = nid;
-            debug_assert_eq!(nid, sid_of.len());
-            sid_of.push(sid);
         }
-        let initial = map.n_active_sensors();
-        let mut out = PlacementOutcome {
-            initial_sensors: initial,
-            ..PlacementOutcome::default()
-        };
-        out.trace.push(TracePoint {
-            total_sensors: initial,
-            fraction_k_covered: map.fraction_k_covered(cfg.k),
-        });
 
         let rc_sq = rc * rc;
-        cache.reset(map.n_points());
-        while out.placed.len() < cfg.max_new_nodes && out.rounds < MAX_ROUNDS {
-            let round = out.rounds as u64;
-            // Faults due by now land before any decision of this round.
-            if let Some(ch) = chaos.as_mut() {
-                ch.advance_to(&mut net, transport.now());
-                retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants, rc, cache);
-            }
-            cfg.trace.set_time(transport.now());
-            cfg.trace.emit(TraceEvent::RoundBegin {
-                scheme: "voronoi",
-                round,
-            });
+        cache.reset(map.n_points(), rc);
+        while rounds.begin(map, cache).is_some() {
             // ---- Decision phase (coverage snapshot at round start) ----
             // For every point, find the agents that (a) believe it is
             // under-covered and (b) own it under their local view.
@@ -395,7 +334,7 @@ impl Placer for VoronoiDecor {
                     rc,
                     rc_sq,
                     cfg.k,
-                    &knowledge,
+                    &rounds.knowledge,
                     owners_scratch,
                     &mut cache.owners[pid],
                 );
@@ -414,7 +353,7 @@ impl Placer for VoronoiDecor {
                         rc,
                         rc_sq,
                         cfg.k,
-                        &knowledge,
+                        &rounds.knowledge,
                         owners_scratch,
                         &mut fresh,
                     );
@@ -450,7 +389,7 @@ impl Placer for VoronoiDecor {
                     gj += 1;
                 }
                 let viewer = map.sensor_pos(sid);
-                let hidden = knowledge.hidden_from(sid);
+                let hidden = rounds.knowledge.hidden_from(sid);
                 let mut best: Option<(usize, u64)> = None;
                 for &(_, pid) in &owned[gi..gj] {
                     let b = Self::est_benefit(map, viewer, map.points()[pid], cfg, rc, hidden);
@@ -479,13 +418,7 @@ impl Placer for VoronoiDecor {
             // ---- Stall rescue ----
             if decisions.is_empty() {
                 if map.count_below(cfg.k) == 0 {
-                    // Fully covered but faults are still scheduled: a quiet
-                    // run would never reach their injection times, so force
-                    // the next batch and keep the protocol running.
-                    if let Some(ch) = chaos.as_mut().filter(|ch| !ch.is_exhausted()) {
-                        ch.advance_next_batch(&mut net);
-                        retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants, rc, cache);
-                        out.close_round(map, cfg, 0);
+                    if rounds.idle(map, cache) {
                         continue;
                     }
                     break;
@@ -505,133 +438,45 @@ impl Placer for VoronoiDecor {
                     })
                     .expect("non-empty deficient set");
                 let pos = map.points()[target];
-                let sid = map.add_sensor(pos, cfg.rs);
+                // Out-of-band dispatch: no placing agent, no local estimate.
+                let (sid, nid) = rounds.place(map, None, pos, 0, u64::MAX);
                 cache.invalidate(map, pos, rc);
-                let nid = net.add_node(pos, cfg.rs, rc);
                 debug_assert_eq!(sid, net_of.len());
                 net_of.push(nid);
-                debug_assert_eq!(nid, sid_of.len());
-                sid_of.push(sid);
-                out.placed.push(pos);
-                // Out-of-band dispatch: no placing agent, no local estimate.
-                cfg.trace.emit(TraceEvent::SensorPlaced {
-                    x: pos.x,
-                    y: pos.y,
-                    benefit: 0,
-                    agent: u64::MAX,
-                });
-                out.close_round(map, cfg, 1);
+                rounds.close_round(map);
                 continue;
             }
 
             // ---- Apply phase ----
-            // (msg handle, recipient sensor, announced sensor) for every
-            // notice handed to the transport this round.
-            pending.clear();
-            let placed_before_round = out.placed.len();
             for &(agent_sid, pid, benefit) in decisions.iter() {
-                if out.placed.len() >= cfg.max_new_nodes {
+                if !rounds.has_budget() {
                     break;
                 }
-                cfg.invariants.check_placer_alive(
-                    "voronoi",
-                    net_of[agent_sid] as u64,
-                    net.is_alive(net_of[agent_sid]),
-                );
+                let agent = net_of[agent_sid];
                 let pos = map.points()[pid];
-                let new_sid = map.add_sensor(pos, cfg.rs);
+                let (new_sid, new_nid) =
+                    rounds.place(map, Some(agent), pos, benefit, agent_sid as u64);
                 cache.invalidate(map, pos, rc);
-                let new_nid = net.add_node(pos, cfg.rs, rc);
                 debug_assert_eq!(new_sid, net_of.len());
                 net_of.push(new_nid);
-                debug_assert_eq!(new_nid, sid_of.len());
-                sid_of.push(new_sid);
-                out.placed.push(pos);
-                cfg.trace.emit(TraceEvent::SensorPlaced {
-                    x: pos.x,
-                    y: pos.y,
-                    benefit,
-                    agent: agent_sid as u64,
-                });
                 // Placement notice: one reliable send per 1-hop neighbor
                 // of the placing agent (traffic grows with rc — Fig. 10).
-                let agent_nid = net_of[agent_sid];
-                net.neighbors_into(agent_nid, nbs_buf);
-                for &nb in nbs_buf.iter() {
-                    let id = transport.send(agent_nid, nb, Message::PlacementNotice { pos });
-                    pending.push((id, sid_of[nb], new_sid));
-                }
-            }
-            // Under chaos the flush interleaves fault injection with the
-            // retry clock, so crashes land between retransmissions.
-            match chaos.as_mut() {
-                Some(ch) => transport.flush_chaos_into(&mut net, ch, flushed),
-                None => transport.flush_into(&mut net, flushed),
-            }
-            // Message ids are unique among terminal outcomes, so a sorted
-            // slice + binary search replaces the old per-round
-            // `BTreeMap<MsgId, _>` lookup.
-            flushed.sort_unstable_by_key(|&(id, _)| id);
-            for &(id, recipient_sid, new_sid) in pending.iter() {
-                // A GaveUp notice *may* still have arrived (lost acks
-                // only); the sender cannot tell, so the model takes the
-                // pessimistic branch and treats the recipient as blind.
                 // The announced sensor's rc-disk is already dirty, which
-                // covers every ownership this ledger write can change.
-                let delivered = flushed
-                    .binary_search_by_key(&id, |&(mid, _)| mid)
-                    .is_ok_and(|ix| flushed[ix].1.is_delivered());
-                if !delivered {
-                    knowledge.hide(recipient_sid, new_sid);
+                // covers every ownership a lost notice's ledger write can
+                // change.
+                rounds.net.neighbors_into(agent, nbs_buf);
+                for &nb in nbs_buf.iter() {
+                    let recipient = rounds.sid_of()[nb];
+                    rounds.notify(agent, nb, pos, recipient, new_sid);
                 }
-                cfg.invariants.check_ledger(
-                    recipient_sid as u64,
-                    new_sid as u64,
-                    delivered,
-                    knowledge.knows(recipient_sid, new_sid),
-                );
             }
-            // Crashes that fired during the flush retire their sensors
-            // before the round closes.
-            if let Some(ch) = chaos.as_mut() {
-                retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants, rc, cache);
-            }
-
-            cfg.trace.set_time(transport.now());
-            out.close_round(map, cfg, out.placed.len() - placed_before_round);
-            if map.count_below(cfg.k) == 0 {
-                // Covered, but faults still pending: force the next batch
-                // rather than converging early (see the stall-branch twin).
-                match chaos.as_mut().filter(|ch| !ch.is_exhausted()) {
-                    Some(ch) => {
-                        ch.advance_next_batch(&mut net);
-                        retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants, rc, cache);
-                    }
-                    None => break,
-                }
+            if !rounds.end_round(map, cache) {
+                break;
             }
         }
 
-        out.fully_covered = map.count_below(cfg.k) == 0;
-        cfg.invariants.check_converged(
-            out.fully_covered,
-            chaos.as_ref().is_some_and(|ch| !ch.is_exhausted()),
-            out.placed.len() >= cfg.max_new_nodes || out.rounds >= MAX_ROUNDS,
-        );
         let agents = map.n_active_sensors().max(1);
-        out.messages = MessageStats {
-            protocol_total: net.stats.protocol_sent,
-            cells: agents,
-            per_cell: net.stats.protocol_sent as f64 / agents as f64,
-            per_node_rotated: net.stats.protocol_sent as f64 / agents as f64,
-            retries: transport.stats.retries,
-            acks: transport.stats.acks,
-            notices_gave_up: transport.stats.gave_up,
-            duplicates_suppressed: transport.stats.duplicates_suppressed,
-        };
-        pool.net = Some(net);
-        pool.transport = Some(transport);
-        out
+        rounds.finish(map, agents, agents)
     }
 }
 
