@@ -67,7 +67,9 @@ pub struct RestorationReport {
 /// every node beats): the failure fires at tick `4 × period` and
 /// detection gets `40` periods to conclude; its latency lands in the
 /// report. With rotation configured, detection runs against the
-/// set-k-cover sleep schedule of that mirror. Restoration proceeds for
+/// set-k-cover sleep schedule of that mirror. Detection never sees
+/// `cfg.chaos`: only the restoration placer applies the fault plan, so a
+/// plan is replayed once per run. Restoration proceeds for
 /// all victims regardless (undetected isolated victims are eventually
 /// noticed as coverage holes — the paper's uncovered-region estimation).
 ///

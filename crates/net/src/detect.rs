@@ -24,7 +24,6 @@
 //! period-clocked detector of `decor_core::endurance`: one dense row per
 //! observer, built by the t=0 hello exchange.
 
-use crate::chaos::ChaosEngine;
 use crate::event::Time;
 use crate::messages::Message;
 use crate::network::Network;
@@ -265,7 +264,7 @@ impl HeartbeatSim {
         fail_at: Time,
         horizon: Time,
     ) -> DetectionReport {
-        self.run_inner(net, victims, fail_at, horizon, None, None)
+        self.run_inner(net, victims, fail_at, horizon, None)
     }
 
     /// Like [`HeartbeatSim::run`], but rotation-aware: nodes scheduled
@@ -284,38 +283,7 @@ impl HeartbeatSim {
         horizon: Time,
         schedule: &ShiftSchedule,
     ) -> DetectionReport {
-        self.run_inner(net, victims, fail_at, horizon, Some(schedule), None)
-    }
-
-    /// Rotation-aware detection interleaved with a [`ChaosEngine`]
-    /// (combines [`HeartbeatSim::run_scheduled`] and
-    /// [`HeartbeatSim::run_with_chaos`]).
-    pub fn run_scheduled_with_chaos(
-        &self,
-        net: &mut Network,
-        victims: &[NodeId],
-        fail_at: Time,
-        horizon: Time,
-        schedule: &ShiftSchedule,
-        chaos: &mut ChaosEngine,
-    ) -> DetectionReport {
-        self.run_inner(net, victims, fail_at, horizon, Some(schedule), Some(chaos))
-    }
-
-    /// Like [`HeartbeatSim::run`], but interleaves a [`ChaosEngine`] with
-    /// the detector's calendar: every scripted fault due at or before an
-    /// event's tick is injected before the event is handled, so
-    /// blackholes and partitions can open and close *between heartbeats*.
-    /// With an exhausted or empty plan this is exactly `run`.
-    pub fn run_with_chaos(
-        &self,
-        net: &mut Network,
-        victims: &[NodeId],
-        fail_at: Time,
-        horizon: Time,
-        chaos: &mut ChaosEngine,
-    ) -> DetectionReport {
-        self.run_inner(net, victims, fail_at, horizon, None, Some(chaos))
+        self.run_inner(net, victims, fail_at, horizon, Some(schedule))
     }
 
     fn run_inner(
@@ -325,7 +293,6 @@ impl HeartbeatSim {
         fail_at: Time,
         horizon: Time,
         schedule: Option<&ShiftSchedule>,
-        chaos: Option<&mut ChaosEngine>,
     ) -> DetectionReport {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let period = self.cfg.period;
@@ -359,7 +326,6 @@ impl HeartbeatSim {
             next_shift: rotating.map(|_| 0),
             fail_at: (fail_at <= horizon).then_some(fail_at),
             net,
-            chaos,
             rotating,
             victims,
             watch,
@@ -394,19 +360,19 @@ impl HeartbeatSim {
                     0 => {
                         run.beats(group, now);
                         if fail {
-                            run.fail(now);
+                            run.fail();
                         }
                     }
                     1 => {
                         run.checks(group, now);
                         if fail {
-                            run.fail(now);
+                            run.fail();
                         }
                         run.beats(group, now);
                     }
                     _ => {
                         if fail {
-                            run.fail(now);
+                            run.fail();
                         }
                         run.checks(group, now);
                         run.beats(group, now);
@@ -466,7 +432,7 @@ struct Slot {
 }
 
 /// The state of one [`HeartbeatSim`] run as it walks its calendar.
-struct Run<'a, 'p> {
+struct Run<'a> {
     cfg: HeartbeatConfig,
     horizon: Time,
     /// Slots with a beat or a check still on the calendar.
@@ -477,7 +443,6 @@ struct Run<'a, 'p> {
     /// The failure instant, while it is pending and within the horizon.
     fail_at: Option<Time>,
     net: &'a mut Network,
-    chaos: Option<&'a mut ChaosEngine<'p>>,
     rotating: Option<&'a ShiftSchedule>,
     victims: &'a [NodeId],
     watch: WatchTable,
@@ -486,15 +451,7 @@ struct Run<'a, 'p> {
     detected: Vec<Option<(Time, NodeId)>>,
 }
 
-impl Run<'_, '_> {
-    /// Injects every chaos fault due at or before `now`. Called before
-    /// every event, so faults open and close between heartbeats.
-    fn advance(&mut self, now: Time) {
-        if let Some(engine) = self.chaos.as_deref_mut() {
-            engine.advance_to(self.net, now);
-        }
-    }
-
+impl Run<'_> {
     /// Runs the shift boundaries and the failure due before `end` (all
     /// that are left, for `None`) in time order. A boundary goes first at
     /// an equal tick: every boundary was scheduled before the failure.
@@ -503,9 +460,9 @@ impl Run<'_, '_> {
         loop {
             match (due(self.next_shift), due(self.fail_at)) {
                 (Some(r), f) if f.is_none_or(|f| r <= f) => self.rotate(r),
-                (_, Some(f)) => {
+                (_, Some(_)) => {
                     self.fail_at = None;
-                    self.fail(f);
+                    self.fail();
                 }
                 _ => return,
             }
@@ -516,7 +473,6 @@ impl Run<'_, '_> {
     /// network, and move to the next boundary. A node waking at `now`
     /// beats at `now`.
     fn rotate(&mut self, now: Time) {
-        self.advance(now);
         let sched = self.rotating.expect("shift boundaries need a schedule");
         sched.apply_sleep_flags(self.net, now);
         self.next_shift = now
@@ -525,8 +481,7 @@ impl Run<'_, '_> {
     }
 
     /// The failure instant: victims drop out of the network.
-    fn fail(&mut self, now: Time) {
-        self.advance(now);
+    fn fail(&mut self) {
         for &v in self.victims {
             self.net.fail_node(v);
         }
@@ -538,7 +493,6 @@ impl Run<'_, '_> {
             if !slot.beating {
                 continue;
             }
-            self.advance(now);
             if !self.net.is_alive(slot.id) {
                 // Dead nodes stop beating — that is the signal.
                 slot.beating = false;
@@ -565,7 +519,6 @@ impl Run<'_, '_> {
             if !slot.checking {
                 continue;
             }
-            self.advance(now);
             let id = slot.id;
             if !self.net.is_alive(id) {
                 slot.checking = false;
@@ -882,74 +835,6 @@ mod tests {
                 "seed {seed}: detection at {t} outside the exact window"
             );
         }
-    }
-
-    #[test]
-    fn blackhole_past_the_timeout_causes_one_sided_suspicion() {
-        // A chaos blackhole opens 1 -> 0 at t=1000 for 8 periods — far
-        // past the 3-period timeout: node 0 falsely suspects node 1,
-        // while the clean reverse direction raises no alarm about 0.
-        use crate::chaos::{ChaosEngine, FaultPlan};
-        let mut net = line_network(2, 5.0);
-        let sim = HeartbeatSim::new(cfg(22));
-        let mut chaos = ChaosEngine::new(
-            FaultPlan::parse("1000 blackhole 1 0\n1800 unblackhole 1 0\n").unwrap(),
-        );
-        let report = sim.run_with_chaos(&mut net, &[], 10_000, 5_000, &mut chaos);
-        assert!(
-            report.false_positives.contains_key(&1),
-            "muted neighbor must be suspected: {report:?}"
-        );
-        assert_eq!(report.false_positives[&1].1, 0, "observer is node 0");
-        assert!(
-            !report.false_positives.contains_key(&0),
-            "reverse link is clean, node 1 keeps hearing node 0"
-        );
-        // The last heard beat lands in [900, 1000), so the 3-period
-        // threshold cannot be crossed before t=1200.
-        let (t, _) = report.false_positives[&1];
-        assert!(t >= 1200, "suspicion needs 3 silent periods (got {t})");
-    }
-
-    #[test]
-    fn blackhole_below_the_timeout_is_tolerated() {
-        // The same link mutes for only 2 periods with a 4-period timeout:
-        // the first heartbeat after the heal resets the silence window
-        // before any check crosses the threshold — no alarm.
-        use crate::chaos::{ChaosEngine, FaultPlan};
-        let mut net = line_network(2, 5.0);
-        let sim = HeartbeatSim::new(HeartbeatConfig {
-            period: 100,
-            timeout_periods: 4,
-            seed: 23,
-        });
-        let mut chaos = ChaosEngine::new(
-            FaultPlan::parse("1000 blackhole 1 0\n1200 unblackhole 1 0\n").unwrap(),
-        );
-        let report = sim.run_with_chaos(&mut net, &[], 10_000, 5_000, &mut chaos);
-        assert!(
-            report.false_positives.is_empty(),
-            "a sub-timeout mute must not alarm: {report:?}"
-        );
-    }
-
-    #[test]
-    fn run_with_empty_chaos_plan_matches_run() {
-        use crate::chaos::{ChaosEngine, FaultPlan};
-        let plain = {
-            let mut net = line_network(5, 5.0);
-            let sim = HeartbeatSim::new(cfg(9));
-            let r = sim.run(&mut net, &[2], 500, 5_000);
-            (r.first_detection, r.heartbeats_sent, net.stats.total_sent)
-        };
-        let chaotic = {
-            let mut net = line_network(5, 5.0);
-            let sim = HeartbeatSim::new(cfg(9));
-            let mut chaos = ChaosEngine::new(FaultPlan::empty());
-            let r = sim.run_with_chaos(&mut net, &[2], 500, 5_000, &mut chaos);
-            (r.first_detection, r.heartbeats_sent, net.stats.total_sent)
-        };
-        assert_eq!(plain, chaotic);
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! exchange, and a `BTreeMap` of detections. Its logic is kept unchanged
 //! as the oracle, so the dense table must reproduce its reports and its
 //! traffic counters bit for bit on every medium the detector runs on:
-//! lossless and lossy, with isolated nodes, chaos plans and rotating
-//! schedules.
+//! lossless and lossy, with isolated nodes and rotating schedules. (The
+//! oracle still takes a fault plan, as it always did; the detector no
+//! longer does, so every call passes none.)
 
 use decor_geom::{Aabb, Point};
 use decor_net::{
-    silent_too_long, ChaosEngine, DetectionReport, EventQueue, FaultEvent, FaultKind, FaultPlan,
-    HeartbeatConfig, HeartbeatSim, Message, Network, NodeId, ShiftSchedule, Time,
+    silent_too_long, ChaosEngine, DetectionReport, EventQueue, HeartbeatConfig, HeartbeatSim,
+    Message, Network, NodeId, ShiftSchedule, Time,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -207,9 +208,6 @@ proptest! {
         hb_seed in any::<u64>(),
         timeout_periods in 2u32..5,
         fail_at in 0u64..2_000,
-        chaos_mode in 0u32..3,
-        chaos_seed in any::<u64>(),
-        fault_picks in prop::collection::vec((0u64..4_000, any::<prop::sample::Index>(), any::<prop::sample::Index>()), 3..4),
         n_shifts in 0usize..4,
         shift_period in 100u64..900,
         shift_salt in any::<u64>(),
@@ -234,26 +232,6 @@ proptest! {
         }
 
         let horizon = 5_000;
-        let plan = match chaos_mode {
-            0 => None,
-            1 => Some(FaultPlan::generate(chaos_seed, n, horizon)),
-            _ => {
-                // One crash, one blackhole and one partition, each lifted
-                // again before the horizon.
-                let (at, a, b) = fault_picks[0];
-                let (a, b) = (a.index(n), b.index(n));
-                let mut events = vec![
-                    FaultEvent { at, kind: FaultKind::Crash { node: a } },
-                    FaultEvent { at: at / 2, kind: FaultKind::Blackhole { from: b, to: a } },
-                    FaultEvent { at: at / 2 + 700, kind: FaultKind::Unblackhole { from: b, to: a } },
-                ];
-                let (at, a, _) = fault_picks[1];
-                let side_a: Vec<NodeId> = (0..n).filter(|&id| (id + a.index(n)) % 2 == 0).collect();
-                events.push(FaultEvent { at, kind: FaultKind::Partition { side_a } });
-                events.push(FaultEvent { at: at + 400, kind: FaultKind::Heal });
-                Some(FaultPlan::new(events))
-            }
-        };
         let schedule = (n_shifts > 0).then(|| {
             // Every node lands in one of the `n_shifts` shifts or, in the
             // extra slot, stays unscheduled and always on.
@@ -270,7 +248,6 @@ proptest! {
         let cfg = HeartbeatConfig { period: 100, timeout_periods, seed: hb_seed };
         let sim = HeartbeatSim::new(cfg);
         let mut oracle_net = net.clone();
-        let mut oracle_chaos = plan.clone().map(ChaosEngine::new);
         let expected = reference_run(
             cfg,
             &mut oracle_net,
@@ -278,16 +255,11 @@ proptest! {
             fail_at,
             horizon,
             schedule.as_ref(),
-            oracle_chaos.as_mut(),
+            None,
         );
-        let mut chaos = plan.map(ChaosEngine::new);
-        let got = match (schedule.as_ref(), chaos.as_mut()) {
-            (None, None) => sim.run(&mut net, &victims, fail_at, horizon),
-            (None, Some(c)) => sim.run_with_chaos(&mut net, &victims, fail_at, horizon, c),
-            (Some(s), None) => sim.run_scheduled(&mut net, &victims, fail_at, horizon, s),
-            (Some(s), Some(c)) => {
-                sim.run_scheduled_with_chaos(&mut net, &victims, fail_at, horizon, s, c)
-            }
+        let got = match schedule.as_ref() {
+            None => sim.run(&mut net, &victims, fail_at, horizon),
+            Some(s) => sim.run_scheduled(&mut net, &victims, fail_at, horizon, s),
         };
         prop_assert_eq!(&got, &expected);
         prop_assert_eq!(counters(&net), counters(&oracle_net));
@@ -342,10 +314,8 @@ fn assert_agrees(
     fail_at: Time,
     horizon: Time,
     schedule: Option<&ShiftSchedule>,
-    plan: Option<&FaultPlan>,
 ) -> DetectionReport {
     let (mut got_net, mut oracle_net) = (net.clone(), net.clone());
-    let mut oracle_chaos = plan.cloned().map(ChaosEngine::new);
     let expected = reference_run(
         cfg,
         &mut oracle_net,
@@ -353,17 +323,12 @@ fn assert_agrees(
         fail_at,
         horizon,
         schedule,
-        oracle_chaos.as_mut(),
+        None,
     );
     let sim = HeartbeatSim::new(cfg);
-    let mut chaos = plan.cloned().map(ChaosEngine::new);
-    let got = match (schedule, chaos.as_mut()) {
-        (None, None) => sim.run(&mut got_net, victims, fail_at, horizon),
-        (None, Some(c)) => sim.run_with_chaos(&mut got_net, victims, fail_at, horizon, c),
-        (Some(s), None) => sim.run_scheduled(&mut got_net, victims, fail_at, horizon, s),
-        (Some(s), Some(c)) => {
-            sim.run_scheduled_with_chaos(&mut got_net, victims, fail_at, horizon, s, c)
-        }
+    let got = match schedule {
+        None => sim.run(&mut got_net, victims, fail_at, horizon),
+        Some(s) => sim.run_scheduled(&mut got_net, victims, fail_at, horizon, s),
     };
     let end_state = |net: &Network| {
         let asleep: Vec<bool> = (0..net.len()).map(|id| net.is_sleeping(id)).collect();
@@ -420,7 +385,7 @@ fn failure_on_a_beat_tick_in_periods_0_1_and_5() {
                 .collect();
             for m in [0, 1, 5] {
                 let fail_at = m * cfg.period + phase;
-                assert_agrees(&net, cfg, &victims, fail_at, 40 * cfg.period, None, None);
+                assert_agrees(&net, cfg, &victims, fail_at, 40 * cfg.period, None);
             }
         }
     }
@@ -443,12 +408,12 @@ fn shift_boundary_on_a_beat_tick() {
         assert_eq!(waker % 2, 1);
         let sched = ShiftSchedule::new(shifts, 2 * cfg.period + phase, net.len());
         let horizon = 8 * sched.period();
-        assert_agrees(&net, cfg, &[6], horizon / 3, horizon, Some(&sched), None);
+        assert_agrees(&net, cfg, &[6], horizon / 3, horizon, Some(&sched));
     }
 }
 
 /// A failure after the last recurring tick, but within the horizon, still
-/// runs, and injects the chaos faults due by then.
+/// runs.
 #[test]
 fn failure_after_the_last_recurring_tick() {
     let net = lossy_line();
@@ -463,32 +428,24 @@ fn failure_after_the_last_recurring_tick() {
         .unwrap();
     assert!(hi - lo >= 3, "phases {ticks:?}");
     let horizon = 5 * cfg.period + hi - 1;
-    let plan = FaultPlan::new(vec![FaultEvent {
-        at: horizon - 1,
-        kind: FaultKind::Crash { node: 0 },
-    }]);
-    let report = assert_agrees(&net, cfg, &[4, 7], horizon, horizon, None, Some(&plan));
+    let report = assert_agrees(&net, cfg, &[4, 7], horizon, horizon, None);
     assert_eq!(report.undetected, vec![4, 7], "failed after every check");
 }
 
 /// With no node alive only the one-off events run: the failure and the
-/// shift boundaries, each injecting the chaos faults due by its tick.
+/// shift boundaries.
 #[test]
 fn network_without_an_alive_node() {
     let cfg = tie_configs()[1];
-    let plan = FaultPlan::new(vec![FaultEvent {
-        at: 150,
-        kind: FaultKind::Partition { side_a: vec![0] },
-    }]);
     let empty = Network::new(Aabb::square(100.0));
-    assert_agrees(&empty, cfg, &[], 200, 1_000, None, Some(&plan));
+    assert_agrees(&empty, cfg, &[], 200, 1_000, None);
     let mut dead = lossy_line();
     for id in 0..dead.len() {
         dead.fail_node(id);
     }
     let sched = ShiftSchedule::new(vec![vec![0, 1], vec![2, 3]], 130, dead.len());
     for fail_at in [100, 5_000] {
-        let report = assert_agrees(&dead, cfg, &[3], fail_at, 1_000, Some(&sched), Some(&plan));
+        let report = assert_agrees(&dead, cfg, &[3], fail_at, 1_000, Some(&sched));
         assert_eq!(report.heartbeats_sent, 0);
     }
 }
@@ -499,32 +456,6 @@ fn horizon_shorter_than_one_period() {
     let net = lossy_line();
     let cfg = tie_configs()[1];
     for (fail_at, horizon) in [(20, 50), (0, 0), (60, 99)] {
-        assert_agrees(&net, cfg, &[1, 2], fail_at, horizon, None, None);
-    }
-}
-
-/// A node's first slot after its death still runs the chaos faults due by
-/// then, as the event queue did when it popped the node's last event. A
-/// lone node makes that slot the run's last event. Failing it on its own
-/// tick in period 1 pins that tick's order: its check runs before the
-/// failure and stays on the calendar one more period; its beat runs after
-/// and leaves.
-#[test]
-fn a_dead_nodes_last_slot_still_injects_due_faults() {
-    let mut net = Network::new(Aabb::square(100.0));
-    net.add_node(Point::new(10.0, 10.0), 4.0, 8.0);
-    let cfg = tie_configs()[1];
-    let phase = phases(&net, &cfg)[0].1;
-    let period = cfg.period;
-    for (fail_at, fault_at) in [
-        (phase + 1, phase + period),
-        (phase + period, phase + 2 * period),
-        (phase + period, phase + 2 * period + 1),
-    ] {
-        let plan = FaultPlan::new(vec![FaultEvent {
-            at: fault_at,
-            kind: FaultKind::Partition { side_a: vec![0] },
-        }]);
-        assert_agrees(&net, cfg, &[0], fail_at, 10_000, None, Some(&plan));
+        assert_agrees(&net, cfg, &[1, 2], fail_at, horizon, None);
     }
 }
