@@ -251,19 +251,7 @@ impl CoverageMap {
     }
 
     /// Visits `(point_id, position)` for approximation points within `r`
-    /// of `q` in ascending id order.
-    pub fn for_each_point_within<F: FnMut(usize, Point)>(&self, q: Point, r: f64, mut f: F) {
-        let mut hits: Vec<(usize, Point)> = Vec::new();
-        self.pt_index
-            .for_each_within(q, r, |pid, pos| hits.push((pid, pos)));
-        hits.sort_unstable_by_key(|&(pid, _)| pid);
-        for (pid, pos) in hits {
-            f(pid, pos);
-        }
-    }
-
-    /// Like [`CoverageMap::for_each_point_within`] but in hash-grid bucket
-    /// order, without allocating. Use for order-independent accumulation
+    /// of `q`, in hash-grid bucket order, without allocating. Use for order-independent accumulation
     /// (sums, counts) on hot paths.
     pub fn for_each_point_within_unordered<F: FnMut(usize, Point)>(&self, q: Point, r: f64, f: F) {
         self.pt_index.for_each_within(q, r, f)

@@ -53,26 +53,6 @@ pub use scenario::{
 };
 pub use table::Table;
 
-/// Runs every figure at the given parameters, returning the tables in
-/// figure order. This is what `decor-figures all` executes.
-pub fn run_all(params: &ExpParams) -> Vec<Table> {
-    let mut tables = vec![
-        fig04::run(params),
-        fig05_06::run_deployment(params),
-        fig05_06::run_disaster(params),
-        fig07::run(params),
-        fig08::run(params),
-        fig09::run(params),
-        fig10::run(params),
-        fig11::run(params),
-        fig12::run(params),
-    ];
-    let (f13, f14) = fig13_14::run(params);
-    tables.push(f13);
-    tables.push(f14);
-    tables
-}
-
 /// Runs the extension experiments (not figures of the paper): the
 /// lifetime-vs-k study motivated by §1 and the approximation-backend
 /// ablation motivated by §3.2.

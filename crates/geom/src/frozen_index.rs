@@ -615,20 +615,6 @@ impl GridIndex {
             self.iter(),
         )
     }
-
-    /// In-place twin of [`GridIndex::freeze`]: rebuilds `out` to the
-    /// frozen form of `self`, reusing `out`'s slab allocations. Produces
-    /// a state identical to `freeze()` (both route through the same
-    /// build path).
-    pub fn freeze_into(&self, out: &mut FrozenGridIndex) {
-        out.rebuild_from_parts(
-            self.origin(),
-            self.cell(),
-            self.nx(),
-            self.ny(),
-            self.iter(),
-        );
-    }
 }
 
 #[cfg(test)]

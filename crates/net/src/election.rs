@@ -83,13 +83,6 @@ pub fn partition_leaders(members: &[NodeId], net: &Network, round: u64) -> Vec<N
     leaders
 }
 
-/// Is `claimant` a deposed leader — one whose placement decisions the
-/// cell must reject? True when the claimant is dead, or is not the
-/// current rotation leader of any partition side for `round`.
-pub fn is_deposed(claimant: NodeId, members: &[NodeId], net: &Network, round: u64) -> bool {
-    !partition_leaders(members, net, round).contains(&claimant)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,31 +235,5 @@ mod tests {
         // Every member lands on side A: side B of this cell is empty.
         net.set_partition([0, 1, 2, 3]);
         assert_eq!(partition_leaders(&members, &net, 0).len(), 1);
-    }
-
-    #[test]
-    fn deposed_leader_is_rejected() {
-        let (mut net, members) = cell_net();
-        // Round 0: node 0 leads the whole cell.
-        assert!(!is_deposed(0, &members, &net, 0));
-        assert!(is_deposed(1, &members, &net, 0));
-        // Node 0 crashes: its claim for round 0 is now stale and any
-        // placement it announces must be rejected.
-        net.fail_node(0);
-        assert!(is_deposed(0, &members, &net, 0));
-        assert!(!is_deposed(1, &members, &net, 0), "successor took over");
-        // Across a partition, a leader from one side is not a valid
-        // leader for the other side's round — but it is still *a*
-        // current leader, so its own fragment accepts it.
-        let (mut net2, members2) = cell_net();
-        net2.set_partition([0, 1]);
-        assert!(!is_deposed(0, &members2, &net2, 0));
-        assert!(!is_deposed(2, &members2, &net2, 0));
-        assert!(is_deposed(1, &members2, &net2, 0));
-        // Heal: the merged cell rejects the side-B leader's claim once
-        // rotation re-unifies.
-        net2.heal_partition();
-        assert!(is_deposed(2, &members2, &net2, 0));
-        assert!(!is_deposed(0, &members2, &net2, 0));
     }
 }

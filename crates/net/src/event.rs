@@ -122,21 +122,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Drains events in order while `f` returns `true`; stops (leaving the
-    /// rest queued) on the first `false`. Returns the number of events
-    /// processed.
-    pub fn run_while<F: FnMut(Time, E) -> bool>(&mut self, mut f: F) -> usize {
-        let mut n = 0;
-        while let Some(item) = self.heap.pop() {
-            self.now = item.time;
-            n += 1;
-            if !f(item.time, item.event) {
-                break;
-            }
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -207,38 +192,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(2));
         // Peeking does not consume.
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn run_while_stops_on_false() {
-        let mut q = EventQueue::new();
-        for t in 1..=10 {
-            q.schedule(t, t);
-        }
-        let mut seen = Vec::new();
-        let processed = q.run_while(|_, e| {
-            seen.push(e);
-            e < 4
-        });
-        assert_eq!(processed, 4);
-        assert_eq!(seen, vec![1, 2, 3, 4]);
-        assert_eq!(q.len(), 6);
-        assert_eq!(q.now(), 4);
-    }
-
-    #[test]
-    fn run_while_drains_everything_on_true() {
-        let mut q = EventQueue::new();
-        for t in [3, 1, 2] {
-            q.schedule(t, t);
-        }
-        let mut order = Vec::new();
-        q.run_while(|_, e| {
-            order.push(e);
-            true
-        });
-        assert_eq!(order, vec![1, 2, 3]);
-        assert!(q.is_empty());
     }
 
     #[test]

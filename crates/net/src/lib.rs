@@ -67,6 +67,6 @@ pub use network::{NetStats, Network, SendError};
 pub use node::{Node, NodeId};
 pub use reports::{collect_reports, sink_near, DeliveryReport};
 pub use rotation::{NodeLifecycle, RotationConfig, ShiftSchedule};
-pub use routing::{greedy_geographic, send_routed, shortest_path};
+pub use routing::shortest_path;
 pub use sleep::SleepScheduler;
 pub use transport::{DeliveryOutcome, Inbound, MsgId, Transport, TransportConfig, TransportStats};

@@ -303,11 +303,6 @@ impl Network {
         self.blackholes.remove(&(from, to));
     }
 
-    /// Removes every blackholed link.
-    pub fn clear_all_blackholes(&mut self) {
-        self.blackholes.clear();
-    }
-
     /// Extra ticks the reliable transport adds to every retry backoff
     /// (a chaos latency spike). 0 = nominal timing.
     pub fn extra_latency(&self) -> Time {
@@ -474,16 +469,6 @@ impl Network {
     pub fn alive_ids(&self) -> Vec<NodeId> {
         (0..self.nodes.len())
             .filter(|&i| self.nodes[i].alive)
-            .collect()
-    }
-
-    /// Positions of all alive nodes (paired with their ids).
-    pub fn alive_positions(&self) -> Vec<(NodeId, Point)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.alive)
-            .map(|(i, n)| (i, n.pos))
             .collect()
     }
 

@@ -3,18 +3,10 @@
 //! The paper sizes the grid scheme's communication radius so neighboring
 //! leaders can talk *directly* (`rc = 10·√2` for 5×5 cells) "without the
 //! need of any routing mechanism for the inter-leader communication".
-//! This module supplies that mechanism, so configurations with smaller
-//! radii still work and their true message cost can be measured:
-//!
-//! - [`shortest_path`] — BFS over alive nodes (minimum hop count);
-//! - [`greedy_geographic`] — classic greedy geographic forwarding: each
-//!   hop goes to the neighbor closest to the destination; fails at local
-//!   minima (voids), which the caller can detect and escalate;
-//! - `Network::route_unicast`-style accounting via [`send_routed`],
-//!   charging one message per hop.
+//! Reports to a sink still cross several hops; [`shortest_path`], a BFS
+//! over alive nodes, finds the minimum-hop route they take.
 
-use crate::messages::Message;
-use crate::network::{Network, SendError};
+use crate::network::Network;
 use crate::node::NodeId;
 use std::collections::VecDeque;
 
@@ -71,51 +63,6 @@ pub fn shortest_path(net: &Network, from: NodeId, to: NodeId) -> Option<Vec<Node
     Some(path)
 }
 
-/// Greedy geographic forwarding: from `from`, repeatedly hop to the
-/// neighbor strictly closest to `to`'s position. Returns the path on
-/// success, or `Err(stuck_at)` when a local minimum (void) blocks
-/// progress before reaching `to`.
-pub fn greedy_geographic(net: &Network, from: NodeId, to: NodeId) -> Result<Vec<NodeId>, NodeId> {
-    if !net.is_alive(from) || !net.is_alive(to) {
-        return Err(from);
-    }
-    let target = net.node(to).pos;
-    let mut path = vec![from];
-    let mut cur = from;
-    while cur != to {
-        let cur_d = net.node(cur).pos.dist_sq(target);
-        let next = net
-            .neighbors_of(cur)
-            .into_iter()
-            .map(|nb| (net.node(nb).pos.dist_sq(target), nb))
-            .filter(|&(d, _)| d < cur_d)
-            .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        match next {
-            Some((_, nb)) => {
-                path.push(nb);
-                cur = nb;
-            }
-            None => return Err(cur),
-        }
-    }
-    Ok(path)
-}
-
-/// Sends `msg` from `from` to `to` along the minimum-hop path, charging
-/// one transmission per hop. Returns the hop count (0 for `from == to`).
-pub fn send_routed(
-    net: &mut Network,
-    from: NodeId,
-    to: NodeId,
-    msg: Message,
-) -> Result<usize, SendError> {
-    let path = shortest_path(net, from, to).ok_or(SendError::OutOfRange)?;
-    for hop in path.windows(2) {
-        net.unicast(hop[0], hop[1], msg)?;
-    }
-    Ok(path.len().saturating_sub(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,18 +111,10 @@ mod tests {
     }
 
     #[test]
-    fn greedy_geographic_matches_on_convex_topology() {
-        let net = line(5, 6.0);
-        let p = greedy_geographic(&net, 0, 4).unwrap();
-        assert_eq!(p, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn greedy_geographic_gets_stuck_at_voids() {
+    fn shortest_path_detours_around_a_void() {
         // A routing void: a's only neighbor (b) is *farther* from the
-        // target, so greedy forwarding stalls at a, while a detour
-        // b→c→d→e→f→t exists (every hop ≤ rc = 8, and none of c..f is
-        // within rc of a).
+        // target, while a detour b→c→d→e→f→t exists (every hop ≤ rc = 8,
+        // and none of c..f is within rc of a).
         let mut net = Network::new(Aabb::square(100.0));
         let a = net.add_node(Point::new(35.0, 50.0), 4.0, 8.0);
         let b = net.add_node(Point::new(30.0, 50.0), 4.0, 8.0);
@@ -185,42 +124,9 @@ mod tests {
         net.add_node(Point::new(47.0, 46.0), 4.0, 8.0); // f
         let t = net.add_node(Point::new(50.0, 50.0), 4.0, 8.0);
         assert_eq!(net.neighbors_of(a), vec![b], "a must have only b");
-        let res = greedy_geographic(&net, a, t);
-        assert_eq!(res, Err(a));
-        // BFS still finds the detour.
         let p = shortest_path(&net, a, t).unwrap();
         assert_eq!(p.first(), Some(&a));
         assert_eq!(p.last(), Some(&t));
         assert!(p.len() >= 5, "detour must be long: {p:?}");
-    }
-
-    #[test]
-    fn send_routed_charges_per_hop() {
-        let mut net = line(5, 6.0);
-        let hops = send_routed(
-            &mut net,
-            0,
-            4,
-            Message::PlacementNotice { pos: Point::ORIGIN },
-        )
-        .unwrap();
-        assert_eq!(hops, 4);
-        assert_eq!(net.stats.protocol_sent, 4);
-        assert_eq!(net.stats.sent_by(0), 1);
-        assert_eq!(net.stats.sent_by(1), 1);
-        assert_eq!(net.stats.received_by(4), 1);
-    }
-
-    #[test]
-    fn send_routed_to_unreachable_fails_cleanly() {
-        let mut net = line(2, 50.0);
-        let err = send_routed(
-            &mut net,
-            0,
-            1,
-            Message::PlacementNotice { pos: Point::ORIGIN },
-        );
-        assert_eq!(err, Err(SendError::OutOfRange));
-        assert_eq!(net.stats.total_sent, 0);
     }
 }

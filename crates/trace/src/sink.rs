@@ -99,11 +99,6 @@ impl JsonlWriter {
         &self.text
     }
 
-    /// Consumes the writer, returning the accumulated text.
-    pub fn into_string(self) -> String {
-        self.text
-    }
-
     /// Number of lines (= records) accumulated.
     pub fn lines(&self) -> usize {
         self.text.lines().count()
