@@ -4,7 +4,7 @@
 //!
 //! 1. **Guarded batch** — a fixed 64-run matrix (tiny deploy scenarios
 //!    across two schemes) through [`MatrixRunner`], timed end to end.
-//!    The median lands in `BENCH_PR8.json` and `scripts/bench_guard.sh`
+//!    The median lands in `BENCH_PR9.json` and `scripts/bench_guard.sh`
 //!    gates regressions: this is the service's unit of work, so runner
 //!    overhead (claiming, scattering, aggregation plumbing) shows up
 //!    here before it shows up in a fleet.
@@ -21,7 +21,7 @@
 //! Reproduce the committed summary with:
 //!
 //! ```text
-//! CRITERION_JSON=$PWD/BENCH_PR8.json \
+//! CRITERION_JSON=$PWD/BENCH_PR9.json \
 //!     cargo bench -p decor-bench --bench pr8_throughput
 //! ```
 

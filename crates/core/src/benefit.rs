@@ -45,7 +45,8 @@ mod tests {
     fn benefit_of_empty_map_counts_full_deficit() {
         let (map, cfg) = setup(500);
         let c = map.points()[7];
-        let in_range = map.points_within(c, cfg.rs).len() as u64;
+        let mut in_range = 0u64;
+        map.for_each_point_within_unordered(c, cfg.rs, |_, _| in_range += 1);
         assert_eq!(benefit_at(&map, c, cfg.rs, cfg.k), in_range * cfg.k as u64);
     }
 
@@ -58,7 +59,8 @@ mod tests {
         let after = benefit_at(&map, c, cfg.rs, cfg.k);
         assert!(after < before);
         // Every in-range point lost exactly one unit of deficit.
-        let in_range = map.points_within(c, cfg.rs).len() as u64;
+        let mut in_range = 0u64;
+        map.for_each_point_within_unordered(c, cfg.rs, |_, _| in_range += 1);
         assert_eq!(before - after, in_range);
     }
 

@@ -3,15 +3,9 @@
 //! The paper never states them, but they anchor every Fig. 7/8 sanity
 //! check in this reproduction: no algorithm can k-cover a field with
 //! fewer sensors than `k · area / (π rs²)` (each sensor contributes at
-//! most one disk of coverage mass), and a regular lattice achieves full
-//! coverage with `≈ area / (rs²·3√3/2)`-ish nodes per layer (hexagonal
-//! covering density `2π/√27 ≈ 1.209`).
+//! most one disk of coverage mass).
 
 use decor_geom::Aabb;
-
-/// Hexagonal covering density: the area-overhead factor of the optimal
-/// covering of the plane by equal disks (Kershner 1939).
-pub const HEX_COVERING_DENSITY: f64 = 1.2091995761561452; // 2π/√27
 
 /// Information-theoretic lower bound: no placement of `n` sensors of
 /// radius `rs` can k-cover `field` if `n < k·area/(π rs²)`.
@@ -31,14 +25,6 @@ pub fn coverage_lower_bound(field: &Aabb, rs: f64, k: u32) -> usize {
     (k as f64 * field.area() / per_disk).ceil() as usize
 }
 
-/// Achievable estimate: the node count of `k` stacked optimal hexagonal
-/// coverings (ignoring boundary overheads, which add a few percent).
-pub fn hexagonal_cover_estimate(field: &Aabb, rs: f64, k: u32) -> usize {
-    assert!(rs > 0.0, "sensing radius must be positive");
-    let per_disk = std::f64::consts::PI * rs * rs;
-    (k as f64 * field.area() * HEX_COVERING_DENSITY / per_disk).ceil() as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,18 +40,6 @@ mod tests {
         // k=1: 10000/(π·16) ≈ 199; k=4: ≈ 796.
         assert_eq!(coverage_lower_bound(&field, 4.0, 1), 199);
         assert_eq!(coverage_lower_bound(&field, 4.0, 4), 796);
-        let hex1 = hexagonal_cover_estimate(&field, 4.0, 1);
-        assert!((240..=242).contains(&hex1), "hex estimate {hex1}");
-    }
-
-    #[test]
-    fn bounds_order() {
-        let field = Aabb::square(100.0);
-        for k in 1..=5 {
-            assert!(
-                coverage_lower_bound(&field, 4.0, k) < hexagonal_cover_estimate(&field, 4.0, k)
-            );
-        }
     }
 
     #[test]

@@ -270,17 +270,6 @@ impl SchemeKind {
                 format!("unknown scheme '{name}' ({})", valid.join(" | "))
             })
     }
-
-    /// True for the four distributed DECOR variants.
-    pub fn is_decor(&self) -> bool {
-        matches!(
-            self,
-            SchemeKind::GridSmall
-                | SchemeKind::GridBig
-                | SchemeKind::VoronoiSmall
-                | SchemeKind::VoronoiBig
-        )
-    }
 }
 
 #[cfg(test)]
@@ -438,14 +427,5 @@ mod tests {
             SchemeKind::parse_spec_name("Centralized").is_err(),
             "labels are not spec names"
         );
-    }
-
-    #[test]
-    fn decor_classification() {
-        assert!(SchemeKind::GridSmall.is_decor());
-        assert!(SchemeKind::VoronoiBig.is_decor());
-        assert!(!SchemeKind::Centralized.is_decor());
-        assert!(!SchemeKind::Random.is_decor());
-        assert!(!SchemeKind::Holes.is_decor());
     }
 }

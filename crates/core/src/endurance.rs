@@ -184,11 +184,10 @@ pub fn run_endurance(
     report.shifts = schedule.n_shifts();
 
     // Battery book-keeping: radio spend lives in net.stats, idle spend
-    // here; a node dies when their sum reaches its capacity.
-    let mut battery: Vec<f64> = vec![rot.battery; net.len()];
+    // here; a node dies when their sum reaches the capacity `rot.battery`
+    // every node starts with.
     let mut idle_spent: Vec<f64> = vec![0.0; net.len()];
     let mut spent_at_wake: Vec<f64> = vec![0.0; net.len()];
-    let mut last_wake: Vec<Time> = vec![0; net.len()];
 
     // Watch lists from a t=0 hello exchange (everyone awake at deploy).
     let mut watch = WatchTable::exchange_hellos(&mut net);
@@ -297,10 +296,8 @@ pub fn run_endurance(
                     &rot,
                     &mut net,
                     &mut sensor_of,
-                    &mut battery,
                     &mut idle_spent,
                     &mut spent_at_wake,
-                    &mut last_wake,
                     &mut was_awake,
                     &mut handled_death,
                     &mut pts_of,
@@ -345,7 +342,6 @@ pub fn run_endurance(
             let spent = net.stats.energy_of(id) + idle_spent[id];
             if on_duty[id] && !was_awake[id] {
                 cfg.trace.emit(TraceEvent::NodeWake { node: id as u64 });
-                last_wake[id] = now;
                 spent_at_wake[id] = spent;
             } else if !on_duty[id] && was_awake[id] {
                 cfg.trace.emit(TraceEvent::NodeSleep { node: id as u64 });
@@ -419,10 +415,8 @@ pub fn run_endurance(
                 &rot,
                 &mut net,
                 &mut sensor_of,
-                &mut battery,
                 &mut idle_spent,
                 &mut spent_at_wake,
-                &mut last_wake,
                 &mut was_awake,
                 &mut handled_death,
                 &mut pts_of,
@@ -453,7 +447,7 @@ pub fn run_endurance(
             };
             idle_spent[id] += cost;
             let spent = net.stats.energy_of(id) + idle_spent[id];
-            if spent >= battery[id] {
+            if spent >= rot.battery {
                 cfg.trace.emit(TraceEvent::BatteryDrain {
                     node: id as u64,
                     amount: spent,
@@ -499,10 +493,8 @@ fn try_restore(
     rot: &RotationConfig,
     net: &mut Network,
     sensor_of: &mut Vec<crate::coverage::SensorId>,
-    battery: &mut Vec<f64>,
     idle_spent: &mut Vec<f64>,
     spent_at_wake: &mut Vec<f64>,
-    last_wake: &mut Vec<Time>,
     was_awake: &mut Vec<bool>,
     handled_death: &mut Vec<bool>,
     pts_of: &mut Vec<Box<[u32]>>,
@@ -542,10 +534,8 @@ fn try_restore(
         let pos = map.sensor_pos(sid);
         let id = net.add_node(pos, cfg.rs, cfg.rc);
         sensor_of.push(sid);
-        battery.push(rot.battery);
         idle_spent.push(0.0);
         spent_at_wake.push(0.0);
-        last_wake.push(now);
         was_awake.push(true);
         handled_death.push(false);
         pts_of.push(covered_points(map, pos, cfg.rs));

@@ -39,18 +39,15 @@
 //! The checker rides [`crate::DeploymentConfig`] exactly like the trace
 //! handle: the default is *disabled* and every hook reduces to a branch on
 //! a niche-optimized `Option` — zero cost for runs that never enable it.
-//! It is fed two ways: [`InvariantChecker::observe`] consumes the
-//! `decor-trace` event stream (chaos crashes, election outcomes), and the
-//! placers call the direct `check_*` hooks for conditions the generic
-//! stream cannot express (the grid's `SensorPlaced.agent` is a cell
-//! index, not a node id, so liveness of the placing *node* needs its own
-//! hook).
+//! The placers feed it through direct hooks: [`InvariantChecker::note_crash`]
+//! records each chaos crash, and the `check_*` hooks test one condition
+//! each (the grid's `SensorPlaced.agent` is a cell index, not a node id,
+//! so liveness of the placing *node* needs its own hook).
 //!
 //! Violations are collected, not panicked on, so a fuzz harness can shrink
 //! the offending fault plan before reporting; [`InvariantChecker::
 //! assert_green`] panics with the full list for direct use in tests.
 
-use decor_trace::TraceEvent;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
@@ -105,30 +102,6 @@ impl InvariantChecker {
         self.with(|s| {
             s.dead.insert(node);
         });
-    }
-
-    /// Feeds one trace event through the checker. Understands the chaos
-    /// ground-truth stream (`ChaosCrash` grows the dead set) and election
-    /// outcomes (`ElectionWon` by a dead node is a violation); every other
-    /// event is ignored.
-    pub fn observe(&self, event: &TraceEvent) {
-        match event {
-            TraceEvent::ChaosCrash { node } => self.note_crash(*node),
-            TraceEvent::ElectionWon {
-                cell,
-                round,
-                leader,
-            } => {
-                self.with(|s| {
-                    if s.dead.contains(leader) {
-                        s.violations.push(format!(
-                            "dead node {leader} won the election of cell {cell} round {round}"
-                        ));
-                    }
-                });
-            }
-            _ => {}
-        }
     }
 
     /// Invariant 1, election form: the winner of an election must be
@@ -336,23 +309,15 @@ mod tests {
     #[test]
     fn dead_nodes_must_not_win_elections() {
         let c = InvariantChecker::enabled();
-        c.observe(&TraceEvent::ChaosCrash { node: 7 });
+        c.note_crash(7);
         assert_eq!(c.dead(), vec![7]);
-        c.observe(&TraceEvent::ElectionWon {
-            cell: 2,
-            round: 4,
-            leader: 7,
-        });
+        c.check_election(2, 4, 7, true);
         assert!(!c.is_green());
         assert!(c.violations()[0].contains("dead node 7"));
         // A live winner is fine.
         let c2 = InvariantChecker::enabled();
-        c2.observe(&TraceEvent::ChaosCrash { node: 7 });
-        c2.observe(&TraceEvent::ElectionWon {
-            cell: 2,
-            round: 4,
-            leader: 8,
-        });
+        c2.note_crash(7);
+        c2.check_election(2, 4, 8, true);
         assert!(c2.is_green());
     }
 

@@ -158,7 +158,7 @@ pub fn deploy(
 
 /// [`deploy`] with a hook that customizes the [`DeploymentConfig`] before
 /// the map is built — the single code path every caller (figure modules,
-/// the scenario matrix runner, the traced variant) funnels through, which
+/// the scenario matrix runner, traced runs) funnels through, which
 /// is what makes the differential tier's bit-identity claims meaningful.
 pub fn deploy_with(
     params: &ExpParams,
@@ -178,27 +178,6 @@ pub fn deploy_with(
     let placer = params.placer(scheme, seed ^ 0x9E37);
     let outcome = placer.place(&mut map, &cfg);
     (map, outcome, cfg)
-}
-
-/// [`deploy`] with a JSONL trace sink attached: additionally returns the
-/// canonical trace text of the placement run. Each call builds its own
-/// sink, so concurrent replicas never interleave their streams.
-pub fn deploy_traced(
-    params: &ExpParams,
-    scheme: SchemeKind,
-    k: u32,
-    seed: u64,
-) -> (
-    decor_core::CoverageMap,
-    decor_core::PlacementOutcome,
-    DeploymentConfig,
-    String,
-) {
-    let (map, outcome, cfg) = deploy_with(params, scheme, k, seed, |cfg| {
-        cfg.trace = decor_trace::TraceHandle::jsonl_writer();
-    });
-    let text = cfg.trace.jsonl().expect("JSONL sink attached above");
-    (map, outcome, cfg, text)
 }
 
 #[cfg(test)]

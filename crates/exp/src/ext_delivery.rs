@@ -75,8 +75,9 @@ pub fn observability_of(map: &CoverageMap, cfg: &DeploymentConfig) -> (f64, f64)
 }
 
 /// The trace-event kinds reported as columns, in column order. The
-/// restoration run carries a [`decor_trace::CountingSink`], so each
-/// column is the mean number of events of that kind per replica.
+/// restoration run carries a [`decor_trace::TraceHandle::counting`]
+/// handle, so each column is the mean number of events of that kind per
+/// replica.
 pub const TRACE_KINDS: [&str; 6] = [
     "msg_send",
     "msg_deliver",

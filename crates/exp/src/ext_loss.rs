@@ -24,15 +24,12 @@
 
 use crate::common::ExpParams;
 use crate::runner::{aggregate, MatrixRunner};
-use crate::scenario::{ScenarioMatrix, ScenarioSpec, Workload, PROBE_PERIOD};
+use crate::scenario::{ScenarioMatrix, ScenarioSpec, Workload};
 use crate::table::Table;
 use decor_core::SchemeKind;
 
 /// Loss rates swept (percent).
 pub const LOSS_PCTS: [u32; 5] = [0, 10, 20, 30, 40];
-
-/// Heartbeat period used (ticks).
-pub const PERIOD: u64 = PROBE_PERIOD;
 
 /// The sweep as a scenario matrix: one failure-probe cell per loss rate,
 /// restoring with the small-rc Voronoi scheme over the lossy medium. The

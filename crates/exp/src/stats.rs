@@ -8,61 +8,14 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Sample standard deviation (n−1 denominator); 0 for fewer than 2 values.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
-}
-
-/// Minimum; +∞ for an empty slice.
-pub fn min(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-/// Maximum; −∞ for an empty slice.
-pub fn max(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Mean of a usize sample.
-pub fn mean_usize(xs: &[usize]) -> f64 {
-    mean(&xs.iter().map(|&x| x as f64).collect::<Vec<_>>())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std_of_known_sample() {
+    fn mean_of_known_sample() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        // Sample std of this classic set is ~2.138.
-        assert!((std_dev(&xs) - 2.13809).abs() < 1e-4);
-    }
-
-    #[test]
-    fn degenerate_inputs() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[]), 0.0);
-        assert_eq!(std_dev(&[3.0]), 0.0);
-        assert_eq!(min(&[]), f64::INFINITY);
-        assert_eq!(max(&[]), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn min_max() {
-        let xs = [3.0, -1.0, 7.5];
-        assert_eq!(min(&xs), -1.0);
-        assert_eq!(max(&xs), 7.5);
-    }
-
-    #[test]
-    fn mean_usize_converts() {
-        assert!((mean_usize(&[1, 2, 3]) - 2.0).abs() < 1e-12);
     }
 }

@@ -1,4 +1,4 @@
-//! Minimal SVG rendering of fields, deployments and paths.
+//! Minimal SVG rendering of fields and deployments.
 //!
 //! The paper's Figs. 4–6 are pictures; the ASCII renders in
 //! [`crate::ascii_plot`] work in a terminal, and this module produces
@@ -61,34 +61,6 @@ pub fn render_svg(field: &Aabb, layers: &[Layer<'_>], size: u32) -> String {
     }
     s.push_str("</svg>\n");
     s
-}
-
-/// Renders a polyline path (e.g. a breach path) over a base render by
-/// inserting it before the closing tag.
-pub fn with_path(svg: &str, field: &Aabb, waypoints: &[Point], stroke: &str, size: u32) -> String {
-    if waypoints.is_empty() {
-        return svg.to_owned();
-    }
-    let margin = size as f64 * 0.04;
-    let span = size as f64 - 2.0 * margin;
-    let sx = span / field.width();
-    let sy = span / field.height();
-    let pts: Vec<String> = waypoints
-        .iter()
-        .map(|p| {
-            format!(
-                "{:.2},{:.2}",
-                margin + (p.x - field.min.x) * sx,
-                margin + (field.max.y - p.y) * sy
-            )
-        })
-        .collect();
-    let poly = format!(
-        r#"<polyline points="{}" fill="none" stroke="{}" stroke-width="2"/>"#,
-        pts.join(" "),
-        stroke
-    );
-    svg.replace("</svg>", &format!("{poly}\n</svg>"))
 }
 
 #[cfg(test)]
@@ -165,16 +137,6 @@ mod tests {
         let blue = svg.find("blue").unwrap();
         let red = svg.find("red").unwrap();
         assert!(blue < red, "later layers render on top");
-    }
-
-    #[test]
-    fn path_overlay_inserts_polyline() {
-        let svg = render_svg(&field(), &[], 256);
-        let path = vec![Point::new(0.0, 50.0), Point::new(100.0, 50.0)];
-        let with = with_path(&svg, &field(), &path, "crimson", 256);
-        assert!(with.contains("<polyline"));
-        assert!(with.trim_end().ends_with("</svg>"));
-        assert_eq!(with_path(&svg, &field(), &[], "crimson", 256), svg);
     }
 
     #[test]

@@ -106,14 +106,10 @@ impl Table {
         s
     }
 
-    /// Column index by header name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c == name)
-    }
-
     /// The series (column) with the given header, without the x column.
-    pub fn series(&self, name: &str) -> Option<Vec<f64>> {
-        let idx = self.column_index(name)?;
+    #[cfg(test)]
+    pub(crate) fn series(&self, name: &str) -> Option<Vec<f64>> {
+        let idx = self.columns.iter().position(|c| c == name)?;
         Some(self.rows.iter().map(|r| r[idx]).collect())
     }
 }
@@ -152,13 +148,5 @@ mod tests {
     fn width_mismatch_panics() {
         let mut t = Table::new("t", "t", vec!["x".into()]);
         t.push_row(vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn series_lookup() {
-        let t = sample();
-        assert_eq!(t.series("a"), Some(vec![10.0, 20.0]));
-        assert!(t.series("zz").is_none());
-        assert_eq!(t.column_index("b"), Some(2));
     }
 }

@@ -1,8 +1,8 @@
 //! Delaunay triangulation (Bowyer–Watson) and exact global Voronoi cells.
 //!
-//! The local Voronoi cells of [`crate::voronoi`] are what a *node* can
-//! compute (bounded by its communication radius). For analysis we also
-//! want the exact, global diagram: a sensor's true Voronoi cell is the
+//! A *node* can compute only its local Voronoi cell (paper Definition 1,
+//! bounded by its communication radius). For analysis we also want the
+//! exact, global diagram: a sensor's true Voronoi cell is the
 //! intersection of the bisector half-planes against its **Delaunay
 //! neighbors** only (a classical duality), so one triangulation yields
 //! every cell exactly.
@@ -181,11 +181,6 @@ impl Delaunay {
             triangles,
             degenerate,
         }
-    }
-
-    /// The input points.
-    pub fn points(&self) -> &[Point] {
-        &self.points
     }
 
     /// The triangles (empty for degenerate inputs).

@@ -44,68 +44,11 @@ impl Disk {
         std::f64::consts::PI * self.radius * self.radius
     }
 
-    /// Do two disks overlap (boundary touch counts)?
-    #[inline]
-    pub fn intersects(&self, other: &Disk) -> bool {
-        let r = self.radius + other.radius;
-        self.center.dist_sq(other.center) <= r * r
-    }
-
-    /// Is `other` entirely inside `self` (boundary allowed)?
-    pub fn contains_disk(&self, other: &Disk) -> bool {
-        if other.radius > self.radius {
-            return false;
-        }
-        let slack = self.radius - other.radius;
-        self.center.dist_sq(other.center) <= slack * slack
-    }
-
     /// Does the disk intersect an axis-aligned box (boundary touch counts)?
     #[inline]
     pub fn intersects_aabb(&self, b: &Aabb) -> bool {
         b.dist_to(self.center) <= self.radius
     }
-
-    /// Is the whole box inside the disk?
-    pub fn contains_aabb(&self, b: &Aabb) -> bool {
-        b.corners().iter().all(|&c| self.contains(c))
-    }
-
-    /// Tight axis-aligned bounding box of the disk.
-    pub fn bounding_box(&self) -> Aabb {
-        Aabb::new(
-            Point::new(self.center.x - self.radius, self.center.y - self.radius),
-            Point::new(self.center.x + self.radius, self.center.y + self.radius),
-        )
-    }
-
-    /// Area of the intersection of two disks (exact, via circular segments).
-    ///
-    /// Used by the analytical redundancy estimates in `decor-core` tests.
-    pub fn intersection_area(&self, other: &Disk) -> f64 {
-        let d = self.center.dist(other.center);
-        let (r1, r2) = (self.radius, other.radius);
-        if d >= r1 + r2 {
-            return 0.0;
-        }
-        if d <= (r1 - r2).abs() {
-            // One disk inside the other.
-            let r = r1.min(r2);
-            return std::f64::consts::PI * r * r;
-        }
-        // Standard lens formula.
-        let a1 = ((d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1)).clamp(-1.0, 1.0);
-        let a2 = ((d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2)).clamp(-1.0, 1.0);
-        let t1 = a1.acos();
-        let t2 = a2.acos();
-        lens_half(r1, t1) + lens_half(r2, t2)
-    }
-}
-
-/// Area of a circular segment with half-angle `theta` on a circle of
-/// radius `r`: `r² (θ − sin θ cos θ)`.
-fn lens_half(r: f64, theta: f64) -> f64 {
-    r * r * (theta - theta.sin() * theta.cos())
 }
 
 #[cfg(test)]
@@ -128,28 +71,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_disk_intersection_predicate() {
-        let a = Disk::new(Point::new(0.0, 0.0), 2.0);
-        let b = Disk::new(Point::new(3.9, 0.0), 2.0);
-        let c = Disk::new(Point::new(4.1, 0.0), 2.0);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
-        // Touching exactly.
-        let t = Disk::new(Point::new(4.0, 0.0), 2.0);
-        assert!(a.intersects(&t));
-    }
-
-    #[test]
-    fn disk_contains_disk() {
-        let big = Disk::new(Point::new(0.0, 0.0), 5.0);
-        let small = Disk::new(Point::new(1.0, 1.0), 2.0);
-        let out = Disk::new(Point::new(4.0, 0.0), 2.0);
-        assert!(big.contains_disk(&small));
-        assert!(!big.contains_disk(&out));
-        assert!(!small.contains_disk(&big));
-    }
-
-    #[test]
     fn disk_aabb_intersection() {
         let d = Disk::new(Point::new(5.0, 5.0), 1.0);
         let inside = Aabb::square(10.0);
@@ -159,70 +80,6 @@ mod tests {
         assert!(!d.intersects_aabb(&corner));
         let near = Aabb::new(Point::new(5.5, 5.5), Point::new(8.0, 8.0));
         assert!(d.intersects_aabb(&near));
-    }
-
-    #[test]
-    fn disk_contains_aabb() {
-        let d = Disk::new(Point::new(5.0, 5.0), 3.0);
-        let small = Aabb::new(Point::new(4.0, 4.0), Point::new(6.0, 6.0));
-        let big = Aabb::square(10.0);
-        assert!(d.contains_aabb(&small));
-        assert!(!d.contains_aabb(&big));
-    }
-
-    #[test]
-    fn bounding_box_is_tight() {
-        let d = Disk::new(Point::new(2.0, 3.0), 1.5);
-        let b = d.bounding_box();
-        assert_eq!(b.min, Point::new(0.5, 1.5));
-        assert_eq!(b.max, Point::new(3.5, 4.5));
-    }
-
-    #[test]
-    fn intersection_area_disjoint_is_zero() {
-        let a = Disk::new(Point::new(0.0, 0.0), 1.0);
-        let b = Disk::new(Point::new(3.0, 0.0), 1.0);
-        assert_eq!(a.intersection_area(&b), 0.0);
-    }
-
-    #[test]
-    fn intersection_area_nested_is_small_disk() {
-        let a = Disk::new(Point::new(0.0, 0.0), 3.0);
-        let b = Disk::new(Point::new(0.5, 0.0), 1.0);
-        assert!((a.intersection_area(&b) - PI).abs() < 1e-12);
-    }
-
-    #[test]
-    fn intersection_area_identical_disks() {
-        let a = Disk::new(Point::new(0.0, 0.0), 2.0);
-        let b = a;
-        assert!((a.intersection_area(&b) - a.area()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn intersection_area_half_overlap_monte_carlo() {
-        // Validate the lens formula against Monte Carlo on a fixed grid.
-        let a = Disk::new(Point::new(0.0, 0.0), 2.0);
-        let b = Disk::new(Point::new(2.0, 0.0), 2.0);
-        let exact = a.intersection_area(&b);
-        let mut hits = 0u32;
-        let n = 400;
-        for i in 0..n {
-            for j in 0..n {
-                let p = Point::new(
-                    -2.0 + 6.0 * (i as f64 + 0.5) / n as f64,
-                    -2.0 + 4.0 * (j as f64 + 0.5) / n as f64,
-                );
-                if a.contains(p) && b.contains(p) {
-                    hits += 1;
-                }
-            }
-        }
-        let approx = hits as f64 / (n * n) as f64 * 24.0;
-        assert!(
-            (exact - approx).abs() < 0.05,
-            "exact {exact} vs grid {approx}"
-        );
     }
 
     #[test]

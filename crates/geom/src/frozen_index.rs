@@ -591,14 +591,6 @@ impl FrozenGridIndex {
         self.within_into(q, r, &mut out);
         out
     }
-
-    /// Iterates over all stored entries (slab order).
-    pub fn iter(&self) -> impl Iterator<Item = (usize, Point)> + '_ {
-        self.ids
-            .iter()
-            .zip(self.xs.iter().zip(self.ys.iter()))
-            .map(|(&id, (&x, &y))| (id as usize, Point::new(x, y)))
-    }
 }
 
 impl GridIndex {
@@ -780,15 +772,6 @@ mod tests {
         assert_eq!(idx.count_within(Point::new(5.0, 5.0), 100.0), 0);
         assert!(!idx.covers_at_least(Point::new(5.0, 5.0), 100.0, 1));
         assert!(idx.covers_at_least(Point::new(5.0, 5.0), 100.0, 0));
-    }
-
-    #[test]
-    fn iter_yields_all_entries() {
-        let pts = sample_points(64);
-        let idx = frozen(&pts);
-        let mut ids: Vec<usize> = idx.iter().map(|(id, _)| id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl HoleReport {
         self.total_area
     }
 
-    /// True when the field is fully 1-covered (no holes).
-    pub fn is_clear(&self) -> bool {
-        self.holes.is_empty()
-    }
-
     /// The hole that sensor `i`'s Voronoi cell contributes to, if any.
     /// An uncovered point's hole is `hole_of_cell(nearest sensor)`.
     pub fn hole_of_cell(&self, i: usize) -> Option<usize> {
@@ -492,7 +487,7 @@ mod tests {
         assert!((r.holes()[0].area - 10_000.0).abs() < 1e-9);
         assert!((r.total_area() - 10_000.0).abs() < 1e-9);
         assert_eq!(r.holes()[0].depth, f64::INFINITY);
-        assert!(!r.is_clear());
+        assert!(!r.holes().is_empty());
     }
 
     #[test]
@@ -505,7 +500,7 @@ mod tests {
             }
         }
         let r = detect_holes(&sensors, 4.0, &field());
-        assert!(r.is_clear(), "holes: {:?}", r.holes().len());
+        assert!(r.holes().is_empty(), "holes: {:?}", r.holes().len());
         assert!(r.total_area() < 1e-9 * 10_000.0);
     }
 

@@ -16,9 +16,9 @@
 //!   contiguous struct-of-arrays slabs, precomputed bucket neighborhoods,
 //!   AABB prefilters, and an early-exit `covers_at_least` k-coverage
 //!   predicate.
-//! - [`ConvexPolygon`] and half-plane clipping — exact local Voronoi cells.
-//! - [`local_voronoi_cell`] — the cell of Definition 1 in the paper: the
-//!   region of points closer to a node than to any of its 1-hop neighbors.
+//! - [`ConvexPolygon`] and half-plane clipping — exact Voronoi cells.
+//! - [`Delaunay`] — Bowyer–Watson triangulation and the exact global
+//!   Voronoi diagram it induces.
 //! - [`UnitDiskGraph`] — communication graph, BFS connectivity and
 //!   Menger-style vertex k-connectivity checks (for the paper's corollary
 //!   that `rc >= 2*rs` plus k-coverage implies k-connectivity).
@@ -39,7 +39,6 @@ pub mod holes;
 pub mod paths;
 pub mod point;
 pub mod polygon;
-pub mod voronoi;
 
 pub use aabb::Aabb;
 pub use delaunay::{cell_area_cv, Delaunay};
@@ -51,4 +50,3 @@ pub use holes::{detect_holes, disk_polygon_overlap, Hole, HoleReport};
 pub use paths::{best_support_path, maximal_breach_path, CrossingPath};
 pub use point::Point;
 pub use polygon::{ConvexPolygon, HalfPlane};
-pub use voronoi::local_voronoi_cell;

@@ -97,19 +97,6 @@ impl Point {
         )
     }
 
-    /// Unit vector pointing from `self` towards `other`.
-    ///
-    /// Returns `None` when the two points coincide (no direction exists).
-    pub fn direction_to(self, other: Point) -> Option<Point> {
-        let d = other - self;
-        let n = d.norm();
-        if n == 0.0 {
-            None
-        } else {
-            Some(d / n)
-        }
-    }
-
     /// The vector rotated 90° counter-clockwise.
     #[inline]
     pub fn perp(self) -> Point {
@@ -229,15 +216,6 @@ mod tests {
         assert_eq!(a.midpoint(b), a.lerp(b, 0.5));
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
-    }
-
-    #[test]
-    fn direction_to_is_unit_or_none() {
-        let a = Point::new(1.0, 1.0);
-        let b = Point::new(4.0, 5.0);
-        let d = a.direction_to(b).unwrap();
-        assert!((d.norm() - 1.0).abs() < 1e-12);
-        assert!(a.direction_to(a).is_none());
     }
 
     #[test]

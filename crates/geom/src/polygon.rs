@@ -1,11 +1,8 @@
 //! Convex polygons and half-plane clipping.
 //!
-//! The local Voronoi cell of a node (paper §3.1, Definition 1) is the
-//! intersection of half-planes — one per 1-hop neighbor (the perpendicular
-//! bisector) — clipped to the node's communication disk. We represent cells
-//! as convex polygons and clip with Sutherland–Hodgman; the communication
-//! disk is approximated by its bounding box (exactly what a node can know
-//! about, since everything relevant lies within `rc`).
+//! A Voronoi cell is the intersection of half-planes — one per neighbor
+//! (the perpendicular bisector) — clipped to a bounding box. We represent
+//! cells as convex polygons and clip with Sutherland–Hodgman.
 
 use crate::aabb::Aabb;
 use crate::point::Point;
@@ -74,15 +71,10 @@ pub struct ConvexPolygon {
 }
 
 impl ConvexPolygon {
-    /// A polygon from CCW vertices. Callers must supply a convex CCW chain;
-    /// this is checked in debug builds.
-    pub fn from_ccw(vertices: Vec<Point>) -> Self {
-        let poly = ConvexPolygon { vertices };
-        debug_assert!(
-            poly.is_convex_ccw(),
-            "vertices must form a convex CCW chain"
-        );
-        poly
+    /// A polygon from CCW vertices; the caller supplies a convex CCW chain.
+    #[cfg(test)]
+    pub(crate) fn from_ccw(vertices: Vec<Point>) -> Self {
+        ConvexPolygon { vertices }
     }
 
     /// The polygon of an axis-aligned box.
@@ -105,22 +97,6 @@ impl ConvexPolygon {
     /// True when the polygon has no interior.
     pub fn is_empty(&self) -> bool {
         self.vertices.len() < 3 || self.area() <= 0.0
-    }
-
-    fn is_convex_ccw(&self) -> bool {
-        let n = self.vertices.len();
-        if n < 3 {
-            return true;
-        }
-        for i in 0..n {
-            let a = self.vertices[i];
-            let b = self.vertices[(i + 1) % n];
-            let c = self.vertices[(i + 2) % n];
-            if (b - a).cross(c - b) < -1e-9 {
-                return false;
-            }
-        }
-        true
     }
 
     /// Shoelace area (non-negative for CCW chains).
@@ -232,7 +208,7 @@ impl ConvexPolygon {
     }
 
     /// Tight bounding box (`None` when empty).
-    pub fn bounding_box(&self) -> Option<Aabb> {
+    fn bounding_box(&self) -> Option<Aabb> {
         let first = *self.vertices.first()?;
         let mut bb = Aabb::new(first, first);
         for &v in &self.vertices[1..] {

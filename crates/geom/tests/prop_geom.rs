@@ -1,9 +1,6 @@
 //! Property tests for the geometry substrate.
 
-use decor_geom::{
-    local_voronoi_cell, Aabb, ConvexPolygon, Delaunay, Disk, GridIndex, HalfPlane, Point,
-    UnitDiskGraph,
-};
+use decor_geom::{Aabb, ConvexPolygon, Delaunay, GridIndex, HalfPlane, Point, UnitDiskGraph};
 use proptest::prelude::*;
 
 fn arb_point(side: f64) -> impl Strategy<Value = Point> {
@@ -33,24 +30,6 @@ proptest! {
         }
     }
 
-    /// Disk-disk intersection predicate is symmetric and consistent with
-    /// the intersection area.
-    #[test]
-    fn disk_intersection_consistency(
-        c1 in arb_point(50.0), r1 in 0.5..20.0f64,
-        c2 in arb_point(50.0), r2 in 0.5..20.0f64,
-    ) {
-        let a = Disk::new(c1, r1);
-        let b = Disk::new(c2, r2);
-        prop_assert_eq!(a.intersects(&b), b.intersects(&a));
-        let area = a.intersection_area(&b);
-        prop_assert!(area >= -1e-9);
-        prop_assert!(area <= a.area().min(b.area()) + 1e-9);
-        if !a.intersects(&b) {
-            prop_assert!(area.abs() < 1e-9);
-        }
-    }
-
     /// Half-plane clipping never grows a polygon and preserves points on
     /// the kept side.
     #[test]
@@ -65,23 +44,6 @@ proptest! {
         if let Some(c) = clipped.centroid() {
             prop_assert!(h.contains(c));
             prop_assert!(sq.contains(c));
-        }
-    }
-
-    /// A local Voronoi cell always contains its node (when inside the
-    /// field) and never exceeds the rc-box area.
-    #[test]
-    fn voronoi_cell_contains_node(
-        node in arb_point(100.0),
-        nbs in prop::collection::vec(arb_point(100.0), 0..8),
-        rc in 4.0..20.0f64,
-    ) {
-        let field = Aabb::square(100.0);
-        let filtered: Vec<Point> = nbs.into_iter().filter(|&n| n != node).collect();
-        let cell = local_voronoi_cell(node, &filtered, &field, rc);
-        prop_assert!(cell.area() <= (2.0 * rc) * (2.0 * rc) + 1e-6);
-        if !cell.is_empty() {
-            prop_assert!(cell.contains(node));
         }
     }
 
@@ -151,51 +113,7 @@ proptest! {
         }
     }
 
-    /// The rc-limited local Voronoi cell is a superset of the exact
-    /// global cell intersected with the rc-box (fewer clipping planes
-    /// can only leave more area).
-    #[test]
-    fn local_cell_contains_global_cell(
-        pts in prop::collection::vec(arb_point(100.0), 3..20),
-        idx in any::<prop::sample::Index>(),
-        rc in 6.0..25.0f64,
-    ) {
-        let mut distinct: Vec<Point> = Vec::new();
-        for p in pts {
-            if !distinct.contains(&p) {
-                distinct.push(p);
-            }
-        }
-        prop_assume!(distinct.len() >= 3);
-        let field = Aabb::square(100.0);
-        let i = idx.index(distinct.len());
-        let me = distinct[i];
-        let d = Delaunay::build(&distinct);
-        let global = d.voronoi_cell(i, &field);
-        let neighbors: Vec<Point> = distinct
-            .iter()
-            .enumerate()
-            .filter(|&(j, p)| j != i && me.dist(*p) <= rc)
-            .map(|(_, &p)| p)
-            .collect();
-        let local = local_voronoi_cell(me, &neighbors, &field, rc);
-        // Sample the global cell; every interior sample within the
-        // rc-box must lie in the local cell.
-        if let Some(c) = global.centroid() {
-            if me.dist(c) < rc * 0.99 {
-                prop_assert!(local.contains(c), "centroid {c} escaped local cell");
-            }
-        }
-        for t in [0.25, 0.5, 0.75] {
-            let probe = me.lerp(global.centroid().unwrap_or(me), t);
-            if me.dist(probe) < rc * 0.99 && global.contains(probe) {
-                prop_assert!(local.contains(probe), "probe {probe} escaped");
-            }
-        }
-    }
-
-    /// Removing zero nodes never disconnects; k-connectivity is monotone
-    /// decreasing in k.
+    /// k-connectivity is monotone decreasing in k.
     #[test]
     fn connectivity_monotone_in_k(
         pts in prop::collection::vec(arb_point(30.0), 3..15),
@@ -207,6 +125,5 @@ proptest! {
             prop_assert!(!now || prev, "k-connectivity must be monotone");
             prev = now;
         }
-        prop_assert_eq!(g.is_connected_without(&vec![false; g.len()]), g.is_connected());
     }
 }

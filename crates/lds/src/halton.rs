@@ -7,14 +7,11 @@ use decor_geom::{Aabb, Point};
 /// A d-dimensional Halton sequence over the first `d` primes.
 ///
 /// Dimension `j` of element `i` is the base-`p_j` radical inverse of
-/// `leap * i + offset`. The plain paper configuration is
-/// `HaltonSequence::new(2)`; `leaped` and `scrambled` are quality knobs
-/// exposed for the ablation experiments.
+/// `i`. The plain paper configuration is `HaltonSequence::new(2)`;
+/// `scrambled` is a quality knob exposed for the ablation experiments.
 #[derive(Clone, Debug)]
 pub struct HaltonSequence {
     bases: Vec<u32>,
-    leap: u64,
-    offset: u64,
     scramble_seed: Option<u64>,
 }
 
@@ -28,20 +25,8 @@ impl HaltonSequence {
         );
         HaltonSequence {
             bases: PRIMES[..dim].to_vec(),
-            leap: 1,
-            offset: 0,
             scramble_seed: None,
         }
-    }
-
-    /// Uses every `leap`-th element (leap ≥ 1) starting at `offset`.
-    ///
-    /// Leaping decorrelates subsequences handed to different consumers.
-    pub fn leaped(mut self, leap: u64, offset: u64) -> Self {
-        assert!(leap >= 1, "leap must be at least 1");
-        self.leap = leap;
-        self.offset = offset;
-        self
     }
 
     /// Enables deterministic digit scrambling with the given seed.
@@ -57,13 +42,12 @@ impl HaltonSequence {
 
     /// The `i`-th element (0-based) as a vector of unit-interval values.
     pub fn element(&self, i: u64) -> Vec<f64> {
-        let idx = self.offset + self.leap * i;
         self.bases
             .iter()
             .map(|&b| match self.scramble_seed {
                 // Salt the seed per dimension so axes are decorrelated.
-                Some(s) => scrambled_radical_inverse(idx, b, s ^ (b as u64) << 32),
-                None => radical_inverse(idx, b),
+                Some(s) => scrambled_radical_inverse(i, b, s ^ (b as u64) << 32),
+                None => radical_inverse(i, b),
             })
             .collect()
     }
@@ -154,13 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn leaped_sequence_subsamples() {
-        let base = HaltonSequence::new(2);
-        let leap = HaltonSequence::new(2).leaped(3, 0);
-        assert_eq!(leap.element(2), base.element(6));
-    }
-
-    #[test]
     fn scrambled_sequence_differs_but_fills_space() {
         let plain = HaltonSequence::new(2).take_unit2(256);
         let scr = HaltonSequence::new(2).scrambled(11).take_unit2(256);
@@ -191,11 +168,5 @@ mod tests {
     #[should_panic(expected = "supported dimensions")]
     fn dimension_zero_panics() {
         let _ = HaltonSequence::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "leap must be at least 1")]
-    fn zero_leap_panics() {
-        let _ = HaltonSequence::new(2).leaped(0, 0);
     }
 }

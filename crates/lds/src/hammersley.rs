@@ -8,7 +8,6 @@
 //! up front, and prefixes of a larger set are not themselves Hammersley.
 
 use crate::vdc::radical_inverse;
-use decor_geom::{Aabb, Point};
 
 /// The `n`-point 2-D Hammersley set on the unit square.
 ///
@@ -18,14 +17,6 @@ use decor_geom::{Aabb, Point};
 pub fn hammersley_unit(n: usize) -> Vec<(f64, f64)> {
     (0..n)
         .map(|i| ((i as f64 + 0.5) / n as f64, radical_inverse(i as u64, 2)))
-        .collect()
-}
-
-/// The `n`-point Hammersley set stretched over `field`.
-pub fn hammersley_points(n: usize, field: &Aabb) -> Vec<Point> {
-    hammersley_unit(n)
-        .into_iter()
-        .map(|(u, v)| field.from_unit(u, v))
         .collect()
 }
 
@@ -76,14 +67,6 @@ mod tests {
             counts[((u * 10.0) as usize).min(9)] += 1;
         }
         assert!(counts.iter().all(|&c| c == n / 10), "{counts:?}");
-    }
-
-    #[test]
-    fn field_mapping() {
-        let field = Aabb::square(100.0);
-        let pts = hammersley_points(2000, &field);
-        assert_eq!(pts.len(), 2000);
-        assert!(pts.iter().all(|&p| field.contains(p)));
     }
 
     #[test]

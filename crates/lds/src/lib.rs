@@ -11,7 +11,7 @@
 //! - [`vdc`] — the van der Corput radical inverse (any base), plus a
 //!   deterministic digit-scrambled variant;
 //! - [`halton`] — d-dimensional Halton sequences over the first primes,
-//!   with leaping and scrambling options;
+//!   with a scrambling option;
 //! - [`hammersley`] — the N-point Hammersley set;
 //! - [`sobol`] — a 2-D Sobol sequence (extension: not in the paper, used in
 //!   the ablation benches);
@@ -19,8 +19,8 @@
 //! - [`discrepancy`] — exact star discrepancy (small N) and Warnock's
 //!   L2-star discrepancy, used to validate the paper's premise.
 //!
-//! Field-mapping helpers ([`halton_points`], [`hammersley_points`],
-//! [`random_points`]) stretch unit-square samples over an arbitrary
+//! Field-mapping helpers ([`halton_points`], [`random_points`] and
+//! [`PointSetKind::points`]) stretch unit-square samples over an arbitrary
 //! [`decor_geom::Aabb`] field, which is how every experiment builds its
 //! 2000-point approximation of the `100 x 100` area.
 
@@ -38,8 +38,8 @@ pub mod vdc;
 pub use discrepancy::{l2_star_discrepancy, star_discrepancy};
 pub use faure::{faure2d, faure_unit};
 pub use halton::{halton_points, HaltonSequence};
-pub use hammersley::{hammersley_points, hammersley_unit};
-pub use random::{jittered_points, random_points, random_points_into};
+pub use hammersley::hammersley_unit;
+pub use random::{random_points, random_points_into};
 pub use sobol::Sobol2D;
 pub use vdc::{radical_inverse, scrambled_radical_inverse};
 

@@ -61,14 +61,6 @@ pub fn jittered_unit(n: usize, seed: u64) -> Vec<(f64, f64)> {
     pts
 }
 
-/// Jittered sampling mapped over `field`.
-pub fn jittered_points(n: usize, field: &Aabb, seed: u64) -> Vec<Point> {
-    jittered_unit(n, seed)
-        .into_iter()
-        .map(|(u, v)| field.from_unit(u, v))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,13 +100,9 @@ mod tests {
     #[test]
     fn field_mapping_contains_points() {
         let field = Aabb::new(Point::new(-10.0, 5.0), Point::new(30.0, 45.0));
-        for pts in [
-            random_points(300, &field, 9),
-            jittered_points(300, &field, 9),
-        ] {
-            assert_eq!(pts.len(), 300);
-            assert!(pts.iter().all(|&p| field.contains(p)));
-        }
+        let pts = random_points(300, &field, 9);
+        assert_eq!(pts.len(), 300);
+        assert!(pts.iter().all(|&p| field.contains(p)));
     }
 
     #[test]

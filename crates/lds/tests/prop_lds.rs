@@ -3,7 +3,7 @@
 use decor_lds::vdc::splitmix64;
 use decor_lds::{
     hammersley_unit, l2_star_discrepancy, radical_inverse, scrambled_radical_inverse,
-    star_discrepancy, HaltonSequence, PointSetKind, Sobol2D,
+    star_discrepancy, PointSetKind, Sobol2D,
 };
 use proptest::prelude::*;
 
@@ -33,15 +33,6 @@ proptest! {
         let n = sorted.len();
         sorted.dedup_by(|a, b| (*a - *b).abs() < 1e-15);
         prop_assert_eq!(sorted.len(), n);
-    }
-
-    /// Halton elements always live in the open unit square (index >= 1)
-    /// and leaping subsamples the base sequence exactly.
-    #[test]
-    fn halton_leap_consistency(leap in 1u64..8, offset in 0u64..16, i in 1u64..500) {
-        let base = HaltonSequence::new(2);
-        let leaped = HaltonSequence::new(2).leaped(leap, offset);
-        prop_assert_eq!(leaped.element(i), base.element(offset + leap * i));
     }
 
     /// Every generator's unit points stay in [0, 1)² and come in the

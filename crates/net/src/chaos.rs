@@ -11,7 +11,7 @@
 //! - [`FaultPlan::generate`] derives a bounded random plan from a seed,
 //!   so `(scenario, chaos_seed)` always replays bit-identically;
 //! - a [`ChaosEngine`] applies the plan directly on the transport's
-//!   event clock (see `Transport::flush_chaos`), so faults land *between
+//!   event clock (see `Transport::flush_chaos_into`), so faults land *between
 //!   retries* of in-flight messages, not just at round boundaries;
 //! - [`shrink_plan`] delta-debugs a failing plan down to a locally
 //!   minimal one (the vendored proptest shim cannot shrink).
@@ -140,11 +140,6 @@ impl FaultPlan {
     /// The scheduled faults, in injection order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
-    }
-
-    /// The last injection time (0 for an empty plan).
-    pub fn horizon(&self) -> Time {
-        self.events.last().map_or(0, |e| e.at)
     }
 
     /// Serializes to the replay text format: one `<time> <kind> [args…]`
@@ -316,7 +311,7 @@ impl FaultPlan {
 ///
 /// The engine is a cursor over the plan: [`ChaosEngine::advance_to`]
 /// injects every fault due at or before the given instant, in plan
-/// order. `Transport::flush_chaos` calls it before every pop of the
+/// order. `Transport::flush_chaos_into` calls it before every pop of the
 /// retry clock, so faults interleave with in-flight retransmissions;
 /// placers additionally call it at round boundaries and drain pending
 /// batches when coverage converges while faults are still scheduled.
@@ -351,11 +346,6 @@ impl<'a> ChaosEngine<'a> {
             cursor: 0,
             crashed: Vec::new(),
         }
-    }
-
-    /// The script being applied.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// True once every fault has been injected.

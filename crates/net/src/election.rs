@@ -4,31 +4,20 @@
 //! in-network algorithms (LEACH-style randomized election \[6\], group
 //! management \[11\], mobile ad-hoc election \[12\]) and assumes a *rotation*
 //! mechanism spreads the leader's energy burden across the cell. We model
-//! the outcome of those protocols, not their packet exchanges: a seeded
-//! random choice for the initial election, round-robin rotation thereafter.
+//! the outcome of those protocols, not their packet exchanges: a
+//! round-robin rotation over the alive members.
 
 use crate::network::Network;
 use crate::node::NodeId;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
-/// Randomly elects a leader among `members`, deterministic in `seed`.
-///
-/// Returns `None` for an empty member set (an empty cell has no leader;
-/// the paper's fallback is a neighboring cell deploying one, handled by
-/// the grid scheme).
-pub fn elect_random(members: &[NodeId], seed: u64) -> Option<NodeId> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    members.choose(&mut rng).copied()
-}
 
 /// Round-robin rotation: the leader for rotation round `round`.
 ///
 /// Members are considered in sorted order so the schedule is independent
 /// of the caller's ordering; every member leads once per `members.len()`
 /// rounds, which is what equalizes per-node message load in Fig. 10's
-/// "with rotation" numbers.
+/// "with rotation" numbers. Returns `None` for an empty member set (an
+/// empty cell has no leader; the paper's fallback is a neighboring cell
+/// deploying one, handled by the grid scheme).
 pub fn rotation_leader(members: &[NodeId], round: u64) -> Option<NodeId> {
     rotation_leader_in(members, round, &mut Vec::new())
 }
@@ -51,36 +40,13 @@ pub fn rotation_leader_in(members: &[NodeId], round: u64, buf: &mut Vec<NodeId>)
 ///
 /// Elections must never consider a dead node: a crashed leader stays in
 /// the cell's static member list (cells are geometric), so callers filter
-/// through this before every [`rotation_leader`]/[`elect_random`] call.
+/// through this before every [`rotation_leader`] call.
 pub fn alive_members(members: &[NodeId], net: &Network) -> Vec<NodeId> {
     members
         .iter()
         .copied()
         .filter(|&m| net.is_alive(m))
         .collect()
-}
-
-/// The rotation leaders a partitioned cell actually sees: one per side
-/// that holds at least one alive member.
-///
-/// While the medium is split, each side independently re-runs the
-/// election among the members *it* can reach — the paper's rotation
-/// degenerates to one leader per fragment, re-merging on heal (the
-/// rotation schedule is deterministic in `(members, round)`, so both
-/// fragments agree again the moment they exchange a round's messages).
-/// Without a partition this is a single-element vec equal to
-/// [`rotation_leader`] over the alive members.
-pub fn partition_leaders(members: &[NodeId], net: &Network, round: u64) -> Vec<NodeId> {
-    let alive = alive_members(members, net);
-    let Some(side_a) = net.partition_side_a() else {
-        return rotation_leader(&alive, round).into_iter().collect();
-    };
-    let (a, b): (Vec<NodeId>, Vec<NodeId>) = alive.iter().partition(|m| side_a.contains(m));
-    let mut leaders = Vec::new();
-    leaders.extend(rotation_leader(&a, round));
-    leaders.extend(rotation_leader(&b, round));
-    leaders.sort_unstable();
-    leaders
 }
 
 #[cfg(test)]
@@ -99,25 +65,7 @@ mod tests {
 
     #[test]
     fn empty_cell_has_no_leader() {
-        assert_eq!(elect_random(&[], 1), None);
         assert_eq!(rotation_leader(&[], 0), None);
-    }
-
-    #[test]
-    fn random_election_is_deterministic_and_member() {
-        let members = vec![3, 7, 11, 20];
-        let a = elect_random(&members, 5).unwrap();
-        let b = elect_random(&members, 5).unwrap();
-        assert_eq!(a, b);
-        assert!(members.contains(&a));
-    }
-
-    #[test]
-    fn different_seeds_eventually_elect_differently() {
-        let members = vec![1, 2, 3, 4, 5, 6, 7, 8];
-        let distinct: std::collections::BTreeSet<NodeId> =
-            (0..32).filter_map(|s| elect_random(&members, s)).collect();
-        assert!(distinct.len() > 1, "election never varies with seed");
     }
 
     #[test]
@@ -177,63 +125,5 @@ mod tests {
                 "round {round} elected dead node {leader}"
             );
         }
-    }
-
-    #[test]
-    fn partition_elects_one_leader_per_side() {
-        let (mut net, members) = cell_net();
-        net.set_partition([0, 1]);
-        let leaders = partition_leaders(&members, &net, 0);
-        assert_eq!(leaders, vec![0, 2], "round-robin head of each side");
-        // Each side's leader is reachable from its own side only.
-        assert!(net
-            .unicast(1, 0, crate::Message::Hello { pos: Point::ORIGIN })
-            .is_ok());
-        assert!(net
-            .unicast(1, 2, crate::Message::Hello { pos: Point::ORIGIN })
-            .is_err());
-    }
-
-    #[test]
-    fn leader_crash_inside_a_partition_reelects_on_both_sides() {
-        let (mut net, members) = cell_net();
-        net.set_partition([0, 1]);
-        // Crash both current side leaders mid-round.
-        net.fail_node(0);
-        net.fail_node(2);
-        let leaders = partition_leaders(&members, &net, 0);
-        assert_eq!(leaders, vec![1, 3], "each side promoted its survivor");
-        for &l in &leaders {
-            assert!(net.is_alive(l));
-        }
-    }
-
-    #[test]
-    fn heal_converges_to_a_single_leader() {
-        let (mut net, members) = cell_net();
-        net.set_partition([0, 1]);
-        assert_eq!(partition_leaders(&members, &net, 3).len(), 2);
-        net.heal_partition();
-        for round in 0..8 {
-            let leaders = partition_leaders(&members, &net, round);
-            assert_eq!(
-                leaders.len(),
-                1,
-                "round {round}: healed cell must agree on one leader"
-            );
-            assert_eq!(
-                leaders[0],
-                rotation_leader(&members, round).unwrap(),
-                "healed schedule equals the unpartitioned rotation"
-            );
-        }
-    }
-
-    #[test]
-    fn one_sided_partition_leaves_one_side_leaderless() {
-        let (mut net, members) = cell_net();
-        // Every member lands on side A: side B of this cell is empty.
-        net.set_partition([0, 1, 2, 3]);
-        assert_eq!(partition_leaders(&members, &net, 0).len(), 1);
     }
 }

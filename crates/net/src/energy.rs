@@ -42,12 +42,6 @@ impl EnergyModel {
     pub fn rx_cost(&self, bytes: u32) -> f64 {
         bytes as f64 * self.elec_per_byte
     }
-
-    /// Energy to broadcast `bytes` at full power for range `rc`, reaching
-    /// `receivers` listeners: one transmission plus per-receiver reception.
-    pub fn broadcast_cost(&self, bytes: u32, rc: f64, receivers: usize) -> f64 {
-        self.tx_cost(bytes, rc) + receivers as f64 * self.rx_cost(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -72,13 +66,6 @@ mod tests {
     fn zero_byte_message_still_costs_overhead() {
         let m = EnergyModel::default();
         assert_eq!(m.tx_cost(0, 5.0), m.tx_overhead);
-    }
-
-    #[test]
-    fn broadcast_cost_composition() {
-        let m = EnergyModel::default();
-        let b = m.broadcast_cost(16, 8.0, 3);
-        assert!((b - (m.tx_cost(16, 8.0) + 3.0 * m.rx_cost(16))).abs() < 1e-12);
     }
 
     #[test]

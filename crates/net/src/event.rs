@@ -114,13 +114,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -182,16 +178,16 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn peek_does_not_consume() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
         q.schedule(4, ());
         q.schedule(2, ());
-        assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(2));
-        // Peeking does not consume.
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(2));
+        assert_eq!(q.pop().map(|(t, _)| t), Some(2));
+        assert_eq!(q.pop().map(|(t, _)| t), Some(4));
+        assert_eq!(q.pop().map(|(t, _)| t), None);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 /// let plan = FailurePlan::Area { disk: Disk::new(Point::new(50.0, 50.0), 16.0) };
 /// let victims = plan.apply(&mut net);
 /// assert_eq!(victims, vec![3, 4, 5, 6]);
-/// assert_eq!(net.alive_count(), 6);
+/// assert_eq!(net.alive_ids().len(), 6);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FailurePlan {
@@ -140,7 +140,7 @@ mod tests {
         let plan = FailurePlan::Fraction { frac: 0.3, seed: 1 };
         let victims = plan.apply(&mut net);
         assert_eq!(victims.len(), 30);
-        assert_eq!(net.alive_count(), 70);
+        assert_eq!(net.alive_ids().len(), 70);
     }
 
     #[test]
@@ -218,7 +218,7 @@ mod tests {
     fn victims_do_not_mutate() {
         let net = grid_network(5);
         let _ = FailurePlan::Fraction { frac: 0.5, seed: 1 }.victims(&net);
-        assert_eq!(net.alive_count(), 25);
+        assert_eq!(net.alive_ids().len(), 25);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   per-link sequence numbers, acks, bounded retransmissions with
 //!   deterministic exponential backoff, duplicate suppression, and
 //!   terminal delivery outcomes;
-//! - [`election`] — randomized leader election with round-robin rotation
-//!   (the paper's cited LEACH-style algorithms, abstracted);
+//! - [`election`] — round-robin leader rotation over a cell's alive
+//!   members (the paper's cited election algorithms, abstracted);
 //! - [`chaos`] — deterministic fault injection: sim-time-ordered
 //!   [`FaultPlan`] scripts (crashes, partitions, blackholes, latency
 //!   spikes, drains), a seeded plan generator, and ddmin plan shrinking;
@@ -58,7 +58,7 @@ pub use chaos::{shrink_plan, ChaosEngine, FaultEvent, FaultKind, FaultPlan};
 pub use detect::{
     silent_too_long, DetectionReport, HeartbeatConfig, HeartbeatSim, WatchSlot, WatchTable,
 };
-pub use election::{elect_random, rotation_leader, rotation_leader_in};
+pub use election::{rotation_leader, rotation_leader_in};
 pub use energy::EnergyModel;
 pub use event::{EventQueue, Time};
 pub use failure::FailurePlan;
@@ -66,7 +66,7 @@ pub use messages::Message;
 pub use network::{NetStats, Network, SendError};
 pub use node::{Node, NodeId};
 pub use reports::{collect_reports, sink_near, DeliveryReport};
-pub use rotation::{NodeLifecycle, RotationConfig, ShiftSchedule};
+pub use rotation::{RotationConfig, ShiftSchedule};
 pub use routing::shortest_path;
 pub use sleep::SleepScheduler;
 pub use transport::{DeliveryOutcome, Inbound, MsgId, Transport, TransportConfig, TransportStats};

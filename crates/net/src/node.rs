@@ -1,6 +1,6 @@
 //! Sensor node state.
 
-use decor_geom::{Disk, Point};
+use decor_geom::Point;
 use serde::{Deserialize, Serialize};
 
 /// Index of a node within its [`crate::Network`].
@@ -44,26 +44,10 @@ impl Node {
         }
     }
 
-    /// The node's sensing disk.
-    pub fn sensing_disk(&self) -> Disk {
-        Disk::new(self.pos, self.rs)
-    }
-
-    /// The node's communication disk.
-    pub fn comm_disk(&self) -> Disk {
-        Disk::new(self.pos, self.rc)
-    }
-
     /// Does this (alive) node cover point `p`?
     #[inline]
     pub fn covers(&self, p: Point) -> bool {
         self.alive && self.pos.dist_sq(p) <= self.rs * self.rs
-    }
-
-    /// Can this (alive) node talk to a node at `p`?
-    #[inline]
-    pub fn reaches(&self, p: Point) -> bool {
-        self.alive && self.pos.dist_sq(p) <= self.rc * self.rc
     }
 }
 
@@ -80,18 +64,10 @@ mod tests {
     }
 
     #[test]
-    fn reaches_within_rc_only() {
-        let n = Node::new(Point::new(0.0, 0.0), 4.0, 8.0);
-        assert!(n.reaches(Point::new(8.0, 0.0)));
-        assert!(!n.reaches(Point::new(8.1, 0.0)));
-    }
-
-    #[test]
-    fn dead_node_neither_covers_nor_reaches() {
+    fn dead_node_does_not_cover() {
         let mut n = Node::new(Point::ORIGIN, 4.0, 8.0);
         n.alive = false;
         assert!(!n.covers(Point::ORIGIN));
-        assert!(!n.reaches(Point::ORIGIN));
     }
 
     #[test]
@@ -104,13 +80,5 @@ mod tests {
     #[should_panic(expected = "sensing radius must be positive")]
     fn zero_rs_panics() {
         let _ = Node::new(Point::ORIGIN, 0.0, 4.0);
-    }
-
-    #[test]
-    fn disks_reflect_radii() {
-        let n = Node::new(Point::new(1.0, 2.0), 3.0, 7.0);
-        assert_eq!(n.sensing_disk().radius, 3.0);
-        assert_eq!(n.comm_disk().radius, 7.0);
-        assert_eq!(n.sensing_disk().center, n.pos);
     }
 }

@@ -8,10 +8,8 @@
 //! - [`RotationConfig`] — the duty-cycling knobs (shift length on the
 //!   transport tick clock, battery capacity, awake/asleep idle costs);
 //! - [`ShiftSchedule`] — an agreed shift assignment, queryable at any
-//!   simulation instant ("who is scheduled asleep *now*?");
-//! - [`NodeLifecycle`] — the three-state awake / scheduled-asleep / dead
-//!   lifecycle the heartbeat detector needs so that a sleeping node's
-//!   silence is never mistaken for a failure.
+//!   simulation instant ("who is scheduled asleep *now*?"), so that a
+//!   sleeping node's silence is never mistaken for a failure.
 //!
 //! The schedule itself is agreed in-network by `decor-core`'s rotation
 //! agreement (coordinator election + reliable `ShiftAssign` dissemination);
@@ -84,21 +82,6 @@ impl RotationConfig {
     }
 }
 
-/// The three-state node lifecycle of the rotation-aware detector.
-///
-/// A node that is silent because its shift put it to sleep is *not* a
-/// restoration candidate; only the `Dead` state is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeLifecycle {
-    /// Alive and on duty (its shift is scheduled, or it is unscheduled).
-    Awake,
-    /// Alive but scheduled asleep by the rotation — radio off, heartbeats
-    /// paused, **not** failed.
-    Asleep,
-    /// Failed (crash, chaos fault, or spent battery).
-    Dead,
-}
-
 /// An agreed shift assignment, rotating round-robin on the tick clock.
 ///
 /// Shift `s` is on duty during periods `t` with `(t / period) % S == s`.
@@ -158,11 +141,6 @@ impl ShiftSchedule {
         &self.shifts
     }
 
-    /// Members of shift `si`.
-    pub fn members(&self, si: usize) -> &[NodeId] {
-        &self.shifts[si]
-    }
-
     /// The shift `id` belongs to, `None` for unscheduled nodes.
     pub fn shift_of(&self, id: NodeId) -> Option<usize> {
         match self.member_of.get(id) {
@@ -210,17 +188,6 @@ impl ShiftSchedule {
         match cur.checked_sub(offset) {
             Some(cycle) => cycle * self.period,
             None => 0, // first awake window still ahead
-        }
-    }
-
-    /// The three-state lifecycle of `id` at tick `now`.
-    pub fn state_of(&self, id: NodeId, now: Time, net: &Network) -> NodeLifecycle {
-        if !net.is_alive(id) {
-            NodeLifecycle::Dead
-        } else if self.is_scheduled_asleep(id, now) {
-            NodeLifecycle::Asleep
-        } else {
-            NodeLifecycle::Awake
         }
     }
 
@@ -343,20 +310,6 @@ mod tests {
         assert_eq!(s.last_wake_at(0, 5), 0);
         assert_eq!(s.last_wake_at(0, 29), 0);
         assert_eq!(s.last_wake_at(0, 35), 30);
-    }
-
-    #[test]
-    fn lifecycle_reports_three_states() {
-        let mut net = Network::new(Aabb::square(50.0));
-        for i in 0..6 {
-            net.add_node(Point::new(5.0 + 2.0 * i as f64, 10.0), 4.0, 8.0);
-        }
-        let s = sched3();
-        assert_eq!(s.state_of(0, 5, &net), NodeLifecycle::Awake);
-        assert_eq!(s.state_of(2, 5, &net), NodeLifecycle::Asleep);
-        net.fail_node(2);
-        assert_eq!(s.state_of(2, 5, &net), NodeLifecycle::Dead);
-        assert_eq!(s.state_of(2, 15, &net), NodeLifecycle::Dead);
     }
 
     #[test]

@@ -231,11 +231,6 @@ impl Transport {
         self.stats = TransportStats::default();
     }
 
-    /// The configured knobs.
-    pub fn config(&self) -> TransportConfig {
-        self.cfg
-    }
-
     /// Enqueues `msg` for reliable delivery `from → to`. Nothing hits the
     /// air until [`Transport::flush`] drives the event clock. Returns the
     /// handle under which `flush` will report the outcome.
@@ -297,25 +292,13 @@ impl Transport {
         out.append(&mut self.finished);
     }
 
-    /// Like [`Transport::flush`], but interleaves a [`ChaosEngine`] with
-    /// the retry clock: before every pop, all faults due at or before the
-    /// popped instant are injected. A scripted crash therefore lands
+    /// Like [`Transport::flush_into`], but interleaves a [`ChaosEngine`]
+    /// with the retry clock: before every pop, all faults due at or before
+    /// the popped instant are injected. A scripted crash therefore lands
     /// *between retries* of an in-flight message — the attempt after it
     /// concludes [`DeliveryOutcome::PeerDown`], exactly as a mid-exchange
     /// death behaves on the real medium. With an exhausted (or empty)
-    /// plan this is byte-for-byte `flush`.
-    pub fn flush_chaos(
-        &mut self,
-        net: &mut Network,
-        chaos: &mut ChaosEngine,
-    ) -> Vec<(MsgId, DeliveryOutcome)> {
-        let mut out = Vec::new();
-        self.flush_chaos_into(net, chaos, &mut out);
-        out
-    }
-
-    /// [`Transport::flush_chaos`] into a caller-owned buffer (cleared
-    /// first); see [`Transport::flush_into`].
+    /// plan this is byte-for-byte `flush_into`.
     pub fn flush_chaos_into(
         &mut self,
         net: &mut Network,
@@ -329,23 +312,6 @@ impl Transport {
         }
         out.clear();
         out.append(&mut self.finished);
-    }
-
-    /// Convenience: send one message and drive it to its terminal outcome.
-    pub fn send_now(
-        &mut self,
-        net: &mut Network,
-        from: NodeId,
-        to: NodeId,
-        msg: Message,
-    ) -> DeliveryOutcome {
-        let id = self.send(from, to, msg);
-        let outcomes = self.flush(net);
-        outcomes
-            .into_iter()
-            .find(|&(mid, _)| mid == id)
-            .map(|(_, o)| o)
-            .expect("flush concludes every enqueued message")
     }
 
     /// Current transport clock (ticks); advances as flushes retry.
@@ -480,11 +446,38 @@ mod tests {
         Message::PlacementNotice { pos: Point::ORIGIN }
     }
 
+    /// Sends one message and drives it to its terminal outcome.
+    fn send_now(
+        tr: &mut Transport,
+        net: &mut Network,
+        from: NodeId,
+        to: NodeId,
+        msg: Message,
+    ) -> DeliveryOutcome {
+        let id = tr.send(from, to, msg);
+        let outcomes = tr.flush(net);
+        outcomes
+            .into_iter()
+            .find(|&(mid, _)| mid == id)
+            .map(|(_, o)| o)
+            .expect("flush concludes every enqueued message")
+    }
+
+    fn flush_chaos(
+        tr: &mut Transport,
+        net: &mut Network,
+        chaos: &mut crate::chaos::ChaosEngine,
+    ) -> Vec<(MsgId, DeliveryOutcome)> {
+        let mut out = Vec::new();
+        tr.flush_chaos_into(net, chaos, &mut out);
+        out
+    }
+
     #[test]
     fn lossless_delivery_is_one_data_frame_plus_ack() {
         let mut net = pair_net();
         let mut tr = Transport::new(TransportConfig::default());
-        let out = tr.send_now(&mut net, 0, 1, notice());
+        let out = send_now(&mut tr, &mut net, 0, 1, notice());
         assert_eq!(out, DeliveryOutcome::Delivered { attempts: 1 });
         assert_eq!(net.stats.sent_by(0), 1);
         assert_eq!(net.stats.sent_by(1), 1, "the ack");
@@ -500,7 +493,7 @@ mod tests {
         let mut tr = Transport::new(TransportConfig::default());
         let mut delivered = 0;
         for _ in 0..50 {
-            if tr.send_now(&mut net, 0, 1, notice()).is_delivered() {
+            if send_now(&mut tr, &mut net, 0, 1, notice()).is_delivered() {
                 delivered += 1;
             }
         }
@@ -527,7 +520,7 @@ mod tests {
         // With loss 0.999 a give-up is near-certain per message.
         let mut gave_up = 0;
         for _ in 0..10 {
-            match tr.send_now(&mut net, 0, 1, notice()) {
+            match send_now(&mut tr, &mut net, 0, 1, notice()) {
                 DeliveryOutcome::GaveUp { attempts } => {
                     assert_eq!(attempts, 4, "1 first try + 3 retries");
                     gave_up += 1;
@@ -550,7 +543,7 @@ mod tests {
         };
         let mut tr = Transport::new(cfg);
         let t0 = tr.now();
-        let out = tr.send_now(&mut net, 0, 1, notice());
+        let out = send_now(&mut tr, &mut net, 0, 1, notice());
         // Give-up path visits every backoff step: 4 + 8 + 16 + 32 = 60.
         if matches!(out, DeliveryOutcome::GaveUp { .. }) {
             assert_eq!(tr.now() - t0, 60, "sum of base·2^i for i in 0..4");
@@ -562,7 +555,7 @@ mod tests {
         let mut net = pair_net();
         net.fail_node(1);
         let mut tr = Transport::new(TransportConfig::default());
-        let out = tr.send_now(&mut net, 0, 1, notice());
+        let out = send_now(&mut tr, &mut net, 0, 1, notice());
         assert_eq!(out, DeliveryOutcome::PeerDown);
         assert_eq!(net.stats.total_sent, 0, "no air time wasted on a corpse");
         // Out-of-range is equally terminal.
@@ -570,7 +563,7 @@ mod tests {
         far.add_node(Point::new(10.0, 10.0), 4.0, 8.0);
         far.add_node(Point::new(50.0, 50.0), 4.0, 8.0);
         assert_eq!(
-            tr.send_now(&mut far, 0, 1, notice()),
+            send_now(&mut tr, &mut far, 0, 1, notice()),
             DeliveryOutcome::PeerDown
         );
     }
@@ -583,7 +576,7 @@ mod tests {
         net.set_loss(0.4, 21);
         let mut tr = Transport::new(TransportConfig::default());
         for _ in 0..200 {
-            tr.send_now(&mut net, 0, 1, notice());
+            send_now(&mut tr, &mut net, 0, 1, notice());
         }
         assert!(
             tr.stats.duplicates_suppressed > 0,
@@ -636,7 +629,7 @@ mod tests {
             net.set_loss(0.45, 77);
             let mut tr = Transport::new(TransportConfig::default());
             let outs: Vec<DeliveryOutcome> = (0..40)
-                .map(|_| tr.send_now(&mut net, 0, 1, notice()))
+                .map(|_| send_now(&mut tr, &mut net, 0, 1, notice()))
                 .collect();
             (outs, tr.stats, net.stats.total_sent)
         };
@@ -652,7 +645,7 @@ mod tests {
             }
             let mut tr = Transport::new(TransportConfig::default());
             for _ in 0..100 {
-                tr.send_now(&mut net, 0, 1, notice());
+                send_now(&mut tr, &mut net, 0, 1, notice());
             }
             tr.stats.retries
         };
@@ -707,7 +700,7 @@ mod tests {
         net.set_trace(trace.clone());
         let mut tr = Transport::new(TransportConfig::default());
         for _ in 0..40 {
-            tr.send_now(&mut net, 0, 1, notice());
+            send_now(&mut tr, &mut net, 0, 1, notice());
         }
         let counts = trace.counts().unwrap();
         assert_eq!(
@@ -739,7 +732,7 @@ mod tests {
             kind: FaultKind::Crash { node: 1 },
         }]));
         let id = tr.send(0, 1, notice());
-        let outcomes = tr.flush_chaos(&mut net, &mut chaos);
+        let outcomes = flush_chaos(&mut tr, &mut net, &mut chaos);
         assert_eq!(outcomes, vec![(id, DeliveryOutcome::PeerDown)]);
         assert!(!net.is_alive(1));
         assert!(chaos.is_exhausted());
@@ -769,7 +762,7 @@ mod tests {
             kind: FaultKind::Latency { extra: 10 },
         }]));
         tr.send(0, 1, notice());
-        tr.flush_chaos(&mut net, &mut chaos);
+        flush_chaos(&mut tr, &mut net, &mut chaos);
         assert_eq!(tr.now(), 32);
     }
 
@@ -785,7 +778,7 @@ mod tests {
             for _ in 0..30 {
                 tr.send(0, 1, notice());
                 if use_chaos {
-                    outs.extend(tr.flush_chaos(&mut net, &mut chaos));
+                    outs.extend(flush_chaos(&mut tr, &mut net, &mut chaos));
                 } else {
                     outs.extend(tr.flush(&mut net));
                 }
@@ -830,7 +823,7 @@ mod tests {
             max_retries: 3,
             backoff_base: 1 << 62,
         });
-        let out = tr.send_now(&mut net, 0, 1, notice());
+        let out = send_now(&mut tr, &mut net, 0, 1, notice());
         assert_eq!(out, DeliveryOutcome::GaveUp { attempts: 4 });
         assert_eq!(tr.now(), Time::MAX);
     }

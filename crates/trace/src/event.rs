@@ -195,9 +195,8 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// Stable snake_case label of the variant, used as the `"ev"` field of
-    /// the canonical serialization and as the [`CountingSink`] key.
-    ///
-    /// [`CountingSink`]: crate::CountingSink
+    /// the canonical serialization and as the key of
+    /// [`TraceHandle::counts`](crate::TraceHandle::counts).
     pub fn kind(&self) -> &'static str {
         match self {
             TraceEvent::MsgSend { .. } => "msg_send",
@@ -232,32 +231,24 @@ impl TraceEvent {
 /// A [`TraceEvent`] stamped by the [`TraceHandle`](crate::TraceHandle):
 /// `seq` is a monotone per-trace counter, `time` the simulation clock at
 /// emission.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TraceRecord {
+#[derive(Clone, Debug)]
+pub(crate) struct TraceRecord {
     /// Monotone sequence number, 0-based within one trace.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Simulation time (ticks) when the event was emitted.
-    pub time: u64,
+    pub(crate) time: u64,
     /// The event itself.
-    pub event: TraceEvent,
+    pub(crate) event: TraceEvent,
 }
 
 impl TraceRecord {
-    /// Canonical single-line JSON: fixed key order (`seq`, `t`, `ev`, then
-    /// the variant's fields in declaration order), no whitespace, floats
-    /// through Rust's shortest-roundtrip `Display`. Two records are equal
-    /// iff their canonical lines are byte-identical, which is what the
-    /// golden-trace fixtures and the differ rely on.
-    pub fn canonical(&self) -> String {
-        let mut s = String::with_capacity(96);
-        self.canonical_into(&mut s);
-        s
-    }
-
-    /// Appends [`TraceRecord::canonical`] to `s` without allocating an
-    /// intermediate string — the steady-state form for sinks that keep one
-    /// buffer across records.
-    pub fn canonical_into(&self, s: &mut String) {
+    /// Appends the canonical single-line JSON of the record to `s`: fixed
+    /// key order (`seq`, `t`, `ev`, then the variant's fields in
+    /// declaration order), no whitespace, floats through Rust's
+    /// shortest-roundtrip `Display`. Two records are equal iff their
+    /// canonical lines are byte-identical, which is what the golden-trace
+    /// fixtures and the trace differ rely on.
+    pub(crate) fn canonical_into(&self, s: &mut String) {
         let _ = write!(s, "{{\"seq\":{},\"t\":{},\"ev\":\"", self.seq, self.time);
         s.push_str(self.event.kind());
         s.push('"');
@@ -364,6 +355,14 @@ fn push_f64(s: &mut String, v: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TraceRecord {
+        fn canonical(&self) -> String {
+            let mut s = String::new();
+            self.canonical_into(&mut s);
+            s
+        }
+    }
 
     fn rec(event: TraceEvent) -> TraceRecord {
         TraceRecord {

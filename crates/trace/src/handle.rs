@@ -1,12 +1,39 @@
 //! The optionally-attached, cloneable trace handle.
 
 use crate::event::{TraceEvent, TraceRecord};
-use crate::sink::{CountingSink, JsonlWriter, TraceSink};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+/// Where an enabled handle's records go.
+enum Sink {
+    /// The canonical JSONL text of every record, one `\n`-terminated line
+    /// each. The caller writes the text wherever it wants (a file for
+    /// `--trace-out`, memory for the golden-trace tests).
+    Jsonl(String),
+    /// Records tallied per event kind — the cheapest sink, used for the
+    /// per-event-kind columns of the delivery experiment.
+    Counts(BTreeMap<&'static str, u64>),
+}
+
+impl Sink {
+    /// Kept out of line so that `emit` stays a short prologue and a branch
+    /// on the disabled handle every untraced run goes through.
+    #[inline(never)]
+    fn record(&mut self, rec: &TraceRecord) {
+        match self {
+            Sink::Jsonl(text) => {
+                // Render straight into the accumulated text: one growing
+                // buffer, no per-record intermediate string.
+                rec.canonical_into(text);
+                text.push('\n');
+            }
+            Sink::Counts(counts) => *counts.entry(rec.event.kind()).or_insert(0) += 1,
+        }
+    }
+}
+
 struct TraceState {
-    sink: Box<dyn TraceSink>,
+    sink: Sink,
     seq: u64,
     time: u64,
 }
@@ -35,25 +62,26 @@ impl TraceHandle {
         TraceHandle { inner: None }
     }
 
-    /// An enabled handle writing into `sink`.
-    pub fn with_sink<S: TraceSink + 'static>(sink: S) -> Self {
+    fn with_sink(sink: Sink) -> Self {
         TraceHandle {
             inner: Some(Arc::new(Mutex::new(TraceState {
-                sink: Box::new(sink),
+                sink,
                 seq: 0,
                 time: 0,
             }))),
         }
     }
 
-    /// Convenience: an enabled handle over a fresh [`JsonlWriter`].
+    /// An enabled handle accumulating canonical JSONL text; read it back
+    /// with [`TraceHandle::jsonl`].
     pub fn jsonl_writer() -> Self {
-        Self::with_sink(JsonlWriter::new())
+        Self::with_sink(Sink::Jsonl(String::new()))
     }
 
-    /// Convenience: an enabled handle over a fresh [`CountingSink`].
+    /// An enabled handle tallying events per kind; read the tally back
+    /// with [`TraceHandle::counts`].
     pub fn counting() -> Self {
-        Self::with_sink(CountingSink::new())
+        Self::with_sink(Sink::Counts(BTreeMap::new()))
     }
 
     /// True when a sink is attached.
@@ -84,36 +112,24 @@ impl TraceHandle {
         }
     }
 
-    /// Runs `f` on the attached sink; `None` when disabled.
-    pub fn with_sink_mut<R>(&self, f: impl FnOnce(&mut dyn TraceSink) -> R) -> Option<R> {
-        self.inner.as_ref().map(|inner| f(&mut *lock(inner).sink))
-    }
-
-    /// Number of events emitted so far; `None` when disabled.
-    pub fn emitted(&self) -> Option<u64> {
-        self.inner.as_ref().map(|inner| lock(inner).seq)
-    }
-
-    /// A copy of the accumulated JSONL text, when the sink is a
-    /// [`JsonlWriter`]; `None` when disabled or a different sink.
+    /// A copy of the accumulated JSONL text of a
+    /// [`jsonl_writer`](TraceHandle::jsonl_writer) handle; `None` when
+    /// disabled or counting.
     pub fn jsonl(&self) -> Option<String> {
-        self.with_sink_mut(|s| {
-            s.as_any()
-                .downcast_ref::<JsonlWriter>()
-                .map(|w| w.contents().to_string())
-        })
-        .flatten()
+        match &lock(self.inner.as_ref()?).sink {
+            Sink::Jsonl(text) => Some(text.clone()),
+            Sink::Counts(_) => None,
+        }
     }
 
-    /// A copy of the per-kind counts, when the sink is a [`CountingSink`];
-    /// `None` when disabled or a different sink.
+    /// A copy of the per-kind counts (labels as in [`TraceEvent::kind`],
+    /// kinds never emitted absent) of a [`counting`](TraceHandle::counting)
+    /// handle; `None` when disabled or writing JSONL.
     pub fn counts(&self) -> Option<BTreeMap<&'static str, u64>> {
-        self.with_sink_mut(|s| {
-            s.as_any()
-                .downcast_ref::<CountingSink>()
-                .map(|c| c.counts().clone())
-        })
-        .flatten()
+        match &lock(self.inner.as_ref()?).sink {
+            Sink::Counts(counts) => Some(counts.clone()),
+            Sink::Jsonl(_) => None,
+        }
     }
 }
 
@@ -143,7 +159,6 @@ impl PartialEq for TraceHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::RingBuffer;
 
     #[test]
     fn disabled_handle_is_inert() {
@@ -151,24 +166,21 @@ mod tests {
         assert!(!h.is_enabled());
         h.set_time(5);
         h.emit(TraceEvent::NodeFailed { node: 1 });
-        assert_eq!(h.emitted(), None);
         assert_eq!(h.jsonl(), None);
         assert_eq!(h.counts(), None);
     }
 
     #[test]
     fn emit_stamps_monotone_seq_and_current_time() {
-        let h = TraceHandle::with_sink(RingBuffer::new(10));
+        let h = TraceHandle::jsonl_writer();
         h.emit(TraceEvent::NodeFailed { node: 0 });
         h.set_time(42);
         h.emit(TraceEvent::NodeFailed { node: 1 });
-        let stamped = h
-            .with_sink_mut(|s| {
-                let ring = s.as_any().downcast_ref::<RingBuffer>().unwrap();
-                ring.records().map(|r| (r.seq, r.time)).collect::<Vec<_>>()
-            })
-            .unwrap();
-        assert_eq!(stamped, vec![(0, 0), (1, 42)]);
+        assert_eq!(
+            h.jsonl().unwrap(),
+            "{\"seq\":0,\"t\":0,\"ev\":\"node_failed\",\"node\":0}\n\
+             {\"seq\":1,\"t\":42,\"ev\":\"node_failed\",\"node\":1}\n"
+        );
     }
 
     #[test]
@@ -177,8 +189,24 @@ mod tests {
         let h2 = h.clone();
         h.emit(TraceEvent::NodeFailed { node: 0 });
         h2.emit(TraceEvent::NodeFailed { node: 1 });
-        assert_eq!(h.emitted(), Some(2));
         assert_eq!(h.counts().unwrap()["node_failed"], 2);
+        assert_eq!(format!("{h2:?}"), "TraceHandle(enabled, 2 events)");
+    }
+
+    #[test]
+    fn counting_tallies_by_kind() {
+        let h = TraceHandle::counting();
+        h.emit(TraceEvent::NodeFailed { node: 0 });
+        h.emit(TraceEvent::NodeFailed { node: 1 });
+        h.emit(TraceEvent::RoundBegin {
+            scheme: "grid",
+            round: 0,
+        });
+        let counts = h.counts().unwrap();
+        assert_eq!(counts.len(), 2, "{counts:?}");
+        assert_eq!(counts["node_failed"], 2);
+        assert_eq!(counts["round_begin"], 1);
+        assert!(h.jsonl().is_none(), "not a JSONL sink");
     }
 
     #[test]

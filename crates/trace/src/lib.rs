@@ -9,29 +9,22 @@
 //!
 //! The pieces:
 //!
-//! - [`TraceEvent`] / [`TraceRecord`]: the typed event vocabulary and its
-//!   stamped envelope, with a canonical single-line JSON serialization
-//!   ([`TraceRecord::canonical`]) stable across runs and platforms.
-//! - [`TraceSink`]: where records go. [`RingBuffer`] keeps the last N
-//!   in memory, [`JsonlWriter`] accumulates canonical JSONL text, and
-//!   [`CountingSink`] tallies per-kind counts.
+//! - [`TraceEvent`]: the typed event vocabulary, with a canonical
+//!   single-line JSON serialization of each stamped record that is stable
+//!   across runs and platforms.
 //! - [`TraceHandle`]: the cloneable, optionally-attached handle the
-//!   simulator and placers carry. A disabled handle (the default) is a
+//!   simulator and placers carry. It either accumulates canonical JSONL
+//!   text ([`TraceHandle::jsonl_writer`]) or tallies per-kind counts
+//!   ([`TraceHandle::counting`]). A disabled handle (the default) is a
 //!   `None` — emitting through it is a branch on a niche-optimized option
 //!   and nothing else, which keeps tracing zero-cost for every caller
 //!   that never asks for it.
-//! - [`first_divergence`] / [`Divergence`]: a line-based differ over two
-//!   canonical traces that reports the first event where they part ways.
 //!
 //! The crate is dependency-free and knows nothing about networks or
 //! coverage maps; node/sensor identifiers arrive as plain `u64`.
 
-mod diff;
 mod event;
 mod handle;
-mod sink;
 
-pub use diff::{first_divergence, Divergence};
-pub use event::{TraceEvent, TraceRecord};
+pub use event::TraceEvent;
 pub use handle::TraceHandle;
-pub use sink::{CountingSink, JsonlWriter, RingBuffer, TraceSink};

@@ -9,20 +9,16 @@
 #     restoration at the smallest sweep size (PR6_MAX_POINTS=2000 keeps
 #     the guard run seconds-fast; the larger sizes are perf-tracked via
 #     the committed sweep, not gated per-push);
-#   - BENCH_PR8.json / pr8_throughput — the scenario-matrix runner's
-#     64-run batch (PR8_RUNS=200 shrinks the ungated saturation phase;
-#     the full 10k-run saturation check runs when the bench is invoked
-#     without the cap);
-#   - BENCH_PR9.json / pr8_throughput — the same batch against the
-#     worker-arena baseline (the post-PR9 number; PR8's entry stays as
-#     the historical pre-arena reference and its guard is trivially
-#     green, this one is the binding gate).
+#   - BENCH_PR9.json / pr8_throughput — the scenario-matrix runner's
+#     64-run batch on the worker arena (PR8_RUNS=200 shrinks the ungated
+#     saturation phase; the full 10k-run saturation check runs when the
+#     bench is invoked without the cap).
 #
 # The committed baselines were measured on the reference machine, so the
 # 5% default is meant for local runs per EXPERIMENTS.md; CI sets a
 # looser tolerance (absolute-hardware noise, not a regression signal).
 #
-#   scripts/bench_guard.sh                 # 5% gate vs both baselines
+#   scripts/bench_guard.sh                 # 5% gate vs every baseline
 #   BENCH_TOLERANCE=0.50 scripts/bench_guard.sh
 set -eu
 cd "$(dirname "$0")/.."
@@ -65,7 +61,6 @@ guard() {
 
 guard BENCH_PR4.json pr4_spatial "pr4/centralized_greedy_k2_2000pts/sharded_engine"
 PR6_MAX_POINTS=2000 guard BENCH_PR6.json pr6_scale "pr6/restore_area_r24/n2000"
-PR8_RUNS=200 guard BENCH_PR8.json pr8_throughput "pr8/matrix/serve_batch_64"
 PR8_RUNS=200 guard BENCH_PR9.json pr8_throughput "pr8/matrix/serve_batch_64"
 
 # pr9_alloc self-asserts against ALLOC_BUDGET.json (allocation counts are

@@ -5,7 +5,7 @@
 //! IPDPS 2007). This facade crate re-exports the workspace sub-crates:
 //!
 //! - [`geom`] — planar geometry: points, disks, spatial hash-grid index,
-//!   local Voronoi cells, unit-disk graphs.
+//!   Delaunay triangulation and global Voronoi cells, unit-disk graphs.
 //! - [`lds`] — low-discrepancy point sets (Halton, Hammersley, Sobol) and
 //!   discrepancy measures used to approximate the monitored area.
 //! - [`net`] — a discrete-event wireless-sensor-network simulator: radio,
@@ -17,9 +17,9 @@
 //!   the failure-restoration pipeline.
 //! - [`exp`] — the experiment harness reproducing every figure of the
 //!   paper's evaluation section.
-//! - [`trace`] — structured simulation tracing: typed events, pluggable
-//!   sinks, canonical JSONL serialization and a trace differ backing the
-//!   golden-trace regression suite.
+//! - [`trace`] — structured simulation tracing: typed events, canonical
+//!   JSONL serialization backing the golden-trace regression suite, and
+//!   per-kind event counts.
 //!
 //! ## Quickstart
 //!

@@ -12,6 +12,9 @@
 //! `decor-cli` replay command. See tests/README.md ("The chaos tier")
 //! for the workflow.
 
+#[path = "support/trace_diff.rs"]
+mod trace_diff;
+
 use decor::core::{
     CoverageMap, DeploymentConfig, GridDecor, HoleHealing, InvariantChecker, PlacementOutcome,
     Placer, VoronoiDecor,
@@ -19,8 +22,9 @@ use decor::core::{
 use decor::geom::Aabb;
 use decor::lds::{halton_points, random_points};
 use decor::net::{shrink_plan, FaultPlan};
-use decor::trace::{first_divergence, TraceHandle};
+use decor::trace::TraceHandle;
 use proptest::prelude::*;
+use trace_diff::first_divergence;
 
 /// The golden-trace scenario, scaled up to eight initial sensors so the
 /// generator's crash budget (half the population) can kill four of them.

@@ -1,11 +1,25 @@
 //! Determinism guarantees: every algorithm is a pure function of its
 //! seed-derived inputs, and parallel replica execution matches sequential.
 
+#[path = "support/trace_diff.rs"]
+mod trace_diff;
+
 use decor::core::parallel::replica_seed;
 use decor::core::SchemeKind;
-use decor::exp::common::{deploy, deploy_traced, ExpParams};
+use decor::exp::common::{deploy, deploy_with, ExpParams};
 use decor::exp::MatrixRunner;
-use decor::trace::first_divergence;
+use decor::trace::TraceHandle;
+use trace_diff::first_divergence;
+
+/// [`deploy`] with a JSONL trace sink attached; returns the canonical
+/// trace text of the placement run. Each call builds its own sink, so
+/// concurrent replicas never interleave their streams.
+fn deploy_traced(params: &ExpParams, scheme: SchemeKind, k: u32, seed: u64) -> String {
+    let (_, _, cfg) = deploy_with(params, scheme, k, seed, |cfg| {
+        cfg.trace = TraceHandle::jsonl_writer();
+    });
+    cfg.trace.jsonl().expect("JSONL sink attached above")
+}
 
 #[test]
 fn every_scheme_is_deterministic_in_the_seed() {
@@ -55,7 +69,7 @@ fn traces_are_identical_across_worker_counts() {
     for scheme in [SchemeKind::GridSmall, SchemeKind::VoronoiBig] {
         let run = |threads: usize| {
             MatrixRunner::new(threads).replicas(4, 42, |_, seed| {
-                let (_, _, _, text) = deploy_traced(&params, scheme, 2, seed);
+                let text = deploy_traced(&params, scheme, 2, seed);
                 assert!(!text.is_empty(), "trace must not be empty");
                 text
             })
@@ -80,8 +94,7 @@ fn lossy_traces_are_identical_across_worker_counts() {
     params.loss_pct = 20;
     let run = |threads: usize| {
         MatrixRunner::new(threads).replicas(3, 7, |_, seed| {
-            let (_, _, _, text) = deploy_traced(&params, SchemeKind::VoronoiSmall, 1, seed);
-            text
+            deploy_traced(&params, SchemeKind::VoronoiSmall, 1, seed)
         })
     };
     let reference = run(1);

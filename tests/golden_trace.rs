@@ -1,4 +1,4 @@
-//! Golden-trace regression tests (gated behind the `trace` feature).
+//! Golden-trace regression tests.
 //!
 //! Each scenario runs a placer with a JSONL trace sink attached and
 //! compares the canonical trace line-for-line against a fixture
@@ -11,19 +11,23 @@
 //! alters simulation behavior (see tests/README.md). To regenerate:
 //!
 //! ```text
-//! UPDATE_GOLDEN=1 cargo test --features trace --test golden_trace
+//! UPDATE_GOLDEN=1 cargo test --test golden_trace
 //! ```
-#![cfg(feature = "trace")]
+
+#[path = "support/trace_diff.rs"]
+mod trace_diff;
 
 use decor::core::{
     run_endurance, CentralizedGreedy, CoverageMap, DeploymentConfig, EnduranceConfig, GridDecor,
     HoleHealing, InvariantChecker, LinkConfig, Placer, VoronoiDecor,
 };
+use decor::exp::jsonio::Json;
 use decor::geom::{Aabb, Disk, Point};
 use decor::lds::{halton_points, random_points};
 use decor::net::{FaultPlan, RotationConfig};
-use decor::trace::{first_divergence, TraceHandle};
+use decor::trace::TraceHandle;
 use std::path::PathBuf;
+use trace_diff::first_divergence;
 
 /// A 30×30 field split by the grid scheme into 3×3 cells of edge 10.
 const FIELD_SIDE: f64 = 30.0;
@@ -66,7 +70,7 @@ fn assert_matches_fixture(name: &str, got: &str) {
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
-            "{}: {e}\nrun `UPDATE_GOLDEN=1 cargo test --features trace --test golden_trace` \
+            "{}: {e}\nrun `UPDATE_GOLDEN=1 cargo test --test golden_trace` \
              to (re)create fixtures",
             path.display()
         )
@@ -75,7 +79,7 @@ fn assert_matches_fixture(name: &str, got: &str) {
         panic!(
             "{name}: trace drifted from the committed golden fixture.\n{d}\n\
              If this change is intentional, regenerate with \
-             `UPDATE_GOLDEN=1 cargo test --features trace --test golden_trace` \
+             `UPDATE_GOLDEN=1 cargo test --test golden_trace` \
              and explain the behavioral change in the commit."
         );
     }
@@ -268,8 +272,10 @@ fn traced_runs_replay_with_zero_divergence() {
 
 #[test]
 fn every_trace_line_is_canonical() {
-    // Each fixture line must parse as one canonical record: strictly
-    // increasing `seq`, a known event kind, and no trailing whitespace.
+    // Every line of every committed fixture must be one canonical record:
+    // a JSON object with no padding, `seq` counting up from 0 within its
+    // file, then `t`, then an `ev` that is one of `TraceEvent::kind()`'s
+    // labels.
     let kinds = [
         "msg_send",
         "msg_deliver",
@@ -284,24 +290,69 @@ fn every_trace_line_is_canonical() {
         "round_begin",
         "round_end",
         "coverage_delta",
+        "chaos_crash",
+        "chaos_partition",
+        "chaos_heal",
+        "chaos_blackhole",
+        "chaos_unblackhole",
+        "chaos_latency",
+        "chaos_drain",
+        "shift_begin",
+        "shift_end",
+        "node_sleep",
+        "node_wake",
+        "battery_drain",
     ];
-    let trace = run_scenario(&GridDecor { cell_size: 10.0 }, Some(0.2));
-    let mut last_seq: Option<u64> = None;
-    for line in trace.lines() {
-        assert_eq!(line, line.trim(), "no padding: {line}");
-        let seq: u64 = line
-            .strip_prefix("{\"seq\":")
-            .and_then(|rest| rest.split(',').next())
-            .and_then(|n| n.parse().ok())
-            .unwrap_or_else(|| panic!("unparsable record: {line}"));
-        assert!(last_seq.is_none_or(|p| seq == p + 1), "seq gap at {line}");
-        last_seq = Some(seq);
-        assert!(
-            kinds
-                .iter()
-                .any(|k| line.contains(&format!("\"ev\":\"{k}\""))),
-            "unknown event kind: {line}"
-        );
+    let mut fixtures: Vec<PathBuf> = std::fs::read_dir(fixture_path(""))
+        .expect("fixture directory")
+        .map(|entry| entry.expect("fixture entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "jsonl"))
+        .collect();
+    fixtures.sort();
+    assert!(fixtures.len() >= 10, "fixtures: {fixtures:?}");
+    for path in fixtures {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines = 0u64;
+        for line in text.lines() {
+            assert_eq!(line, line.trim(), "{name}: padded line: {line}");
+            let record =
+                Json::parse(line).unwrap_or_else(|e| panic!("{name}: not JSON ({e}): {line}"));
+            let Json::Obj(fields) = &record else {
+                panic!("{name}: not an object: {line}");
+            };
+            let keys: Vec<&str> = fields.iter().take(3).map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["seq", "t", "ev"], "{name}: key order: {line}");
+            assert_eq!(
+                record.get("seq").and_then(Json::as_u64),
+                Some(lines),
+                "{name}: seq gap: {line}"
+            );
+            assert!(
+                record.get("t").and_then(Json::as_u64).is_some(),
+                "{name}: bad time: {line}"
+            );
+            let kind = record.get("ev").and_then(Json::as_str);
+            assert!(
+                kind.is_some_and(|k| kinds.contains(&k)),
+                "{name}: unknown event kind: {line}"
+            );
+            lines += 1;
+        }
+        assert!(lines > 0, "{name} must not be empty");
     }
-    assert!(last_seq.is_some(), "trace must not be empty");
+}
+
+#[test]
+fn first_divergence_names_the_first_differing_event() {
+    assert!(first_divergence("a\nb\n", "a\nb").is_none());
+    let d = first_divergence("a\nb\nc\n", "a\nB\nc\n").unwrap();
+    assert_eq!(
+        (d.index, d.left.as_deref(), d.right.as_deref()),
+        (1, Some("b"), Some("B"))
+    );
+    let msg = first_divergence("a\n", "a\nb\n").unwrap().to_string();
+    assert!(msg.contains("diverge at event 1"), "{msg}");
+    assert!(msg.contains("left:  <end of trace>"), "{msg}");
+    assert!(msg.contains("right: b"), "{msg}");
 }

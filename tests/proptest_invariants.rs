@@ -122,7 +122,8 @@ proptest! {
         let pid = target.index(map.n_points());
         let c = map.points()[pid];
         let before = benefit_at(&map, c, cfg.rs, cfg.k);
-        let in_range = map.points_within(c, cfg.rs).len() as u64;
+        let mut in_range = 0u64;
+        map.for_each_point_within_unordered(c, cfg.rs, |_, _| in_range += 1);
         prop_assert!(before <= in_range * k as u64);
         map.add_sensor(c, cfg.rs);
         let after = benefit_at(&map, c, cfg.rs, cfg.k);

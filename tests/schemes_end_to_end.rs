@@ -84,7 +84,14 @@ fn distributed_schemes_pay_messages_centralized_does_not() {
     let params = quick();
     for scheme in all_schemes() {
         let (_, out, _) = deploy(&params, scheme, 2, 23);
-        if scheme.is_decor() {
+        let distributed = matches!(
+            scheme,
+            SchemeKind::GridSmall
+                | SchemeKind::GridBig
+                | SchemeKind::VoronoiSmall
+                | SchemeKind::VoronoiBig
+        );
+        if distributed {
             assert!(
                 out.messages.protocol_total > 0,
                 "{} must exchange messages",
