@@ -118,11 +118,13 @@ pub struct DeploymentConfig {
     /// spikes, and drains land mid-protocol. `None` (the default) leaves
     /// the run untouched; `(scenario, plan)` replays bit-identically.
     pub chaos: Option<FaultPlan>,
-    /// Optional duty-cycled sleep rotation (see `decor_net::rotation` and
-    /// [`crate::rotation`]): nodes agree on disjoint set-k-cover shifts
-    /// in-network and rotate on the transport clock, draining batteries
-    /// per the energy model. `None` (the default) keeps every node always
-    /// on, exactly as before rotation existed.
+    /// The duty-cycled sleep rotation knobs (see `decor_net::rotation` and
+    /// [`crate::rotation`]), read only by
+    /// [`run_endurance`](crate::run_endurance): there nodes agree on
+    /// disjoint set-k-cover shifts in-network and rotate on the transport
+    /// clock, draining batteries per the energy model (`None` runs it on
+    /// the default knobs). Every other path, `fail_and_restore` and the
+    /// placers included, keeps every node always on whatever this holds.
     pub rotation: Option<RotationConfig>,
     /// Optional run-time invariant checking (see [`crate::invariants`]).
     /// Disabled by default — every hook is then a branch on `None` and
@@ -347,8 +349,8 @@ mod tests {
             ..DeploymentConfig::default()
         };
         assert_eq!(plain, traced, "observability is not part of the config");
-        assert!(!plain.trace.is_enabled());
-        assert!(traced.trace.is_enabled());
+        assert_eq!(plain.trace.jsonl(), None, "disabled by default");
+        assert_eq!(traced.trace.jsonl().as_deref(), Some(""));
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! the node id a network built from [`CoverageMap::active_sensors`] gives
 //! it. Trace events name victims by mirror id, and the heartbeat phase,
 //! the only part that needs a network, builds exactly that mirror.
+//!
+//! The mirror is always on: detection here is the one-shot
+//! [`HeartbeatSim`], which knows no shift schedule. A sleeping node's
+//! silence is told from a death only by the endurance loop
+//! (`crate::endurance`), the one place rotation runs.
 
 use crate::config::DeploymentConfig;
 use crate::coverage::{CoverageMap, SensorId};
@@ -22,10 +27,7 @@ use crate::invariants::InvariantChecker;
 use crate::metrics::PlacementOutcome;
 use crate::Placer;
 use decor_geom::Disk;
-use decor_net::{
-    FailurePlan, HeartbeatConfig, HeartbeatSim, Network, NodeId, ShiftSchedule, SleepScheduler,
-    Time,
-};
+use decor_net::{FailurePlan, HeartbeatConfig, HeartbeatSim, Network, NodeId, Time};
 use decor_trace::TraceEvent;
 
 /// Outcome of one failure-and-restoration episode.
@@ -47,13 +49,14 @@ pub struct RestorationReport {
     /// Fraction of points `k`-covered after restoration.
     pub coverage_after_restore: f64,
     /// Alive nodes the detector suspected dead anyway (false alarms that
-    /// would have triggered pointless restorations). With rotation
-    /// enabled this must stay zero for scheduled sleepers: the pipeline
-    /// consults the sleep schedule before declaring anyone dead.
+    /// would have triggered pointless restorations). Only a lossy medium
+    /// causes them: the mirror is always on, so no node is silent by
+    /// schedule.
     pub false_restorations: usize,
-    /// Timeouts that crossed while the silent neighbor was scheduled
-    /// asleep — each one a restoration the three-state lifecycle
-    /// prevented. Always 0 without `DeploymentConfig::rotation`.
+    /// Always 0: the always-on mirror has no scheduled sleepers whose
+    /// timeouts could be suppressed (the endurance loop counts those in
+    /// `EnduranceReport::sleeping_suppressed`). The field stays because
+    /// the benchmark's `restore-200k` output digest reads it.
     pub sleeping_suppressed: u64,
     /// The raw placement outcome of the restoration run.
     pub outcome: PlacementOutcome,
@@ -66,8 +69,8 @@ pub struct RestorationReport {
 /// network mirror of every active sensor (in the paper's §3.2 protocol
 /// every node beats): the failure fires at tick `4 × period` and
 /// detection gets `40` periods to conclude; its latency lands in the
-/// report. With rotation configured, detection runs against the
-/// set-k-cover sleep schedule of that mirror. Detection never sees
+/// report. The mirror is always on whatever `cfg.rotation` holds, which
+/// only the endurance loop reads. Detection never sees
 /// `cfg.chaos`: only the restoration placer applies the fault plan, so a
 /// plan is replayed once per run. Restoration proceeds for
 /// all victims regardless (undetected isolated victims are eventually
@@ -98,7 +101,7 @@ pub fn fail_and_restore(
     cfg.validate();
     let victims = select_victims(map, plan, &cfg.invariants);
 
-    let (detected, latency, false_restorations, sleeping_suppressed) = match heartbeat {
+    let (detected, latency, false_restorations) = match heartbeat {
         Some(hb) => {
             // Mirror node i is the i-th active sensor, so the victims'
             // mirror ids are their node ids here. The configured link
@@ -111,24 +114,10 @@ pub fn fail_and_restore(
                 net.add_node(pos, cfg.rs, cfg.rc);
             }
             let victims_net: Vec<NodeId> = victims.iter().map(|&(_, node)| node).collect();
-            // With rotation configured, detection must run against the
-            // sleep schedule: a node whose shift is off duty is Asleep,
-            // not Dead, and its silence must never be declared a failure.
-            // The schedule is the canonical set-k-cover partition of the
-            // pre-failure deployment — exactly what the in-network
-            // agreement (`crate::rotation`) lands on.
-            let schedule: Option<ShiftSchedule> = cfg.rotation.as_ref().and_then(|rot| {
-                let shifts = SleepScheduler::new(rot.target_coverage).shifts(&net, map.points());
-                let n = net.len();
-                (shifts.len() > 1).then(|| ShiftSchedule::new(shifts, rot.period, n))
-            });
             let sim = HeartbeatSim::new(hb);
             let fail_at = 4 * hb.period;
             let horizon = fail_at + 40 * hb.period;
-            let report = match &schedule {
-                Some(sched) => sim.run_scheduled(&mut net, &victims_net, fail_at, horizon, sched),
-                None => sim.run(&mut net, &victims_net, fail_at, horizon),
-            };
+            let report = sim.run(&mut net, &victims_net, fail_at, horizon);
             cfg.trace.set_time(fail_at);
             for &v in &victims_net {
                 cfg.trace.emit(TraceEvent::NodeFailed { node: v as u64 });
@@ -152,14 +141,13 @@ pub fn fail_and_restore(
                 report.first_detection.len(),
                 report.max_latency(fail_at),
                 report.false_positives.len(),
-                report.sleeping_suppressed,
             )
         }
         None => {
             for &(_, node) in &victims {
                 cfg.trace.emit(TraceEvent::NodeFailed { node: node as u64 });
             }
-            (victims.len(), None, 0, 0)
+            (victims.len(), None, 0)
         }
     };
 
@@ -175,7 +163,7 @@ pub fn fail_and_restore(
         extra_nodes: outcome.placed.len(),
         coverage_after_restore: map.fraction_k_covered(cfg.k),
         false_restorations,
-        sleeping_suppressed,
+        sleeping_suppressed: 0,
         outcome,
     }
 }
@@ -399,93 +387,47 @@ mod tests {
         assert_eq!(report.coverage_after_failure, 1.0);
     }
 
+    /// Rotation is the endurance loop's business: with or without a
+    /// heartbeat phase, `fail_and_restore` must return the same report and
+    /// write the same trace as the same run without rotation. The shift
+    /// period of 4 heartbeat periods would put every sleeper past the
+    /// 3-period timeout if the mirror were duty-cycled.
     #[test]
-    fn sleeping_nodes_cause_zero_false_restorations() {
-        // Regression for the three-state lifecycle: rotation puts whole
-        // shifts to sleep for 4 heartbeat periods — past the 3-period
-        // timeout — so a schedule-blind detector would suspect every
-        // sleeper and trigger restorations for nodes that are fine. The
-        // pipeline must consult the schedule instead: zero false
-        // restorations, and a non-zero suppression count proving the
-        // timeouts genuinely crossed while the nodes slept.
-        let (mut map, mut cfg) = covered_map(3, 500);
-        cfg.rotation = Some(decor_net::RotationConfig {
-            target_coverage: 1,
-            period: 400,
-            ..decor_net::RotationConfig::default()
-        });
-        let plan = FailurePlan::Fraction { frac: 0.0, seed: 0 };
+    fn rotation_changes_nothing() {
+        let plan = FailurePlan::Area {
+            disk: Disk::new(Point::new(40.0, 55.0), 20.0),
+        };
         let hb = HeartbeatConfig {
             period: 100,
             timeout_periods: 3,
             seed: 8,
         };
-        let report = fail_and_restore(&mut map, &CentralizedGreedy, &cfg, &plan, Some(hb));
-        assert_eq!(report.victims, 0);
-        assert_eq!(
-            report.false_restorations, 0,
-            "a scheduled sleeper was declared dead"
-        );
-        assert!(
-            report.sleeping_suppressed > 0,
-            "rotation never crossed a timeout — the regression is untested"
-        );
-        assert_eq!(report.extra_nodes, 0, "nothing failed, nothing to place");
-    }
-
-    #[test]
-    fn real_failures_still_restored_under_rotation() {
-        let (mut map, mut cfg) = covered_map(3, 500);
-        cfg.rotation = Some(decor_net::RotationConfig {
-            target_coverage: 1,
-            period: 400,
-            ..decor_net::RotationConfig::default()
-        });
-        let plan = FailurePlan::Fraction {
-            frac: 0.15,
-            seed: 2,
-        };
-        let hb = HeartbeatConfig {
-            period: 100,
-            timeout_periods: 3,
-            seed: 9,
-        };
-        let report = fail_and_restore(&mut map, &CentralizedGreedy, &cfg, &plan, Some(hb));
-        assert!(report.victims > 0);
-        assert_eq!(report.false_restorations, 0);
-        assert_eq!(
-            report.coverage_after_restore, 1.0,
-            "rotation must not block healing"
-        );
-    }
-
-    /// Without a heartbeat phase nothing reads a shift schedule, so
-    /// rotation must change neither the report nor the trace (and the
-    /// schedule is not computed at all).
-    #[test]
-    fn rotation_without_heartbeat_changes_nothing() {
-        let plan = FailurePlan::Area {
-            disk: Disk::new(Point::new(40.0, 55.0), 20.0),
-        };
-        let run = |rotate: bool| {
-            let (mut map, mut cfg) = covered_map(3, 500);
-            cfg.trace = decor_trace::TraceHandle::jsonl_writer();
-            if rotate {
-                cfg.rotation = Some(decor_net::RotationConfig {
-                    target_coverage: 1,
-                    period: 400,
-                    ..decor_net::RotationConfig::default()
-                });
-            }
-            let report = fail_and_restore(&mut map, &CentralizedGreedy, &cfg, &plan, None);
-            (
-                format!("{report:?}"),
-                cfg.trace.jsonl().expect("JSONL sink"),
-            )
-        };
-        let (plain, rotating) = (run(false), run(true));
-        assert!(plain.1.contains("node_failed"));
-        assert_eq!(plain, rotating);
+        for heartbeat in [None, Some(hb)] {
+            let run = |rotate: bool| {
+                let (mut map, mut cfg) = covered_map(3, 500);
+                cfg.trace = decor_trace::TraceHandle::jsonl_writer();
+                if rotate {
+                    cfg.rotation = Some(decor_net::RotationConfig {
+                        target_coverage: 1,
+                        period: 400,
+                        ..decor_net::RotationConfig::default()
+                    });
+                }
+                let report = fail_and_restore(&mut map, &CentralizedGreedy, &cfg, &plan, heartbeat);
+                (
+                    format!("{report:?}"),
+                    cfg.trace.jsonl().expect("JSONL sink"),
+                )
+            };
+            let (plain, rotating) = (run(false), run(true));
+            assert!(plain.1.contains("node_failed"));
+            assert_eq!(
+                plain.1.contains("heartbeat_miss"),
+                heartbeat.is_some(),
+                "detection runs exactly when a heartbeat is configured"
+            );
+            assert_eq!(plain, rotating, "heartbeat {heartbeat:?}");
+        }
     }
 
     /// Invariant 7 holds on a map whose inactive sensors shift the mirror

@@ -14,6 +14,9 @@
 //!                    [--timeout-periods 3] [--disaster 50,50,8 --disaster-at 5]
 //!                    [--trace-out trace.jsonl]
 //! ```
+//!
+//! A flag the subcommand does not take is an error (exit code 2), so a
+//! misspelt or misplaced flag never falls back to a default silently.
 
 use decor_core::restore::fail_and_restore;
 use decor_core::{run_endurance, CoverageMap, DeploymentDiagnostics, Placer};
@@ -31,6 +34,8 @@ fn run() -> Result<(), String> {
     match args.command.as_str() {
         "deploy" => {
             let scheme = scheme_from(&args, "grid-small", &cfg)?;
+            let out_path = args.get("out");
+            args.finish()?;
             let mut map = params.make_map(&cfg, params.initial_nodes, params.base_seed);
             let placer: Box<dyn Placer> = params.placer(scheme, params.base_seed);
             let out = placer.place(&mut map, &cfg);
@@ -66,7 +71,7 @@ fn run() -> Result<(), String> {
                     ));
                 }
             }
-            if let Some(path) = args.flags.get("out") {
+            if let Some(path) = out_path {
                 std::fs::write(path, sensors_to_csv(&map)).map_err(|e| e.to_string())?;
                 println!("wrote {path}");
             }
@@ -77,7 +82,9 @@ fn run() -> Result<(), String> {
         }
         "restore" => {
             let scheme = scheme_from(&args, "voronoi-big", &cfg)?;
-            let disk = parse_disaster(args.get_or("disaster", "50,50,24"))?;
+            let disk = parse_disaster(args.get("disaster").unwrap_or("50,50,24"))?;
+            let out_path = args.get("out");
+            args.finish()?;
             let mut map = params.make_map(&cfg, params.initial_nodes, params.base_seed);
             let placer: Box<dyn Placer> = params.placer(scheme, params.base_seed);
             // Reach full coverage first, then fail and restore.
@@ -95,7 +102,7 @@ fn run() -> Result<(), String> {
                 placer.name(),
                 report.extra_nodes
             );
-            if let Some(path) = args.flags.get("out") {
+            if let Some(path) = out_path {
                 std::fs::write(path, sensors_to_csv(&map)).map_err(|e| e.to_string())?;
                 println!("wrote {path}");
             }
@@ -105,10 +112,8 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "diagnose" => {
-            let path = args
-                .flags
-                .get("in")
-                .ok_or("diagnose needs --in sensors.csv")?;
+            let path = args.get("in").ok_or("diagnose needs --in sensors.csv")?;
+            args.finish()?;
             let csv = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let sensors = sensors_from_csv(&csv)?;
             let field = params.field();
@@ -124,11 +129,12 @@ fn run() -> Result<(), String> {
         }
         "endure" => {
             let scheme = scheme_from(&args, "centralized", &cfg)?;
-            let e = endurance_from(&args)?;
-            let mut cfg = cfg;
             // The endurance loop always duty-cycles unless --always-on;
             // default knobs apply when --rotate was not given.
-            cfg.rotation = Some(cfg.rotation.unwrap_or_default());
+            let (e, rot) = endurance_from(&args)?;
+            args.finish()?;
+            let mut cfg = cfg;
+            cfg.rotation = Some(rot);
             let mut map = params.make_map(&cfg, params.initial_nodes, params.base_seed);
             let placer: Box<dyn Placer> = params.placer(scheme, params.base_seed);
             placer.place(&mut map, &cfg);

@@ -9,6 +9,9 @@
 //! restarting with the same journal resumes where the dead process
 //! stopped and produces the same result set as an uninterrupted run.
 //!
+//! Every error exits with code 2. A flag the subcommand does not take is
+//! one, and a boolean flag takes only `true` or `false`.
+//!
 //! ```text
 //! decor-serve gen --schemes centralized,grid-small --ks 1,2 --runs 200 \
 //!   | decor-serve run --threads 8 --checkpoint /tmp/matrix.journal
@@ -35,7 +38,7 @@ fn main() {
             eprintln!("           [--trace true] [--runs CAP] [--out FILE]");
             eprintln!("       decor-serve run [--spec FILE|-] [--out FILE|-] [--threads N]");
             eprintln!("           [--checkpoint FILE] [--per-run true]");
-            1
+            2
         }
     };
     std::process::exit(code);
@@ -62,15 +65,15 @@ fn parse_list<T: std::str::FromStr>(text: &str, flag: &str) -> Result<Vec<T>, St
 
 /// Builds a matrix from axis flags and writes it as spec JSONL.
 fn cmd_gen(args: &CliArgs) -> Result<(), String> {
-    let schemes =
-        parse_list::<String>(args.get_or("schemes", "centralized,grid-small"), "schemes")?
-            .iter()
-            .map(|s| decor_core::SchemeKind::parse_spec_name(s))
-            .collect::<Result<Vec<_>, _>>()?;
-    let ks: Vec<u32> = parse_list(args.get_or("ks", "1,2,3"), "ks")?;
-    let losses: Vec<u32> = parse_list(args.get_or("losses", "0"), "losses")?;
+    let schemes = args.get("schemes").unwrap_or("centralized,grid-small");
+    let schemes = parse_list::<String>(schemes, "schemes")?
+        .iter()
+        .map(|s| decor_core::SchemeKind::parse_spec_name(s))
+        .collect::<Result<Vec<_>, _>>()?;
+    let ks: Vec<u32> = parse_list(args.get("ks").unwrap_or("1,2,3"), "ks")?;
+    let losses: Vec<u32> = parse_list(args.get("losses").unwrap_or("0"), "losses")?;
     let template = ScenarioSpec {
-        workload: Workload::parse_spec_name(args.get_or("workload", "deploy"))?,
+        workload: Workload::parse_spec_name(args.get("workload").unwrap_or("deploy"))?,
         // Quick-experiment scale by default: gen exists to produce large
         // *matrices* of small runs, not large runs.
         field_side: args.num_or("field", 100.0)?,
@@ -78,21 +81,24 @@ fn cmd_gen(args: &CliArgs) -> Result<(), String> {
         initial_nodes: args.num_or("initial", 60)?,
         replicas: args.num_or("replicas", 5)?,
         base_seed: args.num_or("seed", 0xDEC0_2007u64)?,
-        trace: args.get_or("trace", "false") == "true",
-        chaos_seed: match args.flags.get("chaos-seed") {
+        trace: args.num_or("trace", false)?,
+        chaos_seed: match args.get("chaos-seed") {
             Some(_) => Some(args.num_or("chaos-seed", 0u64)?),
             None => None,
         },
         ..ScenarioSpec::default()
     };
+    let cap: Option<usize> = match args.get("runs") {
+        Some(_) => Some(args.num_or("runs", 0)?),
+        None => None,
+    };
+    let out_path = args.get("out").unwrap_or("-");
+    args.finish()?;
     let mut matrix = ScenarioMatrix::axes(&template, &schemes, &ks, &losses)?;
-    if let Some(cap) = args.flags.get("runs") {
-        let cap: usize = cap
-            .parse()
-            .map_err(|_| format!("flag --runs: cannot parse '{cap}'"))?;
+    if let Some(cap) = cap {
         matrix = matrix.capped(cap)?;
     }
-    let mut out = open_out(args.get_or("out", "-"))?;
+    let mut out = open_out(out_path)?;
     out.write_all(matrix.to_jsonl().as_bytes())
         .and_then(|_| out.flush())
         .map_err(|e| format!("writing matrix: {e}"))?;
@@ -106,7 +112,15 @@ fn cmd_gen(args: &CliArgs) -> Result<(), String> {
 
 /// Executes a spec matrix, streaming results.
 fn cmd_run(args: &CliArgs) -> Result<(), String> {
-    let spec_path = args.get_or("spec", "-");
+    let spec_path = args.get("spec").unwrap_or("-");
+    let threads = match args.get("threads") {
+        Some(_) => args.num_or("threads", 1usize)?.max(1),
+        None => decor_core::parallel::default_threads(),
+    };
+    let per_run = args.num_or("per-run", false)?;
+    let out_path = args.get("out").unwrap_or("-");
+    let checkpoint = args.get("checkpoint");
+    args.finish()?;
     let text = if spec_path == "-" {
         let mut buf = String::new();
         std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut buf)
@@ -116,19 +130,13 @@ fn cmd_run(args: &CliArgs) -> Result<(), String> {
         std::fs::read_to_string(spec_path).map_err(|e| format!("{spec_path}: {e}"))?
     };
     let matrix = ScenarioMatrix::from_jsonl(&text)?;
-
-    let threads = match args.flags.get("threads") {
-        Some(_) => args.num_or("threads", 1usize)?.max(1),
-        None => decor_core::parallel::default_threads(),
-    };
-    let per_run = args.get_or("per-run", "false") == "true";
-    let out = Mutex::new(open_out(args.get_or("out", "-"))?);
+    let out = Mutex::new(open_out(out_path)?);
 
     // Checkpointing: an existing journal resumes the matrix it names; a
     // fresh path starts one. Completed runs append as they finish, so a
     // crash loses at most the line being written.
     let mut skip = std::collections::BTreeMap::new();
-    let journal = match args.flags.get("checkpoint") {
+    let journal = match checkpoint {
         None => None,
         Some(path) => {
             let file = if std::path::Path::new(path).exists() {

@@ -1,24 +1,30 @@
-//! Argument parsing and I/O helpers for the `decor-cli` and
-//! `decor-figures` binaries.
+//! Argument parsing and I/O helpers for the `decor-cli`, `decor-serve`
+//! and `decor-figures` binaries.
 //!
-//! Hand-rolled parsing (no external CLI dependency): `decor-cli` flags are
-//! `--name value` pairs after a subcommand; `decor-figures` takes figure
-//! names plus `--quick` and `--out DIR`. The logic lives here, in library
-//! code, so it is unit-testable; the binaries are thin shells.
+//! Hand-rolled parsing (no external CLI dependency): `decor-cli` and
+//! `decor-serve` flags are `--name value` pairs after a subcommand;
+//! `decor-figures` takes figure names plus `--quick` and `--out DIR`. The
+//! logic lives here, in library code, so it is unit-testable; the binaries
+//! are thin shells.
 
 use crate::common::{voronoi_rc, ExpParams};
 use decor_core::{ConfigError, CoverageMap, DeploymentConfig, EnduranceConfig, SchemeKind};
 use decor_geom::{Disk, Point};
 use decor_net::RotationConfig;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// A parsed command line: subcommand plus `--flag value` options.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Reading a flag marks it read, and [`CliArgs::finish`] refuses any flag
+/// the subcommand never read, so a misspelt or misplaced flag is an error
+/// instead of a silent default.
+#[derive(Clone, Debug)]
 pub struct CliArgs {
     /// The subcommand (`deploy`, `restore`, `diagnose`, ...).
     pub command: String,
-    /// Flag values keyed without the `--` prefix.
-    pub flags: BTreeMap<String, String>,
+    /// Flag values keyed without the `--` prefix, each with its read mark.
+    flags: BTreeMap<String, (String, Cell<bool>)>,
 }
 
 /// Parses `args` (without the program name).
@@ -42,24 +48,36 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         let value = it
             .next()
             .ok_or_else(|| format!("flag --{name} needs a value"))?;
-        flags.insert(name.to_owned(), value.clone());
+        flags.insert(name.to_owned(), (value.clone(), Cell::new(false)));
     }
     Ok(CliArgs { command, flags })
 }
 
 impl CliArgs {
-    /// A string flag with a default.
-    pub fn get_or<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
-        self.flags.get(name).map(String::as_str).unwrap_or(default)
+    /// A string flag, `None` when absent.
+    pub fn get(&self, name: &str) -> Option<&str> {
+        let (value, read) = self.flags.get(name)?;
+        read.set(true);
+        Some(value)
     }
 
-    /// A parsed numeric flag with a default; errors name the flag.
+    /// A parsed flag with a default; errors name the flag. A `bool` flag
+    /// accepts exactly `true` and `false`.
     pub fn num_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.flags.get(name) {
+        match self.get(name) {
             None => Ok(default),
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("flag --{name}: cannot parse '{v}'")),
+        }
+    }
+
+    /// Errors on the first flag (in name order) that nothing has read.
+    /// A subcommand calls this once it has read every flag it takes.
+    pub fn finish(&self) -> Result<(), String> {
+        match self.flags.iter().find(|(_, (_, read))| !read.get()) {
+            Some((name, _)) => Err(format!("flag --{name}: {} does not take it", self.command)),
+            None => Ok(()),
         }
     }
 }
@@ -80,7 +98,7 @@ pub fn scheme_from(
     default: &str,
     cfg: &DeploymentConfig,
 ) -> Result<SchemeKind, String> {
-    let scheme = parse_scheme(args.get_or("scheme", default))?;
+    let scheme = parse_scheme(args.get("scheme").unwrap_or(default))?;
     match voronoi_rc(scheme) {
         Some(rc) if cfg.rs > rc => Err(format!(
             "flag --rs: {} fixes rc = {rc:.2}, so rs must not exceed it (got {})",
@@ -150,13 +168,10 @@ pub fn sensors_from_csv(csv: &str) -> Result<Vec<(Point, f64)>, String> {
 /// fault plan from the seed (replayable: the same seed and scenario give
 /// the same run) and `--chaos-plan <path>` loads one from a replay file
 /// written in `decor_net::FaultPlan`'s text format; both attach the
-/// invariant checker, and giving both is an error. `--rotate <target>`
-/// turns on set-k-cover sleep rotation at that per-shift coverage
-/// target, with battery knobs `--battery`, `--awake-cost`,
-/// `--sleep-cost` and `--shift-period`; the knobs without `--rotate`
-/// are an error (they would silently do nothing). A value outside its
+/// invariant checker, and giving both is an error. A value outside its
 /// range (`--k 0`, `--field nan`, `--rc` below `--rs`, ...) is a
-/// `flag --<name>:` error.
+/// `flag --<name>:` error. The rotation flags are `endure`'s alone
+/// ([`endurance_from`]), so `cfg.rotation` is `None` here.
 pub fn params_from(args: &CliArgs) -> Result<(ExpParams, DeploymentConfig), String> {
     let loss_pct: u32 = args.num_or("loss", 0u32)?;
     if loss_pct >= 100 {
@@ -181,7 +196,7 @@ pub fn params_from(args: &CliArgs) -> Result<(ExpParams, DeploymentConfig), Stri
         k: args.num_or("k", 3u32)?,
         max_new_nodes: args.num_or("max-nodes", 100_000usize)?,
         link,
-        trace: if args.flags.contains_key("trace-out") {
+        trace: if args.get("trace-out").is_some() {
             decor_trace::TraceHandle::jsonl_writer()
         } else {
             decor_trace::TraceHandle::disabled()
@@ -192,7 +207,7 @@ pub fn params_from(args: &CliArgs) -> Result<(ExpParams, DeploymentConfig), Stri
             decor_core::InvariantChecker::disabled()
         },
         chaos,
-        rotation: rotation_from(args)?,
+        rotation: None,
     };
     let flag_error = |ConfigError(field, rule)| {
         let flag = match field {
@@ -212,17 +227,19 @@ pub fn params_from(args: &CliArgs) -> Result<(ExpParams, DeploymentConfig), Stri
     Ok((params, cfg))
 }
 
-/// Resolves the rotation flags into a [`RotationConfig`]. Battery and
-/// shift knobs require `--rotate` so a typo cannot silently fall back to
-/// an always-on run.
-fn rotation_from(args: &CliArgs) -> Result<Option<RotationConfig>, String> {
+/// Resolves the rotation flags into a [`RotationConfig`]: `--rotate
+/// <target>` sets the per-shift coverage target, with battery knobs
+/// `--battery`, `--awake-cost`, `--sleep-cost` and `--shift-period`;
+/// defaults apply without `--rotate`. The knobs without `--rotate` are an
+/// error, so a typo cannot silently fall back to the default target.
+fn rotation_from(args: &CliArgs) -> Result<RotationConfig, String> {
     const KNOBS: [&str; 4] = ["battery", "awake-cost", "sleep-cost", "shift-period"];
     let base = RotationConfig::default();
-    if !args.flags.contains_key("rotate") {
-        if let Some(knob) = KNOBS.iter().find(|k| args.flags.contains_key(**k)) {
+    if args.get("rotate").is_none() {
+        if let Some(knob) = KNOBS.iter().find(|k| args.get(k).is_some()) {
             return Err(format!("flag --{knob} needs --rotate <target>"));
         }
-        return Ok(None);
+        return Ok(base);
     }
     let rot = RotationConfig {
         target_coverage: args.num_or("rotate", base.target_coverage)?,
@@ -230,7 +247,6 @@ fn rotation_from(args: &CliArgs) -> Result<Option<RotationConfig>, String> {
         battery: args.num_or("battery", base.battery)?,
         awake_cost: args.num_or("awake-cost", base.awake_cost)?,
         sleep_cost: args.num_or("sleep-cost", base.sleep_cost)?,
-        seed: args.num_or("seed", base.seed)?,
     };
     if rot.target_coverage == 0 {
         return Err("flag --rotate: target coverage must be >= 1".into());
@@ -247,16 +263,17 @@ fn rotation_from(args: &CliArgs) -> Result<Option<RotationConfig>, String> {
     if !(rot.sleep_cost >= 0.0 && rot.sleep_cost < rot.awake_cost) {
         return Err("flag --sleep-cost: sleeping must cost less than waking".into());
     }
-    Ok(Some(rot))
+    Ok(rot)
 }
 
-/// Resolves the `endure` scenario flags into an [`EnduranceConfig`]:
-/// `--always-on 1` turns rotation off, `--spares`, `--max-periods` and
+/// Resolves the `endure` scenario flags into an [`EnduranceConfig`] and
+/// the rotation knobs it runs on (see `rotation_from`): `--always-on 1`
+/// turns rotation off, `--spares`, `--max-periods` and
 /// `--timeout-periods` set the budget, the horizon and the detector's
 /// silence threshold, and `--disaster x,y,r` strikes at the start of
 /// period `--disaster-at` (default 5). A timeout below 2 periods is an
 /// error: one silent period can be pure phase skew.
-pub fn endurance_from(args: &CliArgs) -> Result<EnduranceConfig, String> {
+pub fn endurance_from(args: &CliArgs) -> Result<(EnduranceConfig, RotationConfig), String> {
     let base = EnduranceConfig::default();
     let mut e = EnduranceConfig {
         rotate: args.num_or("always-on", 0u32)? == 0,
@@ -268,11 +285,11 @@ pub fn endurance_from(args: &CliArgs) -> Result<EnduranceConfig, String> {
     if e.timeout_periods < 2 {
         return Err("flag --timeout-periods: must be at least 2".into());
     }
-    if let Some(spec) = args.flags.get("disaster") {
+    if let Some(spec) = args.get("disaster") {
         let disk = parse_disaster(spec)?;
         e.disasters = vec![(args.num_or("disaster-at", 5u64)?, disk)];
     }
-    Ok(e)
+    Ok((e, rotation_from(args)?))
 }
 
 /// Resolves `--chaos-seed` / `--chaos-plan` into a fault plan. The seeded
@@ -283,8 +300,8 @@ fn chaos_plan_from(
     args: &CliArgs,
     params: &ExpParams,
 ) -> Result<Option<decor_net::FaultPlan>, String> {
-    let seed = args.flags.get("chaos-seed");
-    let path = args.flags.get("chaos-plan");
+    let seed = args.get("chaos-seed");
+    let path = args.get("chaos-plan");
     match (seed, path) {
         (Some(_), Some(_)) => Err("give either --chaos-seed or --chaos-plan, not both".into()),
         (Some(_), None) => {
@@ -309,7 +326,7 @@ fn chaos_plan_from(
 /// if both the flag and a JSONL sink are present. Returns the path
 /// written to, for logging.
 pub fn write_trace_out(args: &CliArgs, cfg: &DeploymentConfig) -> Result<Option<String>, String> {
-    let Some(path) = args.flags.get("trace-out") else {
+    let Some(path) = args.get("trace-out") else {
         return Ok(None);
     };
     let text = cfg
@@ -317,7 +334,7 @@ pub fn write_trace_out(args: &CliArgs, cfg: &DeploymentConfig) -> Result<Option<
         .jsonl()
         .ok_or("internal: --trace-out set but no JSONL sink attached")?;
     std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
-    Ok(Some(path.clone()))
+    Ok(Some(path.to_owned()))
 }
 
 /// The figure names `decor-figures` runs: Figs. 4–14, `all` (every
@@ -400,9 +417,76 @@ mod tests {
     fn parses_command_and_flags() {
         let a = parse_args(&argv("deploy --scheme grid-small --k 3")).unwrap();
         assert_eq!(a.command, "deploy");
-        assert_eq!(a.get_or("scheme", ""), "grid-small");
+        assert_eq!(a.get("scheme"), Some("grid-small"));
         assert_eq!(a.num_or("k", 0u32).unwrap(), 3);
         assert_eq!(a.num_or("seed", 42u64).unwrap(), 42, "default applies");
+    }
+
+    /// Reads what `decor-cli deploy` reads, then refuses the rest.
+    fn deploy(line: &str) -> Result<(), String> {
+        let a = parse_args(&argv(line)).unwrap();
+        let (_, cfg) = params_from(&a)?;
+        scheme_from(&a, "grid-small", &cfg)?;
+        a.get("out");
+        a.finish()
+    }
+
+    #[test]
+    fn a_misspelt_flag_is_an_error_not_a_default() {
+        assert_eq!(
+            deploy("deploy --scheme grid-big --points 300 --initial 20 --k 1"),
+            Ok(())
+        );
+        assert_eq!(
+            deploy("deploy --sheme grid-big --points 300 --initial 20 --k 1"),
+            Err("flag --sheme: deploy does not take it".into())
+        );
+    }
+
+    #[test]
+    fn rotation_flags_outside_endure_are_errors() {
+        for (line, flag) in [
+            (
+                "deploy --rotate 2 --points 300 --initial 20 --k 1",
+                "rotate",
+            ),
+            ("deploy --battery 500 --k 1", "battery"),
+        ] {
+            assert_eq!(
+                deploy(line),
+                Err(format!("flag --{flag}: deploy does not take it")),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_misspelt_serve_flag_is_an_error_not_a_default() {
+        // What `decor-serve gen` reads of this line: the misspelt
+        // --replica leaves --replicas at its default of 5.
+        let a = parse_args(&argv("gen --replica 3 --runs 10")).unwrap();
+        assert_eq!(a.num_or("replicas", 5u32), Ok(5));
+        a.get("runs");
+        assert_eq!(
+            a.finish(),
+            Err("flag --replica: gen does not take it".into())
+        );
+    }
+
+    #[test]
+    fn boolean_flags_accept_only_true_and_false() {
+        let a = parse_args(&argv("gen --trace true --per-run false")).unwrap();
+        assert_eq!(a.num_or("trace", false), Ok(true));
+        assert_eq!(a.num_or("per-run", true), Ok(false));
+        for flag in ["trace", "per-run"] {
+            for bad in ["yes", "1", "TRUE"] {
+                let a = parse_args(&argv(&format!("run --{flag} {bad}"))).unwrap();
+                assert_eq!(
+                    a.num_or(flag, false),
+                    Err(format!("flag --{flag}: cannot parse '{bad}'"))
+                );
+            }
+        }
     }
 
     #[test]
@@ -495,11 +579,11 @@ mod tests {
     fn trace_out_attaches_a_jsonl_sink() {
         let a = parse_args(&argv("deploy --trace-out /tmp/t.jsonl")).unwrap();
         let (_, cfg) = params_from(&a).unwrap();
-        assert!(cfg.trace.is_enabled());
         assert_eq!(cfg.trace.jsonl().as_deref(), Some(""), "empty before a run");
         let plain = parse_args(&argv("deploy")).unwrap();
         let (_, cfg) = params_from(&plain).unwrap();
-        assert!(!cfg.trace.is_enabled(), "tracing is opt-in");
+        assert_eq!(cfg.trace.jsonl(), None, "tracing is opt-in");
+        assert_eq!(cfg.trace.counts(), None);
     }
 
     #[test]
@@ -550,20 +634,20 @@ mod tests {
             "endure --rotate 2 --battery 500 --awake-cost 2 --sleep-cost 0.1 --shift-period 750",
         ))
         .unwrap();
-        let (_, cfg) = params_from(&a).unwrap();
-        let rot = cfg.rotation.expect("--rotate must attach a config");
+        let (_, rot) = endurance_from(&a).unwrap();
         assert_eq!(rot.target_coverage, 2);
         assert_eq!(rot.battery, 500.0);
         assert_eq!(rot.awake_cost, 2.0);
         assert_eq!(rot.sleep_cost, 0.1);
         assert_eq!(rot.period, 750);
-        // Defaults apply when only the target is given.
-        let a = parse_args(&argv("endure --rotate 1")).unwrap();
+        // Defaults apply when only the target is given, and without
+        // --rotate.
+        for line in ["endure --rotate 1", "endure"] {
+            let a = parse_args(&argv(line)).unwrap();
+            assert_eq!(endurance_from(&a).unwrap().1, RotationConfig::default());
+        }
+        // Only endure reads the rotation flags.
         let (_, cfg) = params_from(&a).unwrap();
-        assert_eq!(cfg.rotation, Some(RotationConfig::default()));
-        // Rotation is opt-in.
-        let plain = parse_args(&argv("deploy")).unwrap();
-        let (_, cfg) = params_from(&plain).unwrap();
         assert_eq!(cfg.rotation, None);
     }
 
@@ -576,7 +660,7 @@ mod tests {
             "shift-period 9",
         ] {
             let a = parse_args(&argv(&format!("endure --{knob}"))).unwrap();
-            let err = params_from(&a).unwrap_err();
+            let err = endurance_from(&a).unwrap_err();
             assert!(err.contains("--rotate"), "{err}");
         }
     }
@@ -591,7 +675,7 @@ mod tests {
             "endure --rotate 1 --sleep-cost 2",
         ] {
             let a = parse_args(&argv(bad)).unwrap();
-            assert!(params_from(&a).is_err(), "{bad} must be rejected");
+            assert!(endurance_from(&a).is_err(), "{bad} must be rejected");
         }
     }
 
@@ -636,7 +720,7 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(
-            endurance_from(&a).unwrap(),
+            endurance_from(&a).unwrap().0,
             EnduranceConfig {
                 rotate: false,
                 spare_budget: 40,
@@ -646,7 +730,10 @@ mod tests {
             }
         );
         let plain = parse_args(&argv("endure")).unwrap();
-        assert_eq!(endurance_from(&plain).unwrap(), EnduranceConfig::default());
+        assert_eq!(
+            endurance_from(&plain).unwrap().0,
+            EnduranceConfig::default()
+        );
     }
 
     #[test]

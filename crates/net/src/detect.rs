@@ -15,20 +15,21 @@
 //! events of one period come in the same order as those of the period
 //! before. The simulation therefore walks a fixed per-period calendar, the
 //! nodes sorted by phase, instead of a priority queue, and merges in the
-//! events that happen once (shift boundaries, the failure instant) at
-//! their ticks. Events at one tick run in the order the queue's FIFO
-//! tie-break gave them (DESIGN.md §16); the frozen queue-based detector in
+//! one event that happens once, the failure instant, at its tick. Events
+//! at one tick run in the order the queue's FIFO tie-break gave them
+//! (DESIGN.md §16); the frozen queue-based detector in
 //! `tests/detect_oracle.rs` referees that.
 //!
-//! What each node remembers lives in a [`WatchTable`], shared with the
-//! period-clocked detector of `decor_core::endurance`: one dense row per
-//! observer, built by the t=0 hello exchange.
+//! Every node is always on here. Telling a scheduled sleeper's silence
+//! from a death is the job of the period-clocked detector of
+//! `decor_core::endurance`, the only detector that runs under rotation.
+//! What each node remembers lives in a [`WatchTable`], shared by both
+//! detectors: one dense row per observer, built by the t=0 hello exchange.
 
 use crate::event::Time;
 use crate::messages::Message;
 use crate::network::Network;
 use crate::node::NodeId;
-use crate::rotation::ShiftSchedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -70,11 +71,6 @@ pub struct DetectionReport {
     pub false_positives: BTreeMap<NodeId, (Time, NodeId)>,
     /// Heartbeat messages broadcast during the run.
     pub heartbeats_sent: u64,
-    /// Suspicions suppressed because the silent neighbor was scheduled
-    /// asleep by the rotation (see [`crate::rotation`]): the silence
-    /// crossed the timeout, but the three-state lifecycle says `Asleep`,
-    /// not `Dead`, so no alarm was raised. Always 0 without a schedule.
-    pub sleeping_suppressed: u64,
 }
 
 impl DetectionReport {
@@ -264,36 +260,6 @@ impl HeartbeatSim {
         fail_at: Time,
         horizon: Time,
     ) -> DetectionReport {
-        self.run_inner(net, victims, fail_at, horizon, None)
-    }
-
-    /// Like [`HeartbeatSim::run`], but rotation-aware: nodes scheduled
-    /// asleep by `schedule` pause their heartbeats and checks, observers
-    /// measure a neighbor's silence only across windows where *both* ends
-    /// were scheduled awake, and a timeout crossed while the neighbor is
-    /// asleep is counted in
-    /// [`DetectionReport::sleeping_suppressed`] instead of raising an
-    /// alarm. With an empty or single-shift schedule this is exactly
-    /// [`HeartbeatSim::run`].
-    pub fn run_scheduled(
-        &self,
-        net: &mut Network,
-        victims: &[NodeId],
-        fail_at: Time,
-        horizon: Time,
-        schedule: &ShiftSchedule,
-    ) -> DetectionReport {
-        self.run_inner(net, victims, fail_at, horizon, Some(schedule))
-    }
-
-    fn run_inner(
-        &self,
-        net: &mut Network,
-        victims: &[NodeId],
-        fail_at: Time,
-        horizon: Time,
-        schedule: Option<&ShiftSchedule>,
-    ) -> DetectionReport {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let period = self.cfg.period;
 
@@ -315,18 +281,12 @@ impl HeartbeatSim {
             .collect();
         slots.sort_by_key(|s| s.phase);
 
-        // Rotating schedules only: an always-on schedule must leave the
-        // run bit-identical to the schedule-free one.
-        let rotating = schedule.filter(|s| s.n_shifts() > 1);
         let detected = vec![None; net.len()];
         let mut run = Run {
             cfg: self.cfg,
-            horizon,
             live: slots.len(),
-            next_shift: rotating.map(|_| 0),
             fail_at: (fail_at <= horizon).then_some(fail_at),
             net,
-            rotating,
             victims,
             watch,
             report: DetectionReport::default(),
@@ -345,10 +305,7 @@ impl HeartbeatSim {
                     break 'calendar;
                 };
                 let end = g + slots[g..].partition_point(|s| s.phase == phase);
-                run.one_offs_before(Some(now));
-                if run.next_shift == Some(now) {
-                    run.rotate(now);
-                }
+                run.fail_before(Some(now));
                 let fail = run.fail_at.take_if(|&mut t| t == now).is_some();
                 let group = &mut slots[g..end];
                 // The order the event queue's (time, seq) tie-break gave
@@ -386,7 +343,7 @@ impl HeartbeatSim {
                 None => break,
             }
         }
-        run.one_offs_before(None);
+        run.fail_before(None);
 
         let Run {
             mut report,
@@ -434,16 +391,11 @@ struct Slot {
 /// The state of one [`HeartbeatSim`] run as it walks its calendar.
 struct Run<'a> {
     cfg: HeartbeatConfig,
-    horizon: Time,
     /// Slots with a beat or a check still on the calendar.
     live: usize,
-    /// The next shift boundary within the horizon (rotating schedules
-    /// only).
-    next_shift: Option<Time>,
     /// The failure instant, while it is pending and within the horizon.
     fail_at: Option<Time>,
     net: &'a mut Network,
-    rotating: Option<&'a ShiftSchedule>,
     victims: &'a [NodeId],
     watch: WatchTable,
     report: DetectionReport,
@@ -452,32 +404,16 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
-    /// Runs the shift boundaries and the failure due before `end` (all
-    /// that are left, for `None`) in time order. A boundary goes first at
-    /// an equal tick: every boundary was scheduled before the failure.
-    fn one_offs_before(&mut self, end: Option<Time>) {
-        let due = |t: Option<Time>| t.filter(|&t| end.is_none_or(|e| t < e));
-        loop {
-            match (due(self.next_shift), due(self.fail_at)) {
-                (Some(r), f) if f.is_none_or(|f| r <= f) => self.rotate(r),
-                (_, Some(_)) => {
-                    self.fail_at = None;
-                    self.fail();
-                }
-                _ => return,
-            }
+    /// Runs the failure if it is due before `end` (whenever it is still
+    /// pending, for `None`).
+    fn fail_before(&mut self, end: Option<Time>) {
+        if self
+            .fail_at
+            .take_if(|&mut t| end.is_none_or(|e| t < e))
+            .is_some()
+        {
+            self.fail();
         }
-    }
-
-    /// A shift boundary: re-apply the schedule's sleep flags to the
-    /// network, and move to the next boundary. A node waking at `now`
-    /// beats at `now`.
-    fn rotate(&mut self, now: Time) {
-        let sched = self.rotating.expect("shift boundaries need a schedule");
-        sched.apply_sleep_flags(self.net, now);
-        self.next_shift = now
-            .checked_add(sched.period())
-            .filter(|&t| t <= self.horizon);
     }
 
     /// The failure instant: victims drop out of the network.
@@ -499,15 +435,8 @@ impl Run<'_> {
                 self.live -= usize::from(!slot.checking);
                 continue;
             }
-            // A scheduled-asleep node's radio is off: it skips the beat
-            // but keeps its cadence for the next awake shift.
-            let asleep = self
-                .rotating
-                .is_some_and(|s| s.is_scheduled_asleep(slot.id, now));
-            if !asleep {
-                self.watch.beat(self.net, slot.id, now);
-                self.report.heartbeats_sent += 1;
-            }
+            self.watch.beat(self.net, slot.id, now);
+            self.report.heartbeats_sent += 1;
         }
     }
 
@@ -525,45 +454,12 @@ impl Run<'_> {
                 self.live -= usize::from(!slot.beating);
                 continue;
             }
-            if self
-                .rotating
-                .is_some_and(|s| s.is_scheduled_asleep(id, now))
-            {
-                // A sleeping observer scans nothing (radio off) but keeps
-                // its check cadence.
-                continue;
-            }
             for watched in self.watch.row(id) {
                 // Suspicion is based purely on silence: the observer
                 // cannot consult ground truth. On a lossy medium this can
-                // misfire on alive neighbors (classified by `run_inner`).
-                let (nb, last) = (watched.neighbor(), watched.last_heard());
-                match self.rotating {
-                    Some(sched) if sched.is_scheduled_asleep(nb, now) => {
-                        // Three-state lifecycle: the schedule says Asleep,
-                        // not Dead. Count the would-be alarm, never raise
-                        // it.
-                        if silent_too_long(now, last, period, timeout) {
-                            self.report.sleeping_suppressed += 1;
-                        }
-                    }
-                    Some(sched) => {
-                        // Silence only counts across windows where both
-                        // ends were on duty: a neighbor (or the observer
-                        // itself) fresh off a sleep shift gets a full
-                        // timeout before suspicion.
-                        let eff = last
-                            .max(sched.last_wake_at(nb, now))
-                            .max(sched.last_wake_at(id, now));
-                        if silent_too_long(now, eff, period, timeout) {
-                            self.detected[nb].get_or_insert((now, id));
-                        }
-                    }
-                    None => {
-                        if silent_too_long(now, last, period, timeout) {
-                            self.detected[nb].get_or_insert((now, id));
-                        }
-                    }
+                // misfire on alive neighbors (classified by `run`).
+                if silent_too_long(now, watched.last_heard(), period, timeout) {
+                    self.detected[watched.neighbor()].get_or_insert((now, id));
                 }
             }
         }
@@ -835,107 +731,6 @@ mod tests {
                 "seed {seed}: detection at {t} outside the exact window"
             );
         }
-    }
-
-    #[test]
-    fn sleeping_node_is_never_suspected() {
-        // Two alternating shifts, shift period 4 heartbeat periods: every
-        // node is silent for 400-tick stretches — far past the 300-tick
-        // timeout — yet the three-state lifecycle must classify that
-        // silence as Asleep, not Dead: zero false positives, and the
-        // suppression counter proves the timeout actually crossed.
-        use crate::rotation::ShiftSchedule;
-        let mut net = line_network(6, 5.0);
-        let sched = ShiftSchedule::new(vec![vec![0, 2, 4], vec![1, 3, 5]], 400, 6);
-        let sim = HeartbeatSim::new(cfg(31));
-        let report = sim.run_scheduled(&mut net, &[], 100_000, 8_000, &sched);
-        assert!(
-            report.false_positives.is_empty(),
-            "scheduled sleep misread as failure: {report:?}"
-        );
-        assert!(report.first_detection.is_empty());
-        assert!(
-            report.sleeping_suppressed > 0,
-            "the timeout never crossed — the suppression path was not exercised"
-        );
-    }
-
-    #[test]
-    fn dead_node_is_detected_by_its_shift_mates() {
-        // Victim 1 shares shift 0 with its watcher 0: a real failure is
-        // still caught under rotation, during their common awake windows.
-        use crate::rotation::ShiftSchedule;
-        let mut net = line_network(4, 5.0);
-        let sched = ShiftSchedule::new(vec![vec![0, 1], vec![2, 3]], 800, 4);
-        let sim = HeartbeatSim::new(cfg(32));
-        let report = sim.run_scheduled(&mut net, &[1], 100, 20_000, &sched);
-        assert!(
-            report.first_detection.contains_key(&1),
-            "rotation must not mask a real failure: {report:?}"
-        );
-        assert!(report.false_positives.is_empty(), "{report:?}");
-    }
-
-    #[test]
-    fn fresh_waker_gets_a_full_timeout_window() {
-        // Detection of a same-shift victim can only fire once the shift
-        // has been awake a full timeout: silence accrued while either end
-        // slept is not evidence.
-        use crate::rotation::ShiftSchedule;
-        let mut net = line_network(4, 5.0);
-        let sched = ShiftSchedule::new(vec![vec![0, 1], vec![2, 3]], 800, 4);
-        let sim = HeartbeatSim::new(cfg(33));
-        // Fail during the victim's *off* shift: [800, 1600).
-        let report = sim.run_scheduled(&mut net, &[1], 900, 20_000, &sched);
-        let (t, _) = report.first_detection[&1];
-        assert!(
-            t >= 1600 + 300,
-            "suspected at {t}, before the shift was awake a full timeout"
-        );
-    }
-
-    #[test]
-    fn always_on_schedule_matches_plain_run() {
-        use crate::rotation::ShiftSchedule;
-        let plain = {
-            let mut net = line_network(5, 5.0);
-            let sim = HeartbeatSim::new(cfg(34));
-            let r = sim.run(&mut net, &[2], 500, 5_000);
-            (r.first_detection, r.heartbeats_sent, net.stats.total_sent)
-        };
-        let scheduled = {
-            let mut net = line_network(5, 5.0);
-            let sim = HeartbeatSim::new(cfg(34));
-            let sched = ShiftSchedule::always_on(400, 5);
-            let r = sim.run_scheduled(&mut net, &[2], 500, 5_000, &sched);
-            assert_eq!(r.sleeping_suppressed, 0);
-            (r.first_detection, r.heartbeats_sent, net.stats.total_sent)
-        };
-        assert_eq!(plain, scheduled, "always-on rotation must be a no-op");
-    }
-
-    #[test]
-    fn rotation_halves_the_heartbeat_traffic() {
-        use crate::rotation::ShiftSchedule;
-        let beats = |sched: Option<ShiftSchedule>| {
-            let mut net = line_network(6, 5.0);
-            let sim = HeartbeatSim::new(cfg(35));
-            match sched {
-                Some(s) => sim.run_scheduled(&mut net, &[], 100_000, 20_000, &s),
-                None => sim.run(&mut net, &[], 100_000, 20_000),
-            }
-            .heartbeats_sent
-        };
-        let on = beats(None);
-        let rotated = beats(Some(ShiftSchedule::new(
-            vec![vec![0, 2, 4], vec![1, 3, 5]],
-            400,
-            6,
-        )));
-        assert!(
-            rotated * 2 <= on + 6,
-            "two disjoint shifts must ~halve beats: {rotated} vs {on}"
-        );
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! - [`sleep`] / [`rotation`] — set-k-cover sleep shifts (the paper's
 //!   motivation #3) and the runtime rotation state: shift schedules on the
 //!   tick clock, battery knobs, and the awake / scheduled-asleep / dead
-//!   node lifecycle the rotation-aware detector distinguishes.
+//!   node lifecycle that `decor_core::endurance`'s detector distinguishes.
 //!
 //! Everything is deterministic given explicit seeds; nothing here spawns
 //! threads (parallelism lives in `decor-core::parallel`, across replicas).

@@ -132,7 +132,6 @@ pub struct Network {
     /// rotation sees the historical behavior bit-for-bit.
     sleeping: Vec<bool>,
     index: GridIndex,
-    energy_model: EnergyModel,
     /// Per-packet loss probability in `[0, 1)` (0 = perfect medium).
     loss_rate: f64,
     /// Deterministic loss stream (splitmix-style counter mix).
@@ -168,19 +167,14 @@ pub struct Network {
 }
 
 impl Network {
-    /// An empty network over `field` with the default energy model.
+    /// An empty network over `field`. Every network charges its radio
+    /// traffic to the default [`EnergyModel`].
     pub fn new(field: Aabb) -> Self {
-        Network::with_energy_model(field, EnergyModel::default())
-    }
-
-    /// An empty network with an explicit energy model.
-    pub fn with_energy_model(field: Aabb, energy_model: EnergyModel) -> Self {
         let cell = (field.width().min(field.height()) / 20.0).max(1.0);
         Network {
             nodes: Vec::new(),
             sleeping: Vec::new(),
             index: GridIndex::new(field.min, (field.width(), field.height()), cell),
-            energy_model,
             loss_rate: 0.0,
             loss_state: 0,
             stats: NetStats::default(),
@@ -196,7 +190,7 @@ impl Network {
     }
 
     /// Returns the network to the state of `Network::new(field)` — no
-    /// nodes, perfect medium, default energy model, zeroed counters,
+    /// nodes, perfect medium, zeroed counters,
     /// disabled trace, no hearer row filled — while keeping the node
     /// storage, spatial-index buckets, hearer rows and stats vectors
     /// allocated. A reset network behaves bit-identically to a freshly
@@ -213,7 +207,6 @@ impl Network {
         self.sleeping.clear();
         self.index
             .reset(field.min, (field.width(), field.height()), cell);
-        self.energy_model = EnergyModel::default();
         self.loss_rate = 0.0;
         self.loss_state = 0;
         self.stats.reset();
@@ -511,7 +504,7 @@ impl Network {
         // The sender transmits (and pays) regardless of whether the
         // medium then eats the packet.
         self.stats.sent[from] += 1;
-        self.stats.energy[from] += self.energy_model.tx_cost(bytes, d);
+        self.stats.energy[from] += EnergyModel::default().tx_cost(bytes, d);
         self.stats.total_sent += 1;
         if msg.is_maintenance() {
             self.stats.maintenance_sent += 1;
@@ -547,7 +540,7 @@ impl Network {
             return Err(SendError::Lost);
         }
         self.stats.received[to] += 1;
-        self.stats.energy[to] += self.energy_model.rx_cost(bytes);
+        self.stats.energy[to] += EnergyModel::default().rx_cost(bytes);
         self.trace.emit(TraceEvent::MsgDeliver {
             from: from as u64,
             to: to as u64,
@@ -586,7 +579,7 @@ impl Network {
         let receivers = std::mem::take(&mut self.hearers[from]);
         let bytes = msg.payload_bytes();
         self.stats.sent[from] += 1;
-        self.stats.energy[from] += self.energy_model.tx_cost(bytes, sender.rc);
+        self.stats.energy[from] += EnergyModel::default().tx_cost(bytes, sender.rc);
         self.stats.total_sent += 1;
         if msg.is_maintenance() {
             self.stats.maintenance_sent += 1;
@@ -624,7 +617,7 @@ impl Network {
                 continue;
             }
             self.stats.received[r] += 1;
-            self.stats.energy[r] += self.energy_model.rx_cost(bytes);
+            self.stats.energy[r] += EnergyModel::default().rx_cost(bytes);
             self.trace.emit(TraceEvent::MsgDeliver {
                 from: from as u64,
                 to: r as u64,

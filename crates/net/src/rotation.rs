@@ -8,15 +8,15 @@
 //! - [`RotationConfig`] — the duty-cycling knobs (shift length on the
 //!   transport tick clock, battery capacity, awake/asleep idle costs);
 //! - [`ShiftSchedule`] — an agreed shift assignment, queryable at any
-//!   simulation instant ("who is scheduled asleep *now*?"), so that a
-//!   sleeping node's silence is never mistaken for a failure.
+//!   simulation instant ("who is scheduled asleep *now*?"), so that the
+//!   endurance loop's detector never mistakes a sleeping node's silence
+//!   for a failure.
 //!
 //! The schedule itself is agreed in-network by `decor-core`'s rotation
 //! agreement (coordinator election + reliable `ShiftAssign` dissemination);
 //! this module only represents the agreed outcome.
 
 use crate::event::Time;
-use crate::network::Network;
 use crate::node::NodeId;
 use serde::{Deserialize, Serialize};
 
@@ -40,9 +40,6 @@ pub struct RotationConfig {
     pub awake_cost: f64,
     /// Idle cost per period while scheduled asleep (clock upkeep only).
     pub sleep_cost: f64,
-    /// Seed for rotation-related jitter (heartbeat phases, agreement
-    /// tie-breaking).
-    pub seed: u64,
 }
 
 impl Default for RotationConfig {
@@ -57,7 +54,6 @@ impl Default for RotationConfig {
             battery: 2_000.0,
             awake_cost: 1.0,
             sleep_cost: 0.02,
-            seed: 0,
         }
     }
 }
@@ -131,11 +127,6 @@ impl ShiftSchedule {
         self.shifts.len()
     }
 
-    /// The shift length in ticks.
-    pub fn period(&self) -> Time {
-        self.period
-    }
-
     /// The shifts, each sorted as provided by the scheduler.
     pub fn shifts(&self) -> &[Vec<NodeId>] {
         &self.shifts
@@ -169,28 +160,6 @@ impl ShiftSchedule {
         }
     }
 
-    /// The start of `id`'s most recent scheduled-awake period at or
-    /// before `now` (0 when it has not had one yet, or never sleeps).
-    ///
-    /// The rotation-aware detector measures silence from
-    /// `max(last_heard, last_wake_at)`: a neighbor that just rotated back
-    /// on duty gets a full timeout window before suspicion.
-    pub fn last_wake_at(&self, id: NodeId, now: Time) -> Time {
-        let s = self.shifts.len() as Time;
-        if s <= 1 {
-            return 0;
-        }
-        let Some(si) = self.shift_of(id) else {
-            return 0;
-        };
-        let cur = now / self.period;
-        let offset = (cur % s + s - si as Time) % s;
-        match cur.checked_sub(offset) {
-            Some(cycle) => cycle * self.period,
-            None => 0, // first awake window still ahead
-        }
-    }
-
     /// Folds a replacement node into the rotation: assigns `id` to shift
     /// `si`, growing the member table as needed. Panics when `id` already
     /// belongs to a shift or `si` is out of range.
@@ -213,22 +182,11 @@ impl ShiftSchedule {
     pub fn least_loaded_shift(&self) -> Option<usize> {
         (0..self.shifts.len()).min_by_key(|&si| self.shifts[si].len())
     }
-
-    /// Sets every alive node's sleeping flag on `net` per the schedule at
-    /// tick `now`. Dead nodes' flags are cleared (a flag on a corpse is
-    /// meaningless and would survive into a wrong state on revival).
-    pub fn apply_sleep_flags(&self, net: &mut Network, now: Time) {
-        for id in 0..net.len() {
-            let asleep = net.is_alive(id) && self.is_scheduled_asleep(id, now);
-            net.set_sleeping(id, asleep);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decor_geom::{Aabb, Point};
 
     fn sched3() -> ShiftSchedule {
         // 6 nodes, 3 shifts of 2, period 10.
@@ -276,7 +234,6 @@ mod tests {
         // Node 6 arrives mid-run; until folded in it is always awake.
         assert_eq!(s.shift_of(6), None);
         assert!(!s.is_scheduled_asleep(6, 15));
-        assert_eq!(s.last_wake_at(6, 35), 0);
         s.assign(6, 1);
         assert_eq!(s.shift_of(6), Some(1));
         assert!(s.is_scheduled_asleep(6, 5));
@@ -293,40 +250,6 @@ mod tests {
                 assert!(!none.is_scheduled_asleep(id, now));
             }
         }
-    }
-
-    #[test]
-    fn last_wake_at_is_the_latest_on_duty_boundary() {
-        let s = sched3();
-        // Node 2 (shift 1) is awake during periods 1, 4, 7...: ticks
-        // [10,20), [40,50), ...
-        assert_eq!(s.last_wake_at(2, 15), 10);
-        assert_eq!(s.last_wake_at(2, 20), 10, "next window is [40,50)");
-        assert_eq!(s.last_wake_at(2, 39), 10);
-        assert_eq!(s.last_wake_at(2, 45), 40);
-        // Before its first window the node has never woken.
-        assert_eq!(s.last_wake_at(2, 5), 0);
-        // Node 0 (shift 0) woke at the very start.
-        assert_eq!(s.last_wake_at(0, 5), 0);
-        assert_eq!(s.last_wake_at(0, 29), 0);
-        assert_eq!(s.last_wake_at(0, 35), 30);
-    }
-
-    #[test]
-    fn apply_sleep_flags_matches_schedule() {
-        let mut net = Network::new(Aabb::square(50.0));
-        for i in 0..6 {
-            net.add_node(Point::new(5.0 + 2.0 * i as f64, 10.0), 4.0, 8.0);
-        }
-        let s = sched3();
-        s.apply_sleep_flags(&mut net, 12);
-        for id in 0..6 {
-            assert_eq!(net.is_sleeping(id), s.is_scheduled_asleep(id, 12));
-        }
-        // A dead node's flag is cleared even while its shift is off duty.
-        net.fail_node(0);
-        s.apply_sleep_flags(&mut net, 25);
-        assert!(!net.is_sleeping(0));
     }
 
     #[test]

@@ -7,14 +7,15 @@
 //! exchange, and a `BTreeMap` of detections. Its logic is kept unchanged
 //! as the oracle, so the dense table must reproduce its reports and its
 //! traffic counters bit for bit on every medium the detector runs on:
-//! lossless and lossy, with isolated nodes and rotating schedules. (The
-//! oracle still takes a fault plan, as it always did; the detector no
-//! longer does, so every call passes none.)
+//! lossless and lossy, with isolated nodes. (The oracle still takes a
+//! fault plan, as it always did; the detector no longer does, so every
+//! call passes none. Nor does the detector take a shift schedule any
+//! more, so the oracle's rotation branches are gone.)
 
 use decor_geom::{Aabb, Point};
 use decor_net::{
     silent_too_long, ChaosEngine, DetectionReport, EventQueue, HeartbeatConfig, HeartbeatSim,
-    Message, Network, NodeId, ShiftSchedule, Time,
+    Message, Network, NodeId, Time,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -26,7 +27,6 @@ enum Ev {
     Beat(NodeId),
     Check(NodeId),
     Fail,
-    Rotate,
 }
 
 /// The map-based detector, frozen.
@@ -36,7 +36,6 @@ fn reference_run(
     victims: &[NodeId],
     fail_at: Time,
     horizon: Time,
-    schedule: Option<&ShiftSchedule>,
     mut chaos: Option<&mut ChaosEngine>,
 ) -> DetectionReport {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -52,15 +51,6 @@ fn reference_run(
         for observer in heard_by {
             last_heard.insert((observer, id), 0);
             watch.entry(observer).or_default().push(id);
-        }
-    }
-
-    let rotating = schedule.filter(|s| s.n_shifts() > 1);
-    if let Some(sched) = rotating {
-        let mut t = 0;
-        while t <= horizon {
-            q.schedule(t, Ev::Rotate);
-            t += sched.period();
         }
     }
 
@@ -87,23 +77,15 @@ fn reference_run(
                     net.fail_node(v);
                 }
             }
-            Ev::Rotate => {
-                if let Some(sched) = rotating {
-                    sched.apply_sleep_flags(net, now);
-                }
-            }
             Ev::Beat(id) => {
                 if !net.is_alive(id) {
                     continue;
                 }
-                let asleep = rotating.is_some_and(|s| s.is_scheduled_asleep(id, now));
-                if !asleep {
-                    let pos = net.node(id).pos;
-                    let heard_by = net.broadcast(id, Message::Heartbeat { pos });
-                    report.heartbeats_sent += 1;
-                    for observer in heard_by {
-                        last_heard.insert((observer, id), now);
-                    }
+                let pos = net.node(id).pos;
+                let heard_by = net.broadcast(id, Message::Heartbeat { pos });
+                report.heartbeats_sent += 1;
+                for observer in heard_by {
+                    last_heard.insert((observer, id), now);
                 }
                 q.schedule(now + period, Ev::Beat(id));
             }
@@ -111,32 +93,11 @@ fn reference_run(
                 if !net.is_alive(id) {
                     continue;
                 }
-                if rotating.is_some_and(|s| s.is_scheduled_asleep(id, now)) {
-                    q.schedule(now + period, Ev::Check(id));
-                    continue;
-                }
                 if let Some(neighbors) = watch.get(&id) {
                     for &nb in neighbors {
                         let last = last_heard.get(&(id, nb)).copied().unwrap_or(0);
-                        match rotating {
-                            Some(sched) if sched.is_scheduled_asleep(nb, now) => {
-                                if silent_too_long(now, last, period, cfg.timeout_periods) {
-                                    report.sleeping_suppressed += 1;
-                                }
-                            }
-                            Some(sched) => {
-                                let eff = last
-                                    .max(sched.last_wake_at(nb, now))
-                                    .max(sched.last_wake_at(id, now));
-                                if silent_too_long(now, eff, period, cfg.timeout_periods) {
-                                    detected.entry(nb).or_insert((now, id));
-                                }
-                            }
-                            None => {
-                                if silent_too_long(now, last, period, cfg.timeout_periods) {
-                                    detected.entry(nb).or_insert((now, id));
-                                }
-                            }
+                        if silent_too_long(now, last, period, cfg.timeout_periods) {
+                            detected.entry(nb).or_insert((now, id));
                         }
                     }
                 }
@@ -208,9 +169,6 @@ proptest! {
         hb_seed in any::<u64>(),
         timeout_periods in 2u32..5,
         fail_at in 0u64..2_000,
-        n_shifts in 0usize..4,
-        shift_period in 100u64..900,
-        shift_salt in any::<u64>(),
     ) {
         let mut net = Network::new(Aabb::square(100.0));
         for &(x, y) in &cluster {
@@ -232,18 +190,6 @@ proptest! {
         }
 
         let horizon = 5_000;
-        let schedule = (n_shifts > 0).then(|| {
-            // Every node lands in one of the `n_shifts` shifts or, in the
-            // extra slot, stays unscheduled and always on.
-            let mut shifts = vec![Vec::new(); n_shifts];
-            for id in 0..n {
-                let h = (id as u64 ^ shift_salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-                if let Some(shift) = shifts.get_mut(h as usize % (n_shifts + 1)) {
-                    shift.push(id);
-                }
-            }
-            ShiftSchedule::new(shifts, shift_period, n)
-        });
 
         let cfg = HeartbeatConfig { period: 100, timeout_periods, seed: hb_seed };
         let sim = HeartbeatSim::new(cfg);
@@ -254,13 +200,9 @@ proptest! {
             &victims,
             fail_at,
             horizon,
-            schedule.as_ref(),
             None,
         );
-        let got = match schedule.as_ref() {
-            None => sim.run(&mut net, &victims, fail_at, horizon),
-            Some(s) => sim.run_scheduled(&mut net, &victims, fail_at, horizon, s),
-        };
+        let got = sim.run(&mut net, &victims, fail_at, horizon);
         prop_assert_eq!(&got, &expected);
         prop_assert_eq!(counters(&net), counters(&oracle_net));
         prop_assert_eq!(net.alive_ids(), oracle_net.alive_ids());
@@ -283,7 +225,7 @@ fn oracle_agrees_on_a_lossy_line_with_an_isolated_node() {
         seed: 5,
     };
     let mut oracle_net = net.clone();
-    let expected = reference_run(cfg, &mut oracle_net, &[4, 12], 600, 8_000, None, None);
+    let expected = reference_run(cfg, &mut oracle_net, &[4, 12], 600, 8_000, None);
     let got = HeartbeatSim::new(cfg).run(&mut net, &[4, 12], 600, 8_000);
     assert!(
         !expected.false_positives.is_empty(),
@@ -313,23 +255,10 @@ fn assert_agrees(
     victims: &[NodeId],
     fail_at: Time,
     horizon: Time,
-    schedule: Option<&ShiftSchedule>,
 ) -> DetectionReport {
     let (mut got_net, mut oracle_net) = (net.clone(), net.clone());
-    let expected = reference_run(
-        cfg,
-        &mut oracle_net,
-        victims,
-        fail_at,
-        horizon,
-        schedule,
-        None,
-    );
-    let sim = HeartbeatSim::new(cfg);
-    let got = match schedule {
-        None => sim.run(&mut got_net, victims, fail_at, horizon),
-        Some(s) => sim.run_scheduled(&mut got_net, victims, fail_at, horizon, s),
-    };
+    let expected = reference_run(cfg, &mut oracle_net, victims, fail_at, horizon, None);
+    let got = HeartbeatSim::new(cfg).run(&mut got_net, victims, fail_at, horizon);
     let end_state = |net: &Network| {
         let asleep: Vec<bool> = (0..net.len()).map(|id| net.is_sleeping(id)).collect();
         (net.alive_ids(), asleep, net.is_partitioned())
@@ -385,30 +314,9 @@ fn failure_on_a_beat_tick_in_periods_0_1_and_5() {
                 .collect();
             for m in [0, 1, 5] {
                 let fail_at = m * cfg.period + phase;
-                assert_agrees(&net, cfg, &victims, fail_at, 40 * cfg.period, None);
+                assert_agrees(&net, cfg, &victims, fail_at, 40 * cfg.period);
             }
         }
-    }
-}
-
-/// A shift boundary on a beat tick runs first, so a node waking there
-/// beats there.
-#[test]
-fn shift_boundary_on_a_beat_tick() {
-    let net = lossy_line();
-    for cfg in tie_configs() {
-        let phases = phases(&net, &cfg);
-        let (waker, phase) = phases[3];
-        // Odd ids sleep through shift 0 and wake at the first boundary,
-        // which is the waker's beat tick in period 2.
-        let shifts = vec![
-            (0..10).filter(|id| id % 2 == 0).collect(),
-            (0..10).filter(|id| id % 2 == 1).collect(),
-        ];
-        assert_eq!(waker % 2, 1);
-        let sched = ShiftSchedule::new(shifts, 2 * cfg.period + phase, net.len());
-        let horizon = 8 * sched.period();
-        assert_agrees(&net, cfg, &[6], horizon / 3, horizon, Some(&sched));
     }
 }
 
@@ -428,24 +336,22 @@ fn failure_after_the_last_recurring_tick() {
         .unwrap();
     assert!(hi - lo >= 3, "phases {ticks:?}");
     let horizon = 5 * cfg.period + hi - 1;
-    let report = assert_agrees(&net, cfg, &[4, 7], horizon, horizon, None);
+    let report = assert_agrees(&net, cfg, &[4, 7], horizon, horizon);
     assert_eq!(report.undetected, vec![4, 7], "failed after every check");
 }
 
-/// With no node alive only the one-off events run: the failure and the
-/// shift boundaries.
+/// With no node alive only the one-off event runs: the failure.
 #[test]
 fn network_without_an_alive_node() {
     let cfg = tie_configs()[1];
     let empty = Network::new(Aabb::square(100.0));
-    assert_agrees(&empty, cfg, &[], 200, 1_000, None);
+    assert_agrees(&empty, cfg, &[], 200, 1_000);
     let mut dead = lossy_line();
     for id in 0..dead.len() {
         dead.fail_node(id);
     }
-    let sched = ShiftSchedule::new(vec![vec![0, 1], vec![2, 3]], 130, dead.len());
     for fail_at in [100, 5_000] {
-        let report = assert_agrees(&dead, cfg, &[3], fail_at, 1_000, Some(&sched));
+        let report = assert_agrees(&dead, cfg, &[3], fail_at, 1_000);
         assert_eq!(report.heartbeats_sent, 0);
     }
 }
@@ -456,6 +362,6 @@ fn horizon_shorter_than_one_period() {
     let net = lossy_line();
     let cfg = tie_configs()[1];
     for (fail_at, horizon) in [(20, 50), (0, 0), (60, 99)] {
-        assert_agrees(&net, cfg, &[1, 2], fail_at, horizon, None);
+        assert_agrees(&net, cfg, &[1, 2], fail_at, horizon);
     }
 }

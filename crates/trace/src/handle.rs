@@ -84,11 +84,6 @@ impl TraceHandle {
         Self::with_sink(Sink::Counts(BTreeMap::new()))
     }
 
-    /// True when a sink is attached.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Updates the simulation clock stamped onto subsequent events.
     /// No-op when disabled.
     pub fn set_time(&self, time: u64) {
@@ -163,7 +158,6 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let h = TraceHandle::disabled();
-        assert!(!h.is_enabled());
         h.set_time(5);
         h.emit(TraceEvent::NodeFailed { node: 1 });
         assert_eq!(h.jsonl(), None);

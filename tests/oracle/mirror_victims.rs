@@ -14,10 +14,7 @@
 
 use decor::core::restore::RestorationReport;
 use decor::core::{CoverageMap, DeploymentConfig, Placer, SensorId};
-use decor::net::{
-    FailurePlan, HeartbeatConfig, HeartbeatSim, Network, NodeId, ShiftSchedule, SleepScheduler,
-    Time,
-};
+use decor::net::{FailurePlan, HeartbeatConfig, HeartbeatSim, Network, NodeId, Time};
 use decor::trace::TraceEvent;
 
 /// The sensor ids the mirror path kills: `FailurePlan::victims` on a
@@ -56,27 +53,12 @@ pub fn mirror_fail_and_restore(
     }
     let victims_net = plan.victims(&net);
 
-    // With rotation configured, detection must run against the sleep
-    // schedule: a node whose shift is off duty is Asleep, not Dead, and
-    // its silence must never be declared a failure. The schedule is the
-    // canonical set-k-cover partition of the pre-failure deployment —
-    // exactly what the in-network agreement (`crate::rotation`) lands on.
-    let schedule: Option<ShiftSchedule> = cfg.rotation.as_ref().and_then(|rot| {
-        rot.validate();
-        let shifts = SleepScheduler::new(rot.target_coverage).shifts(&net, map.points());
-        let n = net.len();
-        (shifts.len() > 1).then(|| ShiftSchedule::new(shifts, rot.period, n))
-    });
-
-    let (detected, latency, false_restorations, sleeping_suppressed) = match heartbeat {
+    let (detected, latency, false_restorations) = match heartbeat {
         Some(hb) => {
             let sim = HeartbeatSim::new(hb);
             let fail_at = 4 * hb.period;
             let horizon = fail_at + 40 * hb.period;
-            let report = match &schedule {
-                Some(sched) => sim.run_scheduled(&mut net, &victims_net, fail_at, horizon, sched),
-                None => sim.run(&mut net, &victims_net, fail_at, horizon),
-            };
+            let report = sim.run(&mut net, &victims_net, fail_at, horizon);
             cfg.trace.set_time(fail_at);
             for &v in &victims_net {
                 cfg.trace.emit(TraceEvent::NodeFailed { node: v as u64 });
@@ -100,7 +82,6 @@ pub fn mirror_fail_and_restore(
                 report.first_detection.len(),
                 report.max_latency(fail_at),
                 report.false_positives.len(),
-                report.sleeping_suppressed,
             )
         }
         None => {
@@ -108,7 +89,7 @@ pub fn mirror_fail_and_restore(
                 net.fail_node(v);
                 cfg.trace.emit(TraceEvent::NodeFailed { node: v as u64 });
             }
-            (victims_net.len(), None, 0, 0)
+            (victims_net.len(), None, 0)
         }
     };
 
@@ -128,7 +109,7 @@ pub fn mirror_fail_and_restore(
         extra_nodes: outcome.placed.len(),
         coverage_after_restore: map.fraction_k_covered(cfg.k),
         false_restorations,
-        sleeping_suppressed,
+        sleeping_suppressed: 0,
         outcome,
     }
 }

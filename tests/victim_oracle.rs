@@ -20,7 +20,7 @@ use decor::core::restore::{coverage_after_failure, fail_and_restore, Restoration
 use decor::core::{CentralizedGreedy, CoverageMap, DeploymentConfig, InvariantChecker};
 use decor::geom::{Aabb, Disk, Point};
 use decor::lds::halton_points;
-use decor::net::{FailurePlan, HeartbeatConfig, RotationConfig};
+use decor::net::{FailurePlan, HeartbeatConfig};
 use decor::trace::TraceHandle;
 use mirror_victims::{
     mirror_coverage_after_failure, mirror_fail_and_restore, mirror_victim_sensors,
@@ -182,21 +182,11 @@ proptest! {
         prop_assert_eq!(cov_new.to_bits(), cov_old.to_bits());
         m_new.verify_consistency();
 
-        // The whole pipeline: no heartbeat, heartbeat, heartbeat against a
-        // rotation schedule.
+        // The whole pipeline: no heartbeat, heartbeat.
         let hb = HeartbeatConfig { period: 100, timeout_periods: 3, seed: pick.index(1000) as u64 };
-        let mut cfg = cfg;
         let hb = match beat {
             0 | 1 => None,
-            2 => Some(hb),
-            _ => {
-                cfg.rotation = Some(RotationConfig {
-                    target_coverage: 1,
-                    period: 400,
-                    ..RotationConfig::default()
-                });
-                Some(hb)
-            }
+            _ => Some(hb),
         };
         let report = assert_restore_matches(&map, &cfg, &plan, hb);
         prop_assert_eq!(report.victims, want.len());
