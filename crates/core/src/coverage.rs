@@ -232,6 +232,17 @@ impl CoverageMap {
         self.coverage[pid] as u32
     }
 
+    /// Edge of the point and sensor index buckets (both grids share it).
+    pub(crate) fn bucket_edge(&self) -> f64 {
+        self.pt_index.cell()
+    }
+
+    /// The widest sensing radius among the active sensors (0.0 when none
+    /// is active): no sensor covers a point farther than this from it.
+    pub(crate) fn max_active_rs(&self) -> f64 {
+        self.max_rs
+    }
+
     /// Visits `(point_id, position)` for approximation points within `r`
     /// of `q`, in hash-grid bucket order, without allocating. Use for order-independent accumulation
     /// (sums, counts) on hot paths.

@@ -42,6 +42,22 @@ use crate::Placer;
 use decor_net::NodeId;
 use std::collections::BTreeSet;
 
+#[cfg(test)]
+#[path = "../tests/oracle/voronoi_owners.rs"]
+mod voronoi_owners;
+
+/// Edge of an ownership tile in index buckets. A round's dirty points are
+/// evaluated one tile at a time, against one gather of the sensors near
+/// the tile (DESIGN.md §17).
+const OWNER_TILE_BUCKETS: f64 = 2.0;
+
+/// Relative slack that keeps the tile gather and the kernel's distance
+/// shortcuts clear of their exact bounds: the gather radius grows by this
+/// fraction, and each shortcut radius shrinks by this fraction of `rc`.
+/// It is many orders of magnitude above the rounding error of a squared
+/// distance.
+const MARGIN: f64 = 1e-9;
+
 /// Voronoi-based DECOR. `rc` overrides the config's communication radius
 /// (the paper evaluates `rc = 8` and `rc = 10·√2 ≈ 14.14`).
 #[derive(Clone, Copy, Debug)]
@@ -49,6 +65,37 @@ pub struct VoronoiDecor {
     /// Communication radius defining both the knowledge horizon and the
     /// local Voronoi cells.
     pub rc: f64,
+}
+
+/// The squared radii one ownership pass compares distances against.
+#[derive(Clone, Copy, Debug)]
+struct Radii {
+    rc: f64,
+    rc_sq: f64,
+    /// `(rc − max_rs − MARGIN·rc)²`, or −1 when that radius is negative.
+    /// A viewer with no hidden set this close to a point is within `rc`
+    /// of every sensor covering it, so its estimate is `coverage(p)`.
+    sees_all_sq: f64,
+    /// `(rc/2 − MARGIN·rc)²`. A candidate this close to a point is within
+    /// `rc` of every candidate closer to the point.
+    blocked_sq: f64,
+}
+
+impl Radii {
+    fn new(rc: f64, max_rs: f64) -> Self {
+        let sees_all = rc - max_rs - MARGIN * rc;
+        let half = rc / 2.0 - MARGIN * rc;
+        Radii {
+            rc,
+            rc_sq: rc * rc,
+            sees_all_sq: if sees_all > 0.0 {
+                sees_all * sees_all
+            } else {
+                -1.0
+            },
+            blocked_sq: half * half,
+        }
+    }
 }
 
 impl VoronoiDecor {
@@ -72,57 +119,121 @@ impl VoronoiDecor {
             .count() as u32
     }
 
+    /// Fills `s.near` with every active sensor within `reach` of
+    /// `center`, with its squared sensing radius.
+    fn gather(map: &CoverageMap, center: decor_geom::Point, reach: f64, s: &mut OwnersScratch) {
+        let near = &mut s.near;
+        near.clear();
+        map.for_each_sensor_within(center, reach, |sid, spos| {
+            let rs = map.sensor_rs(sid);
+            near.push((sid, spos, rs * rs));
+        });
+    }
+
     /// The agents that own point `pid` under their local Voronoi view *and*
-    /// believe it under-covered. This is the per-point body of the decision
-    /// phase; its result depends only on the sensors within `rc` of the
-    /// point (candidate owners are within `rc`, and a coverer is within
-    /// `rs <= rc`), which is what lets rounds cache it per point and
-    /// invalidate just the `rc`-disk of each new placement.
-    #[allow(clippy::too_many_arguments)]
+    /// believe it under-covered, ascending by `(distance², id)`. This is
+    /// the per-point body of the decision phase; its result depends only
+    /// on the sensors within `rc` of the point (candidate owners are
+    /// within `rc`, and a coverer is within `rs <= rc`), which is what lets
+    /// rounds cache it per point and invalidate just the `rc`-disk of each
+    /// new placement.
+    ///
+    /// `s.near` must hold every active sensor within `max(rc, max_rs)` of
+    /// the point ([`VoronoiDecor::gather`]); the candidates and coverers
+    /// are picked from it with the index's own `dist² <= r²` tests.
     fn point_owners_into(
         map: &CoverageMap,
         pid: usize,
-        rc: f64,
-        rc_sq: f64,
+        radii: Radii,
         k: u32,
         knowledge: &NeighborKnowledge,
-        scratch: &mut OwnersScratch,
+        s: &mut OwnersScratch,
         out: &mut Vec<usize>,
     ) {
         out.clear();
+        let OwnersScratch {
+            near,
+            cands,
+            coverers,
+            owners,
+            ..
+        } = s;
         let p = map.points()[pid];
-        // Agents that could own p (scratch buffers reused across points).
-        let cands = &mut scratch.cands;
+        let coverage = map.coverage(pid);
+        // An estimate counts some of the `coverage(p)` sensors covering
+        // p, so below k every candidate believes p under-covered and no
+        // coverer list is needed.
+        let estimates = coverage >= k;
         cands.clear();
-        map.for_each_sensor_within(p, rc, |sid, spos| {
-            cands.push((sid, spos, p.dist_sq(spos)));
-        });
-        if cands.is_empty() {
-            return; // unreachable this round; fringe grows later
-        }
-        cands.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap().then(a.0.cmp(&b.0)));
-        let coverers = &mut scratch.coverers;
         coverers.clear();
-        // `coverage(pid)` is the maintained count of exactly the sensors
-        // `for_each_sensor_covering` would visit here, so a zero-coverage
-        // point can skip the bucket scan: the coverer list is empty.
-        if map.coverage(pid) > 0 {
-            map.for_each_sensor_covering(p, |sid, spos| coverers.push((sid, spos)));
+        let mut closest: Option<(f64, usize, decor_geom::Point)> = None;
+        for &(sid, spos, rs_sq) in near.iter() {
+            let d = p.dist_sq(spos);
+            if d <= radii.rc_sq {
+                if closest.is_none_or(|(cd, cid, _)| d < cd || (d == cd && sid < cid)) {
+                    closest = Some((d, sid, spos));
+                }
+                cands.push((d, sid, spos));
+            }
+            if estimates && d <= rs_sq {
+                coverers.push((sid, spos));
+            }
         }
-        for (idx, &(sid, spos, _)) in cands.iter().enumerate() {
+        let Some((_, first, first_pos)) = closest else {
+            return; // unreachable this round; fringe grows later
+        };
+        debug_assert!(!estimates || coverers.len() == coverage as usize);
+        owners.clear();
+        for &(d, sid, spos) in cands.iter() {
             let hidden = knowledge.hidden_from(sid);
-            if Self::estimate(spos, coverers, rc, hidden) >= k {
-                continue; // this agent believes p is fine
+            if estimates {
+                let est = if hidden.is_none() && d <= radii.sees_all_sq {
+                    coverage
+                } else {
+                    Self::estimate(spos, coverers, radii.rc, hidden)
+                };
+                if est >= k {
+                    continue; // this agent believes p is fine
+                }
             }
-            // Local ownership: no agent closer to p is a 1-hop neighbor of
-            // this one. An agent it never learned about cannot defer it.
-            let blocked = cands[..idx]
-                .iter()
-                .any(|&(cid, cpos, _)| spos.dist_sq(cpos) <= rc_sq && knowledge.knows(sid, cid));
-            if !blocked {
-                out.push(sid);
+            // Local ownership: no agent closer to p (by distance², then
+            // id) is a 1-hop neighbor of this one. An agent it never
+            // learned about cannot defer it. The closest candidate blocks
+            // most agents, so it is tried before the full scan.
+            if sid != first {
+                let knows = |cid: usize| hidden.is_none_or(|h| !h.contains(&cid));
+                let blocked = (hidden.is_none() && d <= radii.blocked_sq)
+                    || (spos.dist_sq(first_pos) <= radii.rc_sq && knows(first))
+                    || cands.iter().any(|&(cd, cid, cpos)| {
+                        (cd < d || (cd == d && cid < sid))
+                            && spos.dist_sq(cpos) <= radii.rc_sq
+                            && knows(cid)
+                    });
+                if blocked {
+                    continue;
+                }
             }
+            owners.push((d, sid));
         }
+        owners.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        out.extend(owners.iter().map(|&(_, sid)| sid));
+    }
+
+    /// [`VoronoiDecor::point_owners_into`] for one point on a gather of
+    /// its own: the fresh evaluation invariant 5 holds the cache to.
+    fn fresh_owners_into(
+        map: &CoverageMap,
+        pid: usize,
+        rc: f64,
+        k: u32,
+        knowledge: &NeighborKnowledge,
+        s: &mut OwnersScratch,
+        out: &mut Vec<usize>,
+    ) {
+        let max_rs = map.max_active_rs();
+        let reach = rc.max(max_rs) * (1.0 + MARGIN);
+        Self::gather(map, map.points()[pid], reach, s);
+        Self::point_owners_into(map, pid, Radii::new(rc, max_rs), k, knowledge, s, out);
     }
 
     /// Locally-estimated benefit of agent `viewer` placing at `c`:
@@ -133,29 +244,34 @@ impl VoronoiDecor {
         viewer: decor_geom::Point,
         c: decor_geom::Point,
         cfg: &DeploymentConfig,
-        rc: f64,
+        radii: Radii,
         hidden: Option<&BTreeSet<usize>>,
     ) -> u64 {
-        let rc_sq = rc * rc;
         let mut b = 0u64;
         // Streamed, allocation-free form of the old collect-and-estimate
         // loop: the benefit is an order-independent integer sum, and the
         // per-point estimate counts known coverers exactly as
         // [`Self::estimate`] does over the collected slice.
         map.for_each_point_within_unordered(c, cfg.rs, |ppid, ppos| {
-            if viewer.dist_sq(ppos) <= rc_sq {
-                // A zero-coverage point has no coverers to scan, so the
-                // viewer's estimate is 0 no matter what it knows.
-                if map.coverage(ppid) == 0 {
-                    b += cfg.k as u64;
-                    return;
-                }
-                let mut est = 0u32;
-                map.for_each_sensor_covering(ppos, |sid, spos| {
-                    if viewer.dist_sq(spos) <= rc_sq && hidden.is_none_or(|h| !h.contains(&sid)) {
-                        est += 1;
-                    }
-                });
+            let d = viewer.dist_sq(ppos);
+            if d <= radii.rc_sq {
+                // A viewer that sees every coverer of the point estimates
+                // its coverage exactly; a zero-coverage point has no
+                // coverers to see, whatever the viewer knows.
+                let coverage = map.coverage(ppid);
+                let est = if coverage == 0 || (hidden.is_none() && d <= radii.sees_all_sq) {
+                    coverage
+                } else {
+                    let mut est = 0u32;
+                    map.for_each_sensor_covering(ppos, |sid, spos| {
+                        if viewer.dist_sq(spos) <= radii.rc_sq
+                            && hidden.is_none_or(|h| !h.contains(&sid))
+                        {
+                            est += 1;
+                        }
+                    });
+                    est
+                };
                 if est < cfg.k {
                     b += (cfg.k - est) as u64;
                 }
@@ -165,12 +281,65 @@ impl VoronoiDecor {
     }
 }
 
-/// Reusable buffers for [`VoronoiDecor::point_owners_into`], so the
-/// per-point ownership pass does not allocate per point.
+/// Reusable buffers of the ownership pass, so it allocates nothing per
+/// tile or per point.
 #[derive(Default)]
 struct OwnersScratch {
-    cands: Vec<(usize, decor_geom::Point, f64)>,
+    /// The round's dirty points as `tile << 32 | pid` keys, sorted so
+    /// that each tile's points are contiguous.
+    batch: Vec<u64>,
+    /// The gather: `(sid, position, rs²)` of every active sensor the
+    /// current tile's points can see.
+    near: Vec<(usize, decor_geom::Point, f64)>,
+    /// One point's candidate owners: `(distance², sid, position)`.
+    cands: Vec<(f64, usize, decor_geom::Point)>,
+    /// One point's coverers: `(sid, position)`.
     coverers: Vec<(usize, decor_geom::Point)>,
+    /// One point's owners as `(distance², sid)`, sorted before output.
+    owners: Vec<(f64, usize)>,
+}
+
+/// The square tiles a round's dirty points are batched by: edge
+/// [`OWNER_TILE_BUCKETS`] index buckets, anchored at the field's corner.
+#[derive(Debug)]
+struct OwnerTiles {
+    origin: decor_geom::Point,
+    edge: f64,
+    cols: usize,
+    rows: usize,
+}
+
+impl OwnerTiles {
+    fn new(map: &CoverageMap) -> Self {
+        let field = map.field();
+        let edge = OWNER_TILE_BUCKETS * map.bucket_edge();
+        OwnerTiles {
+            origin: field.min,
+            edge,
+            cols: (field.width() / edge).ceil().max(1.0) as usize,
+            rows: (field.height() / edge).ceil().max(1.0) as usize,
+        }
+    }
+
+    /// The tile holding `p` (clamped to the grid, so a point on the
+    /// field's far edge joins the last tile, whose closure holds it).
+    fn tile_of(&self, p: decor_geom::Point) -> usize {
+        let tx = (((p.x - self.origin.x) / self.edge).floor().max(0.0) as usize).min(self.cols - 1);
+        let ty = (((p.y - self.origin.y) / self.edge).floor().max(0.0) as usize).min(self.rows - 1);
+        ty * self.cols + tx
+    }
+
+    fn center(&self, tile: usize) -> decor_geom::Point {
+        let (tx, ty) = (tile % self.cols, tile / self.cols);
+        decor_geom::Point::new(
+            self.origin.x + (tx as f64 + 0.5) * self.edge,
+            self.origin.y + (ty as f64 + 0.5) * self.edge,
+        )
+    }
+
+    fn half_diagonal(&self) -> f64 {
+        self.edge * std::f64::consts::FRAC_1_SQRT_2
+    }
 }
 
 /// The per-point ownership cache: `owners[pid]` is the last
@@ -222,6 +391,43 @@ impl OwnerCache {
             }
         });
     }
+
+    /// Recomputes every stale entry, one tile of dirty points at a time:
+    /// one gather of the sensors within `max(rc, max_rs)` plus the tile's
+    /// half-diagonal serves all of the tile's points.
+    fn refresh(
+        &mut self,
+        map: &CoverageMap,
+        k: u32,
+        knowledge: &NeighborKnowledge,
+        s: &mut OwnersScratch,
+    ) {
+        let tiles = OwnerTiles::new(map);
+        s.batch.clear();
+        for pid in self.dirty.drain(..) {
+            if self.stale[pid] {
+                let tile = tiles.tile_of(map.points()[pid]) as u64;
+                s.batch.push((tile << 32) | pid as u64);
+            }
+        }
+        s.batch.sort_unstable();
+        let max_rs = map.max_active_rs();
+        let radii = Radii::new(self.rc, max_rs);
+        let reach = (self.rc.max(max_rs) + tiles.half_diagonal()) * (1.0 + MARGIN);
+        let mut i = 0;
+        while i < s.batch.len() {
+            let tile = s.batch[i] >> 32;
+            VoronoiDecor::gather(map, tiles.center(tile as usize), reach, s);
+            while i < s.batch.len() && s.batch[i] >> 32 == tile {
+                let pid = (s.batch[i] & u32::MAX as u64) as usize;
+                let out = &mut self.owners[pid];
+                VoronoiDecor::point_owners_into(map, pid, radii, k, knowledge, s, out);
+                self.stale[pid] = false;
+                self.active[pid] = !out.is_empty();
+                i += 1;
+            }
+        }
+    }
 }
 
 /// Voronoi-scheme run/round buffers, pooled in [`SimScratch`] so warm
@@ -239,7 +445,7 @@ pub(crate) struct VoronoiScratch {
     owned: Vec<(usize, usize)>,
     /// Per-round `(agent sid, point id, estimated benefit)` decisions.
     decisions: Vec<(usize, usize, u64)>,
-    /// Candidate/coverer buffers for the ownership pass.
+    /// Batch, gather and per-point buffers of the ownership pass.
     owners_scratch: OwnersScratch,
     /// Neighbor-list buffer for placement notices.
     nbs_buf: Vec<NodeId>,
@@ -324,34 +530,17 @@ impl Placer for VoronoiDecor {
             // ---- Decision phase (coverage snapshot at round start) ----
             // For every point, find the agents that (a) believe it is
             // under-covered and (b) own it under their local view.
-            for pid in cache.dirty.drain(..) {
-                if !cache.stale[pid] {
-                    continue;
-                }
-                Self::point_owners_into(
-                    map,
-                    pid,
-                    rc,
-                    rc_sq,
-                    cfg.k,
-                    &rounds.knowledge,
-                    owners_scratch,
-                    &mut cache.owners[pid],
-                );
-                cache.stale[pid] = false;
-                cache.active[pid] = !cache.owners[pid].is_empty();
-            }
-            // Invariant 5: every cached entry equals a fresh recomputation.
-            // That is the full per-round recompute the cache avoids, so
-            // debug builds only.
+            cache.refresh(map, cfg.k, &rounds.knowledge, owners_scratch);
+            // Invariant 5: every cached entry equals a fresh single-point
+            // evaluation. That is the full per-round recompute the cache
+            // avoids, so debug builds only.
             if cfg!(debug_assertions) && cfg.invariants.is_enabled() {
                 let mut fresh = Vec::new();
                 for (pid, cached) in cache.owners.iter().enumerate() {
-                    Self::point_owners_into(
+                    Self::fresh_owners_into(
                         map,
                         pid,
                         rc,
-                        rc_sq,
                         cfg.k,
                         &rounds.knowledge,
                         owners_scratch,
@@ -381,6 +570,7 @@ impl Placer for VoronoiDecor {
             // Each acting agent picks its best owned deficient point.
             // (agent sid, point id, locally-estimated benefit)
             decisions.clear();
+            let radii = Radii::new(rc, map.max_active_rs());
             let mut gi = 0;
             while gi < owned.len() {
                 let sid = owned[gi].0;
@@ -392,7 +582,7 @@ impl Placer for VoronoiDecor {
                 let hidden = rounds.knowledge.hidden_from(sid);
                 let mut best: Option<(usize, u64)> = None;
                 for &(_, pid) in &owned[gi..gj] {
-                    let b = Self::est_benefit(map, viewer, map.points()[pid], cfg, rc, hidden);
+                    let b = Self::est_benefit(map, viewer, map.points()[pid], cfg, radii, hidden);
                     if b > 0 && best.is_none_or(|(_, bb)| b > bb) {
                         best = Some((pid, b));
                     }
@@ -701,6 +891,195 @@ mod tests {
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.messages.protocol_total, b.messages.protocol_total);
         cfg_chaos.invariants.assert_green();
+    }
+
+    /// A random layout for the ownership oracle. Points and sensors sit
+    /// on a lattice of step 1 or 0.5 (or anywhere), so distances of
+    /// exactly `rc`, `rs`, `rc − rs` and `rc/2` and equal-distance ties
+    /// occur; a few anchor points get such sensors planted around them.
+    /// Radii include `rc == rs` and initial sensors wider than `rc`; some
+    /// sensors are deactivated (a few of them reactivated), and some
+    /// agents are blind to random sensors.
+    fn owner_scenario(seed: u64) -> (CoverageMap, DeploymentConfig, f64, NeighborKnowledge) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rs = [4.0, 3.0, 2.5][rng.gen_range(0..3usize)];
+        // rc == rs; rc == 2·rs, where rc − rs == rc/2; integer rc; the
+        // paper's big rc.
+        let rc = [rs, 2.0 * rs, 10.0, 8.0, 14.142][rng.gen_range(0..5usize)];
+        let wide = if rng.gen_bool(0.3) { rc * 1.5 } else { rs };
+        let side: f64 = [24.0, 40.0][rng.gen_range(0..2usize)];
+        let step: f64 = [1.0, 0.5, 0.0][rng.gen_range(0..3usize)];
+        let draw = |rng: &mut StdRng| {
+            if step == 0.0 {
+                Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side))
+            } else {
+                let n = (side / step) as u32;
+                Point::new(
+                    rng.gen_range(0..=n) as f64 * step,
+                    rng.gen_range(0..=n) as f64 * step,
+                )
+            }
+        };
+        let field = Aabb::square(side);
+        let cfg = DeploymentConfig {
+            rs,
+            rc,
+            ..DeploymentConfig::with_k(rng.gen_range(1..=4u32))
+        };
+        let mut points: Vec<Point> = (0..rng.gen_range(20..200usize))
+            .map(|_| draw(&mut rng))
+            .collect();
+        let mut sensors: Vec<(Point, f64)> = (0..rng.gen_range(0..50usize))
+            .map(|_| {
+                let r = if rng.gen_bool(0.2) { wide } else { rs };
+                (draw(&mut rng), r)
+            })
+            .collect();
+        for _ in 0..rng.gen_range(0..4usize) {
+            let p = draw(&mut rng);
+            points.push(p);
+            let a = rng.gen_range(1..=4u32) as f64;
+            let planted = [
+                (rc, 0.0),         // a candidate exactly rc away
+                (0.0, rs),         // a coverer exactly rs away
+                (-(rc - rs), 0.0), // rc − rs away: rc − max_rs unless wide
+                (0.0, -rc / 2.0),  // a candidate exactly rc/2 away
+                (rc / 2.0, 0.0),   // ... and its tie
+                (a, 0.0),          // four candidates at one distance
+                (-a, 0.0),
+                (0.0, a),
+                (0.0, -a),
+                (0.6 * rc, 0.8 * rc), // rc away off the axes (exact at rc = 10)
+            ];
+            for (dx, dy) in planted {
+                if rng.gen_bool(0.7) {
+                    sensors.push((Point::new(p.x + dx, p.y + dy), rs));
+                }
+            }
+            // A point exactly rs from a sensor, and one exactly rc away.
+            if let Some(&(s, _)) = sensors.last() {
+                points.push(Point::new(s.x + rs, s.y));
+                points.push(Point::new(s.x, s.y - rc));
+            }
+        }
+        points.retain(|&p| field.contains(p));
+        sensors.retain(|&(s, _)| field.contains(s));
+        if points.is_empty() {
+            points.push(Point::new(side / 2.0, side / 2.0));
+        }
+        let mut map = CoverageMap::new(points, &field, &cfg);
+        for &(pos, r) in &sensors {
+            map.add_sensor(pos, r);
+        }
+        for sid in 0..map.n_sensors() {
+            if rng.gen_bool(0.15) {
+                map.deactivate_sensor(sid);
+                if rng.gen_bool(0.3) {
+                    map.reactivate_sensor(sid);
+                }
+            }
+        }
+        let mut knowledge = NeighborKnowledge::new();
+        let n = map.n_sensors();
+        for viewer in 0..n {
+            if rng.gen_bool(0.2) {
+                for _ in 0..rng.gen_range(1..=3usize) {
+                    knowledge.hide(viewer, rng.gen_range(0..n));
+                }
+            }
+        }
+        (map, cfg, rc, knowledge)
+    }
+
+    /// Holds the tile batch and the single-point evaluation to the frozen
+    /// per-point kernel (owner lists compared exactly, order included),
+    /// and the shortcut `est_benefit` to the frozen one, for every agent
+    /// at every point within `rc` of it.
+    fn assert_matches_oracle(
+        map: &CoverageMap,
+        cfg: &DeploymentConfig,
+        rc: f64,
+        knowledge: &NeighborKnowledge,
+    ) {
+        let mut cache = OwnerCache::default();
+        let mut s = OwnersScratch::default();
+        cache.reset(map.n_points(), rc);
+        cache.refresh(map, cfg.k, knowledge, &mut s);
+        let mut frozen = voronoi_owners::OwnersScratch::default();
+        let (mut want, mut fresh) = (Vec::new(), Vec::new());
+        for pid in 0..map.n_points() {
+            voronoi_owners::point_owners_into(
+                map,
+                pid,
+                rc,
+                rc * rc,
+                cfg.k,
+                knowledge,
+                &mut frozen,
+                &mut want,
+            );
+            assert_eq!(cache.owners[pid], want, "tile batch, point {pid}");
+            assert_eq!(cache.active[pid], !want.is_empty());
+            VoronoiDecor::fresh_owners_into(map, pid, rc, cfg.k, knowledge, &mut s, &mut fresh);
+            assert_eq!(fresh, want, "single point {pid}");
+        }
+        let radii = Radii::new(rc, map.max_active_rs());
+        for (sid, viewer) in map.active_sensors() {
+            let hidden = knowledge.hidden_from(sid);
+            map.for_each_point_within_unordered(viewer, rc, |pid, c| {
+                assert_eq!(
+                    VoronoiDecor::est_benefit(map, viewer, c, cfg, radii, hidden),
+                    voronoi_owners::est_benefit(map, viewer, c, cfg, rc, hidden),
+                    "benefit of agent {sid} at point {pid}"
+                );
+            });
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn tile_kernel_matches_the_per_point_oracle(seed in proptest::prelude::any::<u64>()) {
+            let (map, cfg, rc, knowledge) = owner_scenario(seed);
+            assert_matches_oracle(&map, &cfg, rc, &knowledge);
+        }
+    }
+
+    #[test]
+    fn tile_kernel_matches_the_oracle_at_exact_boundaries() {
+        // rc = 8 = 2·rs: candidates exactly rc − rs = rc/2 = 4 from the
+        // point at (20, 20) tie four ways, one more sits exactly rc away,
+        // and the coverers sit exactly rs away; then the same with a
+        // sensor sensing wider than rc, with a blind agent, and with the
+        // nearest candidate dead.
+        let field = Aabb::square(40.0);
+        let cfg = DeploymentConfig::with_k(3);
+        let pts: Vec<Point> = (0..=40)
+            .flat_map(|x| (0..=40).map(move |y| Point::new(x as f64, y as f64)))
+            .collect();
+        let mut map = CoverageMap::new(pts, &field, &cfg);
+        for (x, y) in [
+            (24.0, 20.0),
+            (16.0, 20.0),
+            (20.0, 24.0),
+            (20.0, 16.0),
+            (28.0, 20.0),
+        ] {
+            map.add_sensor(Point::new(x, y), cfg.rs);
+        }
+        let mut knowledge = NeighborKnowledge::new();
+        assert_matches_oracle(&map, &cfg, 8.0, &knowledge);
+        let wide = map.add_sensor(Point::new(10.0, 10.0), 12.0);
+        assert_matches_oracle(&map, &cfg, 8.0, &knowledge);
+        knowledge.hide(1, 0);
+        knowledge.hide(4, wide);
+        assert_matches_oracle(&map, &cfg, 8.0, &knowledge);
+        map.deactivate_sensor(0);
+        assert_matches_oracle(&map, &cfg, 8.0, &knowledge);
+        assert_matches_oracle(&map, &cfg, 4.0, &knowledge);
     }
 
     #[test]

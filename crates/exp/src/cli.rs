@@ -268,15 +268,20 @@ fn rotation_from(args: &CliArgs) -> Result<RotationConfig, String> {
 
 /// Resolves the `endure` scenario flags into an [`EnduranceConfig`] and
 /// the rotation knobs it runs on (see `rotation_from`): `--always-on 1`
-/// turns rotation off, `--spares`, `--max-periods` and
+/// turns rotation off and `--always-on 0` keeps it (any other value is an
+/// error), `--spares`, `--max-periods` and
 /// `--timeout-periods` set the budget, the horizon and the detector's
 /// silence threshold, and `--disaster x,y,r` strikes at the start of
 /// period `--disaster-at` (default 5). A timeout below 2 periods is an
 /// error: one silent period can be pure phase skew.
 pub fn endurance_from(args: &CliArgs) -> Result<(EnduranceConfig, RotationConfig), String> {
     let base = EnduranceConfig::default();
+    let always_on = args.num_or("always-on", 0u32)?;
+    if always_on > 1 {
+        return Err(format!("flag --always-on: must be 0 or 1, got {always_on}"));
+    }
     let mut e = EnduranceConfig {
-        rotate: args.num_or("always-on", 0u32)? == 0,
+        rotate: always_on == 0,
         spare_budget: args.num_or("spares", base.spare_budget)?,
         max_periods: args.num_or("max-periods", base.max_periods)?,
         timeout_periods: args.num_or("timeout-periods", base.timeout_periods)?,
@@ -744,6 +749,7 @@ mod tests {
             "endure --timeout-periods -2",
             "endure --spares many",
             "endure --max-periods 1.5",
+            "endure --always-on 2",
             "endure --disaster 30,30",
             "endure --disaster 30,30,4 --disaster-at soon",
         ] {

@@ -3,7 +3,8 @@
 //! `cli.rs`'s unit tests check the read marks on `CliArgs`; these run
 //! `decor-cli` and `decor-serve` themselves, so a subcommand that forgets
 //! to call `CliArgs::finish`, or reads a flag only after it, fails here.
-//! Every case is refused before any simulation runs.
+//! Every case is refused before any simulation runs, as is an
+//! `--always-on` value other than 0 or 1.
 
 use std::process::Command;
 
@@ -46,6 +47,19 @@ fn decor_cli_refuses_flags_its_subcommand_does_not_take() {
             format!("error: flag {flag}: {command} does not take it"),
             "{line}"
         );
+    }
+}
+
+#[test]
+fn decor_cli_endure_takes_only_0_or_1_for_always_on() {
+    let cli = env!("CARGO_BIN_EXE_decor-cli");
+    for line in [
+        "endure --always-on 2 --max-periods 3",
+        "endure --always-on 17 --max-periods 3",
+    ] {
+        let (code, err) = run(cli, line);
+        assert_eq!(code, Some(2), "{line}: {err}");
+        assert!(err.starts_with("error: flag --always-on:"), "{line}: {err}");
     }
 }
 

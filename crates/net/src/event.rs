@@ -5,8 +5,18 @@
 //! scheduled for the same tick pop in FIFO order thanks to a monotone
 //! sequence number, which keeps runs bit-for-bit reproducible regardless of
 //! heap internals.
+//!
+//! Events pop in ascending `(time, seq)` order. An event scheduled *at the
+//! current instant* skips the heap and joins a FIFO of due-now events,
+//! which pops after the heap's entries at that instant. That is the same
+//! order: a heap entry at the current instant was scheduled before the
+//! clock reached it, so before every due-now event, and its sequence
+//! number is smaller; the clock cannot advance while the FIFO holds
+//! anything, because its events are the earliest left. The transport's
+//! first attempts and link hand-offs are all due now, so a lossless flush
+//! never touches the heap.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Simulation time in ticks.
 pub type Time = u64;
@@ -18,6 +28,9 @@ pub type Time = u64;
 /// ordering traits.
 pub struct EventQueue<E> {
     heap: BinaryHeap<HeapItem<E>>,
+    /// Events scheduled at the current instant, in scheduling order; they
+    /// pop after the heap's entries at that instant.
+    due: VecDeque<E>,
     seq: u64,
     now: Time,
 }
@@ -57,6 +70,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            due: VecDeque::new(),
             seq: 0,
             now: 0,
         }
@@ -69,10 +83,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Returns the queue to its initial state (empty, time zero) while
-    /// keeping the heap's buffer, so a reused queue schedules without
-    /// reallocating.
+    /// keeping the heap's and the due-now FIFO's buffers, so a reused
+    /// queue schedules without reallocating.
     pub fn reset(&mut self) {
         self.heap.clear();
+        self.due.clear();
         self.seq = 0;
         self.now = 0;
     }
@@ -89,11 +104,15 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(HeapItem {
-            time: at,
-            seq,
-            event,
-        });
+        if at == self.now {
+            self.due.push_back(event);
+        } else {
+            self.heap.push(HeapItem {
+                time: at,
+                seq,
+                event,
+            });
+        }
     }
 
     /// Schedules `event` `delay` ticks after the current time.
@@ -103,6 +122,12 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Time, E)> {
+        let heap_first = self.heap.peek().is_some_and(|i| i.time == self.now);
+        if !heap_first {
+            if let Some(event) = self.due.pop_front() {
+                return Some((self.now, event));
+            }
+        }
         let item = self.heap.pop()?;
         self.now = item.time;
         Some((item.time, item.event))
@@ -110,13 +135,17 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|i| i.time)
+        if self.due.is_empty() {
+            self.heap.peek().map(|i| i.time)
+        } else {
+            Some(self.now)
+        }
     }
 
     /// Number of pending events.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.due.len()
     }
 }
 
@@ -188,6 +217,25 @@ mod tests {
         assert_eq!(q.pop().map(|(t, _)| t), Some(2));
         assert_eq!(q.pop().map(|(t, _)| t), Some(4));
         assert_eq!(q.pop().map(|(t, _)| t), None);
+    }
+
+    #[test]
+    fn due_now_events_pop_after_heap_entries_at_the_same_instant() {
+        let mut q = EventQueue::new();
+        q.schedule(0, "now");
+        q.schedule(5, "a");
+        q.schedule(5, "b");
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), Some((0, "now")));
+        assert_eq!(q.pop(), Some((5, "a")));
+        q.schedule_after(0, "c");
+        assert_eq!(q.peek_time(), Some(5));
+        assert_eq!(q.pop(), Some((5, "b")));
+        assert_eq!(q.pop(), Some((5, "c")));
+        assert_eq!(q.pop(), None);
+        q.schedule_after(0, "d");
+        q.reset();
+        assert_eq!((q.len(), q.now(), q.peek_time()), (0, 0, None));
     }
 
     #[test]

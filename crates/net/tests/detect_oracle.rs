@@ -14,13 +14,17 @@
 
 use decor_geom::{Aabb, Point};
 use decor_net::{
-    silent_too_long, ChaosEngine, DetectionReport, EventQueue, HeartbeatConfig, HeartbeatSim,
-    Message, Network, NodeId, Time,
+    silent_too_long, ChaosEngine, DetectionReport, HeartbeatConfig, HeartbeatSim, Message, Network,
+    NodeId, Time,
 };
+use heap_queue::EventQueue;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+
+#[path = "oracle/heap_queue.rs"]
+mod heap_queue;
 
 #[derive(Clone, Copy, Debug)]
 enum Ev {

@@ -19,10 +19,14 @@ use decor_net::{
 use decor_trace::TraceHandle;
 use proptest::prelude::*;
 
+#[path = "oracle/heap_queue.rs"]
+mod heap_queue;
+
 mod reference {
+    use super::heap_queue::EventQueue;
     use decor_net::{
-        ChaosEngine, DeliveryOutcome, EventQueue, Inbound, Message, MsgId, Network, NodeId,
-        SendError, Time, TransportConfig, TransportStats,
+        ChaosEngine, DeliveryOutcome, Inbound, Message, MsgId, Network, NodeId, SendError, Time,
+        TransportConfig, TransportStats,
     };
     use decor_trace::TraceEvent;
     use std::collections::VecDeque;
@@ -214,8 +218,8 @@ mod reference {
             out.append(&mut self.finished);
         }
 
-        /// [`Transport::flush_chaos`] into a caller-owned buffer (cleared
-        /// first); see [`Transport::flush_into`].
+        /// Like [`Transport::flush_into`], but injects every fault of the
+        /// chaos plan due by the next event's instant before popping it.
         pub fn flush_chaos_into(
             &mut self,
             net: &mut Network,
