@@ -118,8 +118,10 @@ impl EnduranceReport {
 /// The map points a node at `pos` with radius `rs` covers: the map's
 /// point index tests `dx² + dy² ≤ rs²` exactly as
 /// [`decor_net::Node::covers`] does. The loop fills one list per mirror
-/// node when the node enters the mirror; deaths leave the lists alone,
-/// since a dead node is never on duty.
+/// node when the node enters the mirror, and the lists are the only
+/// sensor–point incidence it has: the duty check counts from them, and
+/// [`agree_shifts`] partitions them. Deaths leave the lists alone, since
+/// a dead node is never on duty and the partition skips it.
 fn covered_points(map: &CoverageMap, pos: decor_geom::Point, rs: f64) -> Box<[u32]> {
     let mut pts = Vec::new();
     map.for_each_point_within_unordered(pos, rs, |pid, _| pts.push(pid as u32));
@@ -175,7 +177,7 @@ pub fn run_endurance(
     // Initial in-network agreement (or the always-on degenerate).
     let mut epoch = 0u64;
     let mut schedule = if e.rotate {
-        let agreement = agree_shifts(&mut net, map.points(), &rot, &cfg.link, epoch);
+        let agreement = agree_shifts(&mut net, &pts_of, map.n_points(), &rot, &cfg.link, epoch);
         report.assignments_sent += agreement.assignments_sent;
         agreement.schedule
     } else {
@@ -468,7 +470,7 @@ pub fn run_endurance(
                 net.set_sleeping(id, false);
             }
             epoch += 1;
-            let agreement = agree_shifts(&mut net, map.points(), &rot, &cfg.link, epoch);
+            let agreement = agree_shifts(&mut net, &pts_of, map.n_points(), &rot, &cfg.link, epoch);
             report.assignments_sent += agreement.assignments_sent;
             schedule = agreement.schedule;
             report.reschedules += 1;
@@ -704,6 +706,40 @@ mod tests {
                 "waking everyone must be tried"
             );
             cfg.invariants.assert_green();
+        }
+    }
+
+    #[test]
+    fn covered_points_match_node_covers_on_the_boundary() {
+        // An integer lattice of points and sensors: at rs 4 and 5 every
+        // sensor has points exactly rs away along both axes, and at rs 5
+        // also on the (3, 4) diagonals. The partition trusts these rows,
+        // so they must take `Node::covers`' `dist² <= rs²` verdict there.
+        // The map's bucket edge is the default rs, 4, so the queries at
+        // 5 and 9 take the index's wide path.
+        let field = Aabb::square(24.0);
+        let points: Vec<Point> = (0..=24)
+            .flat_map(|i| (0..=24).map(move |j| Point::new(i as f64, j as f64)))
+            .collect();
+        let map = CoverageMap::new(points.clone(), &field, &DeploymentConfig::with_k(1));
+        for rs in [4.0, 5.0, 9.0] {
+            let mut on_boundary = 0;
+            for x in (0..=24).step_by(4) {
+                for y in (0..=24).step_by(6) {
+                    let node = decor_net::Node::new(Point::new(x as f64, y as f64), rs, 2.0 * rs);
+                    let mut got = covered_points(&map, node.pos, rs).into_vec();
+                    got.sort_unstable();
+                    let want: Vec<u32> = (0..points.len() as u32)
+                        .filter(|&pi| node.covers(points[pi as usize]))
+                        .collect();
+                    assert_eq!(got, want, "rs {rs}, node at ({x}, {y})");
+                    on_boundary += want
+                        .iter()
+                        .filter(|&&pi| node.pos.dist_sq(points[pi as usize]) == rs * rs)
+                        .count();
+                }
+            }
+            assert!(on_boundary > 0, "rs {rs}: no point lies on a boundary");
         }
     }
 

@@ -32,7 +32,6 @@
 //! bit-identical to the centralized output — the differential tests pin
 //! this, across worker-thread counts and loss rates.
 
-use decor_geom::Point;
 use decor_net::election::alive_members;
 use decor_net::{
     rotation_leader, Message, Network, NodeId, RotationConfig, ShiftSchedule, SleepScheduler,
@@ -72,12 +71,15 @@ pub struct ShiftAgreement {
 ///
 /// The returned schedule's period comes from `rot.period`; its membership
 /// is the canonical set-k-cover partition of the currently-alive nodes
-/// over `points`. When no feasible partition exists (some point's alive
-/// coverers fall below `rot.target_coverage`) the schedule is empty —
-/// always-on — and nothing is disseminated.
+/// over `n_points` points, where `rows[id]` lists the points node `id`
+/// covers (one row per node of `net`, as `run_endurance` keeps them).
+/// When no feasible partition exists (some point's alive coverers fall
+/// below `rot.target_coverage`) the schedule is empty — always-on — and
+/// nothing is disseminated.
 pub fn agree_shifts(
     net: &mut Network,
-    points: &[Point],
+    rows: &[Box<[u32]>],
+    n_points: usize,
     rot: &RotationConfig,
     link: &LinkConfig,
     epoch: u64,
@@ -87,7 +89,8 @@ pub fn agree_shifts(
     let alive = alive_members(&all, net);
     let coordinator = rotation_leader(&alive, epoch);
 
-    let shifts = SleepScheduler::new(rot.target_coverage).shifts(net, points);
+    let shifts =
+        SleepScheduler::new(rot.target_coverage).shifts(rows, |id| net.is_alive(id), n_points);
     let schedule = ShiftSchedule::new(shifts, rot.period, net.len());
 
     let mut agreement = ShiftAgreement {
@@ -106,8 +109,8 @@ pub fn agree_shifts(
     }
 
     // Gather: one hello broadcast per member (position reports aggregate
-    // up the tree; the partition is computed from the network's ground
-    // truth, this round charges the traffic that makes the coordinator's
+    // up the tree; the partition is computed from the caller's coverage
+    // rows, this round charges the traffic that makes the coordinator's
     // knowledge plausible).
     let mut heard = Vec::new();
     for &id in &alive {
@@ -190,7 +193,6 @@ pub fn agree_shifts(
                 ledger.reveal(id, epoch_key);
             }
         }
-        let _ = transport.take_inbox();
     }
     agreement.gave_up = ledger.blind_spots();
     agreement
@@ -199,12 +201,12 @@ pub fn agree_shifts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decor_geom::Aabb;
+    use decor_geom::{Aabb, Point};
 
     /// A 4x4 lattice where every lattice point is covered by several
     /// sensors: rs 6 on spacing 4 gives deep overlap, rc 8 keeps the
-    /// comm graph connected.
-    fn lattice_net() -> (Network, Vec<Point>) {
+    /// comm graph connected. The rows are `Node::covers`' verdicts.
+    fn lattice_net() -> (Network, Vec<Box<[u32]>>, usize) {
         let mut net = Network::new(Aabb::square(20.0));
         let mut points = Vec::new();
         for i in 0..4 {
@@ -214,7 +216,18 @@ mod tests {
                 points.push(p);
             }
         }
-        (net, points)
+        let rows = (0..net.len())
+            .map(|id| {
+                (0..points.len() as u32)
+                    .filter(|&pi| net.node(id).covers(points[pi as usize]))
+                    .collect()
+            })
+            .collect();
+        (net, rows, points.len())
+    }
+
+    fn centralized(net: &Network, rows: &[Box<[u32]>], n_points: usize) -> Vec<Vec<NodeId>> {
+        SleepScheduler::new(1).shifts(rows, |id| net.is_alive(id), n_points)
     }
 
     fn rot() -> RotationConfig {
@@ -223,17 +236,17 @@ mod tests {
 
     #[test]
     fn agreed_schedule_matches_centralized_partition() {
-        let (mut net, points) = lattice_net();
-        let expected = SleepScheduler::new(1).shifts(&net, &points);
-        let agreement = agree_shifts(&mut net, &points, &rot(), &LinkConfig::default(), 0);
+        let (mut net, rows, n) = lattice_net();
+        let expected = centralized(&net, &rows, n);
+        let agreement = agree_shifts(&mut net, &rows, n, &rot(), &LinkConfig::default(), 0);
         assert_eq!(agreement.schedule.shifts(), &expected[..]);
         assert!(agreement.schedule.n_shifts() > 1, "lattice must split");
     }
 
     #[test]
     fn lossless_agreement_reaches_everyone_in_one_round() {
-        let (mut net, points) = lattice_net();
-        let agreement = agree_shifts(&mut net, &points, &rot(), &LinkConfig::default(), 0);
+        let (mut net, rows, n) = lattice_net();
+        let agreement = agree_shifts(&mut net, &rows, n, &rot(), &LinkConfig::default(), 0);
         assert_eq!(agreement.rounds, 1);
         assert_eq!(agreement.gave_up, 0);
         assert!(agreement.assignments_sent >= 15, "one per member at least");
@@ -241,8 +254,8 @@ mod tests {
 
     #[test]
     fn agreement_charges_the_network() {
-        let (mut net, points) = lattice_net();
-        let agreement = agree_shifts(&mut net, &points, &rot(), &LinkConfig::default(), 0);
+        let (mut net, rows, n) = lattice_net();
+        let agreement = agree_shifts(&mut net, &rows, n, &rot(), &LinkConfig::default(), 0);
         assert!(agreement.schedule.n_shifts() > 1);
         assert!(net.stats.total_sent > 0, "agreement traffic must be paid");
         assert!(net.stats.protocol_sent > 0, "ShiftAssign is protocol plane");
@@ -250,19 +263,19 @@ mod tests {
 
     #[test]
     fn coordinator_rotates_with_the_epoch() {
-        let (mut net, points) = lattice_net();
-        let a = agree_shifts(&mut net, &points, &rot(), &LinkConfig::default(), 0);
-        let b = agree_shifts(&mut net, &points, &rot(), &LinkConfig::default(), 1);
+        let (mut net, rows, n) = lattice_net();
+        let a = agree_shifts(&mut net, &rows, n, &rot(), &LinkConfig::default(), 0);
+        let b = agree_shifts(&mut net, &rows, n, &rot(), &LinkConfig::default(), 1);
         assert_ne!(a.coordinator, b.coordinator, "the role must migrate");
     }
 
     #[test]
     fn lossy_agreement_still_lands_on_the_canonical_schedule() {
-        let (mut net, points) = lattice_net();
-        let expected = SleepScheduler::new(1).shifts(&net, &points);
+        let (mut net, rows, n) = lattice_net();
+        let expected = centralized(&net, &rows, n);
         let link = LinkConfig::lossy(0.2, 42);
         link.apply(&mut net);
-        let agreement = agree_shifts(&mut net, &points, &rot(), &link, 0);
+        let agreement = agree_shifts(&mut net, &rows, n, &rot(), &link, 0);
         assert_eq!(
             agreement.schedule.shifts(),
             &expected[..],
@@ -274,12 +287,12 @@ mod tests {
     fn infeasible_target_yields_always_on_without_traffic() {
         let mut net = Network::new(Aabb::square(20.0));
         net.add_node(Point::new(10.0, 10.0), 6.0, 8.0);
-        let points = vec![Point::new(10.0, 10.0)];
+        let rows: Vec<Box<[u32]>> = vec![Box::new([0])];
         let hungry = RotationConfig {
             target_coverage: 5,
             ..rot()
         };
-        let agreement = agree_shifts(&mut net, &points, &hungry, &LinkConfig::default(), 0);
+        let agreement = agree_shifts(&mut net, &rows, 1, &hungry, &LinkConfig::default(), 0);
         assert_eq!(agreement.schedule.n_shifts(), 0, "always-on fallback");
         assert_eq!(agreement.rounds, 0);
         assert_eq!(net.stats.total_sent, 0, "nothing to say, nothing sent");
@@ -288,17 +301,17 @@ mod tests {
     #[test]
     fn empty_network_agrees_on_nothing() {
         let mut net = Network::new(Aabb::square(20.0));
-        let agreement = agree_shifts(&mut net, &[], &rot(), &LinkConfig::default(), 0);
+        let agreement = agree_shifts(&mut net, &[], 0, &rot(), &LinkConfig::default(), 0);
         assert_eq!(agreement.coordinator, None);
         assert_eq!(agreement.schedule.n_shifts(), 0);
     }
 
     #[test]
     fn dead_members_are_not_chased() {
-        let (mut net, points) = lattice_net();
+        let (mut net, rows, n) = lattice_net();
         // Partition computed over alive nodes only; kill one first.
         net.fail_node(5);
-        let agreement = agree_shifts(&mut net, &points, &rot(), &LinkConfig::default(), 0);
+        let agreement = agree_shifts(&mut net, &rows, n, &rot(), &LinkConfig::default(), 0);
         assert_eq!(agreement.gave_up, 0);
         assert_eq!(agreement.schedule.shift_of(5), None, "corpses unscheduled");
     }

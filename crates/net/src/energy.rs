@@ -6,42 +6,27 @@
 //! transmission range (free-space path loss, as in the LEACH line of work
 //! the paper cites for leader election), and receiving costs electronics
 //! energy per byte.
+//!
+//! Units are abstract "energy units"; the values follow the classic
+//! first-order model ratios (50 nJ/bit electronics, 100 pJ/bit/m²
+//! amplifier) with bytes instead of bits. Every battery in the endurance
+//! loop is spent in these units, so a changed value moves battery deaths.
 
-use serde::{Deserialize, Serialize};
+/// Electronics cost per byte, paid by both sender and receiver.
+const ELEC_PER_BYTE: f64 = 0.4;
+/// Amplifier cost per byte per (distance unit)², paid by the sender.
+const AMP_PER_BYTE_D2: f64 = 0.0008;
+/// Fixed per-message overhead (synchronization, headers), sender side.
+const TX_OVERHEAD: f64 = 1.0;
 
-/// Energy model parameters. Units are abstract "energy units"; defaults
-/// follow the classic first-order model ratios (50 nJ/bit electronics,
-/// 100 pJ/bit/m² amplifier) with bytes instead of bits.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct EnergyModel {
-    /// Electronics cost per byte, paid by both sender and receiver.
-    pub elec_per_byte: f64,
-    /// Amplifier cost per byte per (distance unit)², paid by the sender.
-    pub amp_per_byte_d2: f64,
-    /// Fixed per-message overhead (synchronization, headers), sender side.
-    pub tx_overhead: f64,
+/// Energy the sender spends to transmit `bytes` over distance `d`.
+pub(crate) fn tx_cost(bytes: u32, d: f64) -> f64 {
+    TX_OVERHEAD + bytes as f64 * (ELEC_PER_BYTE + AMP_PER_BYTE_D2 * d * d)
 }
 
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel {
-            elec_per_byte: 0.4,
-            amp_per_byte_d2: 0.0008,
-            tx_overhead: 1.0,
-        }
-    }
-}
-
-impl EnergyModel {
-    /// Energy the sender spends to transmit `bytes` over distance `d`.
-    pub fn tx_cost(&self, bytes: u32, d: f64) -> f64 {
-        self.tx_overhead + bytes as f64 * (self.elec_per_byte + self.amp_per_byte_d2 * d * d)
-    }
-
-    /// Energy a receiver spends on `bytes`.
-    pub fn rx_cost(&self, bytes: u32) -> f64 {
-        bytes as f64 * self.elec_per_byte
-    }
+/// Energy a receiver spends on `bytes`.
+pub(crate) fn rx_cost(bytes: u32) -> f64 {
+    bytes as f64 * ELEC_PER_BYTE
 }
 
 #[cfg(test)]
@@ -50,31 +35,27 @@ mod tests {
 
     #[test]
     fn tx_grows_with_distance_and_size() {
-        let m = EnergyModel::default();
-        assert!(m.tx_cost(16, 8.0) > m.tx_cost(16, 4.0));
-        assert!(m.tx_cost(32, 4.0) > m.tx_cost(16, 4.0));
+        assert!(tx_cost(16, 8.0) > tx_cost(16, 4.0));
+        assert!(tx_cost(32, 4.0) > tx_cost(16, 4.0));
     }
 
     #[test]
     fn rx_is_linear_in_bytes() {
-        let m = EnergyModel::default();
-        assert_eq!(m.rx_cost(0), 0.0);
-        assert!((m.rx_cost(20) - 2.0 * m.rx_cost(10)).abs() < 1e-12);
+        assert_eq!(rx_cost(0), 0.0);
+        assert!((rx_cost(20) - 2.0 * rx_cost(10)).abs() < 1e-12);
     }
 
     #[test]
     fn zero_byte_message_still_costs_overhead() {
-        let m = EnergyModel::default();
-        assert_eq!(m.tx_cost(0, 5.0), m.tx_overhead);
+        assert_eq!(tx_cost(0, 5.0), TX_OVERHEAD);
     }
 
     #[test]
     fn doubling_range_quadruples_amp_term() {
-        let m = EnergyModel {
-            elec_per_byte: 0.0,
-            amp_per_byte_d2: 1.0,
-            tx_overhead: 0.0,
-        };
-        assert!((m.tx_cost(1, 8.0) - 4.0 * m.tx_cost(1, 4.0)).abs() < 1e-12);
+        // The overhead and electronics terms do not depend on range, so
+        // they cancel against a zero-range send.
+        let amp = |d: f64| tx_cost(1, d) - tx_cost(1, 0.0);
+        assert!((amp(8.0) - 4.0 * amp(4.0)).abs() < 1e-12);
+        assert!(amp(4.0) > 0.0);
     }
 }

@@ -27,7 +27,8 @@
 //! - [`chaos`] — deterministic fault injection: sim-time-ordered
 //!   [`FaultPlan`] scripts (crashes, partitions, blackholes, latency
 //!   spikes, drains), a seeded plan generator, and ddmin plan shrinking;
-//! - [`energy`] — a tx/rx/idle energy model;
+//! - `energy` (private) — the first-order radio cost every transmission
+//!   and reception is charged in [`NetStats`];
 //! - [`sleep`] / [`rotation`] — set-k-cover sleep shifts (the paper's
 //!   motivation #3) and the runtime rotation state: shift schedules on the
 //!   tick clock, battery knobs, and the awake / scheduled-asleep / dead
@@ -42,7 +43,7 @@
 pub mod chaos;
 pub mod detect;
 pub mod election;
-pub mod energy;
+mod energy;
 pub mod event;
 pub mod failure;
 pub mod messages;
@@ -59,7 +60,6 @@ pub use detect::{
     silent_too_long, DetectionReport, HeartbeatConfig, HeartbeatSim, WatchSlot, WatchTable,
 };
 pub use election::{rotation_leader, rotation_leader_in};
-pub use energy::EnergyModel;
 pub use event::{EventQueue, Time};
 pub use failure::FailurePlan;
 pub use messages::Message;
@@ -69,4 +69,4 @@ pub use reports::{collect_reports, sink_near, DeliveryReport};
 pub use rotation::{RotationConfig, ShiftSchedule};
 pub use routing::shortest_path;
 pub use sleep::SleepScheduler;
-pub use transport::{DeliveryOutcome, Inbound, MsgId, Transport, TransportConfig, TransportStats};
+pub use transport::{DeliveryOutcome, MsgId, Transport, TransportConfig, TransportStats};

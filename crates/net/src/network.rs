@@ -11,7 +11,7 @@
 //! no row and pays nothing for the table. [`Network::neighbors_into`]
 //! keeps the grid query.
 
-use crate::energy::EnergyModel;
+use crate::energy;
 use crate::event::Time;
 use crate::messages::Message;
 use crate::node::{Node, NodeId};
@@ -168,7 +168,8 @@ pub struct Network {
 
 impl Network {
     /// An empty network over `field`. Every network charges its radio
-    /// traffic to the default [`EnergyModel`].
+    /// traffic to the one first-order energy model (the private `energy`
+    /// module).
     pub fn new(field: Aabb) -> Self {
         let cell = (field.width().min(field.height()) / 20.0).max(1.0);
         Network {
@@ -380,12 +381,6 @@ impl Network {
         }
     }
 
-    /// Is node `id` scheduled asleep? Dead and unknown nodes read false —
-    /// sleeping is a property of a live radio.
-    pub fn is_sleeping(&self, id: NodeId) -> bool {
-        self.is_alive(id) && self.sleeping.get(id).copied().unwrap_or(false)
-    }
-
     /// Is node `id` alive *and* on duty (not scheduled asleep)? The
     /// receiver-side predicate of every transmission.
     pub fn is_awake(&self, id: NodeId) -> bool {
@@ -504,7 +499,7 @@ impl Network {
         // The sender transmits (and pays) regardless of whether the
         // medium then eats the packet.
         self.stats.sent[from] += 1;
-        self.stats.energy[from] += EnergyModel::default().tx_cost(bytes, d);
+        self.stats.energy[from] += energy::tx_cost(bytes, d);
         self.stats.total_sent += 1;
         if msg.is_maintenance() {
             self.stats.maintenance_sent += 1;
@@ -540,7 +535,7 @@ impl Network {
             return Err(SendError::Lost);
         }
         self.stats.received[to] += 1;
-        self.stats.energy[to] += EnergyModel::default().rx_cost(bytes);
+        self.stats.energy[to] += energy::rx_cost(bytes);
         self.trace.emit(TraceEvent::MsgDeliver {
             from: from as u64,
             to: to as u64,
@@ -579,7 +574,7 @@ impl Network {
         let receivers = std::mem::take(&mut self.hearers[from]);
         let bytes = msg.payload_bytes();
         self.stats.sent[from] += 1;
-        self.stats.energy[from] += EnergyModel::default().tx_cost(bytes, sender.rc);
+        self.stats.energy[from] += energy::tx_cost(bytes, sender.rc);
         self.stats.total_sent += 1;
         if msg.is_maintenance() {
             self.stats.maintenance_sent += 1;
@@ -617,7 +612,7 @@ impl Network {
                 continue;
             }
             self.stats.received[r] += 1;
-            self.stats.energy[r] += EnergyModel::default().rx_cost(bytes);
+            self.stats.energy[r] += energy::rx_cost(bytes);
             self.trace.emit(TraceEvent::MsgDeliver {
                 from: from as u64,
                 to: r as u64,
@@ -1020,7 +1015,6 @@ mod tests {
     fn sleeping_receiver_misses_frames_for_free() {
         let mut net = net_with(&[(10.0, 10.0), (15.0, 10.0)], 4.0, 8.0);
         net.set_sleeping(1, true);
-        assert!(net.is_sleeping(1));
         assert!(!net.is_awake(1));
         assert!(net.is_alive(1), "sleeping is not dead");
         let msg = Message::Heartbeat { pos: Point::ORIGIN };
@@ -1085,14 +1079,13 @@ mod tests {
     }
 
     #[test]
-    fn dead_nodes_read_as_not_sleeping() {
+    fn dead_and_unknown_nodes_read_as_not_awake() {
         let mut net = net_with(&[(10.0, 10.0)], 4.0, 8.0);
         net.set_sleeping(0, true);
         net.fail_node(0);
-        assert!(!net.is_sleeping(0), "sleeping is a live-radio property");
         assert!(!net.is_awake(0));
         net.set_sleeping(99, true); // unknown ids ignored
-        assert!(!net.is_sleeping(99));
+        assert!(!net.is_awake(99));
     }
 
     #[test]

@@ -22,10 +22,10 @@ use serde::{Deserialize, Serialize};
 
 /// Duty-cycled rotation knobs.
 ///
-/// Costs are in the same energy units as [`crate::energy::EnergyModel`]
-/// charges per message, so one battery pays for both radio traffic and
-/// idle listening: a node's battery is spent when its cumulative radio
-/// energy (from `Network::stats`) plus its idle cost reaches `battery`.
+/// Costs are in the same energy units the network charges per message,
+/// so one battery pays for both radio traffic and idle listening: a
+/// node's battery is spent when its cumulative radio energy (from
+/// `Network::stats`) plus its idle cost reaches `battery`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RotationConfig {
     /// Coverage degree each shift must maintain on its own (usually 1:

@@ -11,30 +11,32 @@
 //! in-network, and `decor_core::run_endurance` duty-cycles it against
 //! the battery model to measure the lifetime it buys.
 //!
+//! The partition's whole input is which node covers which point: one row
+//! per node listing the points it covers, as `run_endurance` keeps them
+//! for its duty check (Abrams, Goel & Plotkin's set k-cover takes exactly
+//! this incidence). No geometry runs here; the caller decides coverage
+//! once, and the point → coverers lists are the transpose of the live
+//! rows.
+//!
 //! The greedy is output-sensitive: each assignment touches only the
 //! points the chosen node covers. The most constrained point comes from
 //! an ordered set keyed by (slack, point), a candidate's gain is counted
-//! over its own points, and only the assigned node's points are updated
-//! (DESIGN.md §15).
+//! over its own row, and only the assigned node's points are updated
+//! (DESIGN.md §15). Neither depends on the order within a row, so rows
+//! may list their points in any order.
 
-use crate::network::Network;
 use crate::node::NodeId;
-use decor_geom::Point;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
 /// Builds sleep shifts from a k-covered deployment.
 ///
 /// ```
-/// use decor_geom::{Aabb, Point};
-/// use decor_net::{Network, SleepScheduler};
+/// use decor_net::SleepScheduler;
 ///
-/// // Two identical sensors covering one spot can take turns.
-/// let mut net = Network::new(Aabb::square(10.0));
-/// net.add_node(Point::new(5.0, 5.0), 4.0, 8.0);
-/// net.add_node(Point::new(5.0, 5.0), 4.0, 8.0);
-/// let points = vec![Point::new(5.0, 5.0)];
-/// let shifts = SleepScheduler::new(1).shifts(&net, &points);
+/// // Two nodes covering the one monitored point can take turns.
+/// let rows: Vec<Box<[u32]>> = vec![Box::new([0]), Box::new([0])];
+/// let shifts = SleepScheduler::new(1).shifts(&rows, |_| true, 1);
 /// assert_eq!(shifts, vec![vec![0], vec![1]]);
 /// ```
 #[derive(Clone, Copy, Debug)]
@@ -51,27 +53,13 @@ impl SleepScheduler {
         SleepScheduler { target_coverage }
     }
 
-    /// For each point, the alive nodes covering it (sorted by id).
-    fn coverers(net: &Network, points: &[Point]) -> Vec<Vec<NodeId>> {
-        let r = max_rs(net);
-        let mut buf: Vec<NodeId> = Vec::new();
-        points
-            .iter()
-            .map(|&p| {
-                net.alive_within_into(p, r, &mut buf);
-                buf.iter()
-                    .copied()
-                    .filter(|&id| net.node(id).covers(p))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Partitions the alive nodes into disjoint shifts, each achieving
-    /// `target_coverage` of every point in `points` on its own. Nodes
-    /// left over are dealt round-robin across the shifts as spares, so
-    /// every shift gets backup. Returns an empty vec when even the full
-    /// network cannot reach the target.
+    /// Partitions the live nodes into disjoint shifts, each achieving
+    /// `target_coverage` of every one of `n_points` points on its own.
+    /// `rows[id]` lists the points node `id` covers, in any order and
+    /// each below `n_points`; `alive(id)` says whether the node takes
+    /// part. Nodes left over are dealt round-robin across the shifts as
+    /// spares, so every shift gets backup. Returns an empty vec when even
+    /// all live nodes cannot reach the target.
     ///
     /// Construction is a balanced simultaneous assignment (a domatic-
     /// partition heuristic): extracting complete shifts one at a time lets
@@ -80,43 +68,43 @@ impl SleepScheduler {
     /// constrained (point, shift) deficit is always served next — and `S`
     /// is found by trying the upper bound `min_p |coverers(p)| / target`
     /// downwards until a feasible partition appears.
-    pub fn shifts(&self, net: &Network, points: &[Point]) -> Vec<Vec<NodeId>> {
-        let coverers = Self::coverers(net, points);
-        let min_cover = coverers.iter().map(Vec::len).min().unwrap_or(0) as u32;
+    pub fn shifts(
+        &self,
+        rows: &[Box<[u32]>],
+        alive: impl Fn(NodeId) -> bool,
+        n_points: usize,
+    ) -> Vec<Vec<NodeId>> {
+        let live: Vec<NodeId> = (0..rows.len()).filter(|&id| alive(id)).collect();
+        // The live rows transposed by a counting sort into one flat
+        // buffer: point `pi` is covered by `cov[start[pi]..start[pi + 1]]`,
+        // ids ascending. Shared by every attempt below.
+        let mut start = vec![0usize; n_points + 1];
+        for &id in &live {
+            for &pi in rows[id].iter() {
+                start[pi as usize + 1] += 1;
+            }
+        }
+        let min_cover = start[1..].iter().min().copied().unwrap_or(0) as u32;
         if min_cover < self.target_coverage {
             return Vec::new(); // even everyone awake cannot cover
         }
-        // The coverer lists inverted into rows of one flat buffer: node
-        // `id` covers points `pts[start[id]..start[id + 1]]`, ascending.
-        // Shared by every attempt below.
-        let mut start = vec![0usize; net.len() + 1];
-        for &id in coverers.iter().flatten() {
-            start[id + 1] += 1;
+        for pi in 0..n_points {
+            start[pi + 1] += start[pi];
         }
-        for id in 0..net.len() {
-            start[id + 1] += start[id];
-        }
-        let mut pts = vec![0u32; start[net.len()]];
+        let mut cov = vec![0; start[n_points]];
         let mut fill = start.clone();
-        for (pi, c) in coverers.iter().enumerate() {
-            let pi = u32::try_from(pi).expect("fewer than 2^32 points");
-            for &id in c {
-                pts[fill[id]] = pi;
-                fill[id] += 1;
+        for &id in &live {
+            for &pi in rows[id].iter() {
+                cov[fill[pi as usize]] = id;
+                fill[pi as usize] += 1;
             }
         }
-        let pts_of = |id: NodeId| &pts[start[id]..start[id + 1]];
         let s_max = (min_cover / self.target_coverage).max(1) as usize;
         for s in (1..=s_max).rev() {
-            if let Some(mut shifts) = self.try_partition(&coverers, pts_of, net.len(), s) {
+            if let Some(mut shifts) = self.try_partition(rows, &start, &cov, s) {
                 // Spares spread round-robin so every shift gets backup.
                 let assigned: BTreeSet<NodeId> = shifts.iter().flatten().copied().collect();
-                for (i, id) in net
-                    .alive_ids()
-                    .into_iter()
-                    .filter(|id| !assigned.contains(id))
-                    .enumerate()
-                {
+                for (i, &id) in live.iter().filter(|id| !assigned.contains(id)).enumerate() {
                     shifts[i % s].push(id);
                 }
                 for shift in &mut shifts {
@@ -128,29 +116,30 @@ impl SleepScheduler {
         Vec::new()
     }
 
-    /// Attempts to build exactly `s` disjoint shifts simultaneously out
-    /// of `n_nodes` nodes. `pts_of(id)` is node `id`'s row of `coverers`
-    /// inverted.
-    fn try_partition<'a>(
+    /// Attempts to build exactly `s` disjoint shifts simultaneously.
+    /// Point `pi`'s coverers are `cov[start[pi]..start[pi + 1]]`, the
+    /// transpose of the live `rows`.
+    fn try_partition(
         &self,
-        coverers: &[Vec<NodeId>],
-        pts_of: impl Fn(NodeId) -> &'a [u32],
-        n_nodes: usize,
+        rows: &[Box<[u32]>],
+        start: &[usize],
+        cov: &[NodeId],
         s: usize,
     ) -> Option<Vec<Vec<NodeId>>> {
-        let n_points = coverers.len();
+        let n_points = start.len() - 1;
+        let coverers = |pi: usize| &cov[start[pi]..start[pi + 1]];
         // deficit[pi * s + si]: coverage still needed by shift si at pi.
         let mut deficit = vec![self.target_coverage; n_points * s];
         // need[pi]: the deficits of pi summed over the shifts.
         let mut need = vec![self.target_coverage as i64 * s as i64; n_points];
         // avail[pi]: coverers of pi not yet assigned to a shift.
-        let mut avail: Vec<i64> = coverers.iter().map(|c| c.len() as i64).collect();
+        let mut avail: Vec<i64> = (0..n_points).map(|pi| coverers(pi).len() as i64).collect();
         // The points still in need, keyed by (slack, point): the first
         // entry is the most constrained point, the lowest id on equal
         // slack. Each key holds the point's current avail - need.
         let mut needy: BTreeSet<(i64, usize)> =
             (0..n_points).map(|pi| (avail[pi] - need[pi], pi)).collect();
-        let mut free = vec![true; n_nodes];
+        let mut free = vec![true; rows.len()];
         let mut shifts = vec![Vec::new(); s];
         while let Some(&(slack, pi)) = needy.first() {
             if slack < 0 {
@@ -165,11 +154,11 @@ impl SleepScheduler {
             // Among free coverers of pi, pick the one covering the most
             // still-deficient points *of that shift* (ties: low id).
             let mut best: Option<(NodeId, usize)> = None;
-            for &id in &coverers[pi] {
+            for &id in coverers(pi) {
                 if !free[id] {
                     continue;
                 }
-                let gain = pts_of(id)
+                let gain = rows[id]
                     .iter()
                     .filter(|&&qi| deficit[qi as usize * s + si] > 0)
                     .count();
@@ -183,7 +172,7 @@ impl SleepScheduler {
             // Only the assigned node's points change: each loses a free
             // coverer, and where shift si still lacked coverage its
             // deficit falls too (slack unchanged); elsewhere slack drops.
-            for &qi in pts_of(id) {
+            for &qi in rows[id].iter() {
                 let qi = qi as usize;
                 if need[qi] == 0 {
                     continue; // satisfied: no longer keyed
@@ -207,84 +196,77 @@ impl SleepScheduler {
     }
 }
 
-fn max_rs(net: &Network) -> f64 {
-    net.alive_ids()
-        .into_iter()
-        .map(|id| net.node(id).rs)
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decor_geom::Aabb;
 
-    /// A network where every point is covered by exactly `layers`
-    /// identical sensor lattices.
-    fn layered_net(layers: usize) -> (Network, Vec<Point>) {
-        let mut net = Network::new(Aabb::square(40.0));
-        for _ in 0..layers {
-            for i in 0..6 {
-                for j in 0..6 {
-                    net.add_node(
-                        Point::new(3.0 + 6.5 * i as f64, 3.0 + 6.5 * j as f64),
-                        6.0,
-                        12.0,
-                    );
-                }
-            }
-        }
-        let mut pts = Vec::new();
-        for i in 0..10 {
-            for j in 0..10 {
-                pts.push(Point::new(2.0 + 3.6 * i as f64, 2.0 + 3.6 * j as f64));
-            }
-        }
-        (net, pts)
+    /// Rows of `layers` identical 6×6 lattices of rs-6 sensors (spacing
+    /// 6.5) over a 10×10 lattice of points (spacing 3.6): every layer
+    /// covers every point.
+    fn layered_rows(layers: usize) -> Vec<Box<[u32]>> {
+        let covers = |node: usize, pi: usize| {
+            let (x, y) = (3.0 + 6.5 * (node / 6) as f64, 3.0 + 6.5 * (node % 6) as f64);
+            let (px, py) = (2.0 + 3.6 * (pi / 10) as f64, 2.0 + 3.6 * (pi % 10) as f64);
+            (x - px) * (x - px) + (y - py) * (y - py) <= 36.0
+        };
+        (0..layers * 36)
+            .map(|id| {
+                (0..100u32)
+                    .filter(|&pi| covers(id % 36, pi as usize))
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
     fn shifts_partition_and_each_covers() {
-        let (net, pts) = layered_net(3);
-        let sched = SleepScheduler::new(1);
-        let shifts = sched.shifts(&net, &pts);
+        let rows = layered_rows(3);
+        let shifts = SleepScheduler::new(1).shifts(&rows, |_| true, 100);
         assert!(shifts.len() >= 2, "3 layers must yield >= 2 shifts");
         // Disjoint.
-        let mut seen = std::collections::BTreeSet::new();
+        let mut seen = BTreeSet::new();
         for shift in &shifts {
             for &id in shift {
                 assert!(seen.insert(id), "node {id} in two shifts");
             }
             // Each shift alone covers every point.
-            for &p in &pts {
+            for pi in 0..100 {
                 assert!(
-                    shift.iter().any(|&id| net.node(id).covers(p)),
-                    "point {p} uncovered by a shift"
+                    shift.iter().any(|&id| rows[id].contains(&pi)),
+                    "point {pi} uncovered by a shift"
                 );
             }
         }
     }
 
     #[test]
+    fn row_order_does_not_matter() {
+        let rows = layered_rows(3);
+        let reversed: Vec<Box<[u32]>> = rows
+            .iter()
+            .map(|row| row.iter().rev().copied().collect())
+            .collect();
+        let sched = SleepScheduler::new(1);
+        assert_eq!(
+            sched.shifts(&reversed, |_| true, 100),
+            sched.shifts(&rows, |_| true, 100)
+        );
+    }
+
+    #[test]
     fn impossible_target_yields_no_shifts() {
-        let (net, pts) = layered_net(1);
+        let rows = layered_rows(1);
         let sched = SleepScheduler::new(5); // only 1 layer exists
-        assert!(sched.shifts(&net, &pts).is_empty());
+        assert!(sched.shifts(&rows, |_| true, 100).is_empty());
     }
 
     #[test]
     fn spares_are_dealt_round_robin() {
-        // Point a has 4 coverers and point b 6, so at target 2 there are
-        // two shifts of 2 + 2 nodes and b's 2 leftovers are spares.
-        let mut net = Network::new(Aabb::square(40.0));
-        for _ in 0..4 {
-            net.add_node(Point::new(5.0, 5.0), 2.0, 4.0);
-        }
-        for _ in 0..6 {
-            net.add_node(Point::new(30.0, 30.0), 2.0, 4.0);
-        }
-        let pts = [Point::new(5.0, 5.0), Point::new(30.0, 30.0)];
-        let shifts = SleepScheduler::new(2).shifts(&net, &pts);
+        // Point 0 has 4 coverers and point 1 has 6, so at target 2 there
+        // are two shifts of 2 + 2 nodes and point 1's 2 leftovers are
+        // spares.
+        let rows: Vec<Box<[u32]>> = (0..10).map(|id| Box::from([u32::from(id >= 4)])).collect();
+        let shifts = SleepScheduler::new(2).shifts(&rows, |_| true, 2);
         assert_eq!(shifts, vec![vec![0, 2, 4, 6, 8], vec![1, 3, 5, 7, 9]]);
     }
 

@@ -11,15 +11,19 @@
 //!   scheduled on the discrete-event [`EventQueue`] (the retry instant
 //!   saturates, so no backoff base can wrap the clock);
 //! - **duplicate suppression** at the receiver (a retransmission whose
-//!   original arrived — e.g. because only the ack was lost — is delivered
-//!   up at most once);
+//!   original arrived — e.g. because only the ack was lost — is counted
+//!   as a duplicate, not as a second arrival);
 //! - **per-link FIFO**: each directed link keeps at most one message in
 //!   the air; later sends on the same link wait for the earlier one to
-//!   conclude. Together with duplicate suppression this guarantees the
-//!   application plane sees notices in send order — a retransmission can
-//!   never leapfrog a younger message;
+//!   conclude, so a link's messages conclude in send order — a
+//!   retransmission can never leapfrog a younger message;
 //! - a terminal [`DeliveryOutcome`] per message: delivered, gave up after
 //!   the retry budget, or peer down/unreachable.
+//!
+//! There is no application plane: a caller learns what arrived from the
+//! outcomes [`Transport::flush`] returns. The placers write each notice's
+//! outcome into their knowledge ledger, and the shift agreement does the
+//! same for its assignments.
 //!
 //! Every physical transmission (first attempt, retry, ack) goes through
 //! [`Network::unicast`], so it is charged energy and counted in
@@ -139,22 +143,6 @@ pub struct TransportStats {
 /// with its [`DeliveryOutcome`] by [`Transport::flush`].
 pub type MsgId = usize;
 
-/// A message delivered *up* to the application plane at the receiver: the
-/// first arrival of its `(link, seq)` — duplicates are suppressed below
-/// this surface, and the per-link FIFO guarantees `seq` arrives in send
-/// order. Collected via [`Transport::take_inbox`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Inbound {
-    /// Sending node.
-    pub from: NodeId,
-    /// Receiving node.
-    pub to: NodeId,
-    /// Per-directed-link sequence number.
-    pub seq: u64,
-    /// The delivered message.
-    pub msg: Message,
-}
-
 /// One in-flight (or finished) reliable message.
 #[derive(Clone, Debug)]
 struct Flight {
@@ -164,7 +152,7 @@ struct Flight {
     seq: u64,
     attempts: u32,
     done: bool,
-    /// The first arrival was delivered up; any later arrival is a
+    /// The data frame arrived once; any later arrival is a
     /// retransmission after a lost ack.
     arrived: bool,
     /// The send queued behind this one on its link, launched when this
@@ -194,8 +182,6 @@ pub struct Transport {
     flights: Vec<Flight>,
     /// `last[from]`: `(to, last flight on from → to)`, sorted by `to`.
     last: Vec<Vec<(NodeId, MsgId)>>,
-    /// Application-plane deliveries at receivers, in arrival order.
-    inbox: Vec<Inbound>,
     finished: Vec<(MsgId, DeliveryOutcome)>,
     /// Aggregate statistics, publicly readable.
     pub stats: TransportStats,
@@ -210,14 +196,13 @@ impl Transport {
             clock: EventQueue::new(),
             flights: Vec::new(),
             last: Vec::new(),
-            inbox: Vec::new(),
             finished: Vec::new(),
             stats: TransportStats::default(),
         }
     }
 
     /// Returns the transport to the state of `Transport::new(cfg)`,
-    /// keeping the flight vector, event-queue heap, inbox buffers and
+    /// keeping the flight vector, event-queue heap, conclusion list and
     /// the link rows allocated. A reset transport behaves
     /// bit-identically to a freshly constructed one.
     pub fn reset(&mut self, cfg: TransportConfig) {
@@ -226,7 +211,6 @@ impl Transport {
         self.clock.reset();
         self.flights.clear();
         self.last.iter_mut().for_each(Vec::clear);
-        self.inbox.clear();
         self.finished.clear();
         self.stats = TransportStats::default();
     }
@@ -237,7 +221,7 @@ impl Transport {
     ///
     /// Sends on one directed link are strictly FIFO: a message waits until
     /// every earlier message on the same link has reached its terminal
-    /// outcome, so retransmissions never reorder the application stream.
+    /// outcome, so retransmissions never reorder a link's messages.
     /// `from` indexes a row of the link table, so ids are expected to be
     /// dense, as [`Network::add_node`] hands them out.
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: Message) -> MsgId {
@@ -319,15 +303,6 @@ impl Transport {
         self.clock.now()
     }
 
-    /// Drains the application-plane inbox: every message delivered up at a
-    /// receiver since the last take, in arrival order. Each `(link, seq)`
-    /// appears at most once ever (duplicates are suppressed below this
-    /// surface), and per directed link the sequence numbers are strictly
-    /// increasing — the FIFO discipline forbids reordering.
-    pub fn take_inbox(&mut self) -> Vec<Inbound> {
-        std::mem::take(&mut self.inbox)
-    }
-
     fn conclude(&mut self, id: MsgId, outcome: DeliveryOutcome) {
         self.flights[id].done = true;
         match outcome {
@@ -397,12 +372,10 @@ impl Transport {
         }
         match net.unicast(from, to, msg) {
             Ok(()) => {
-                // Data arrived: deliver up unless this flight arrived
+                // Data arrived: a duplicate when this flight arrived
                 // before (retransmission after a lost ack).
                 if std::mem::replace(&mut self.flights[id].arrived, true) {
                     self.stats.duplicates_suppressed += 1;
-                } else {
-                    self.inbox.push(Inbound { from, to, seq, msg });
                 }
                 // The receiver acknowledges every arrival, duplicate or
                 // not — the sender is asking because it missed the ack.
@@ -658,22 +631,14 @@ mod tests {
     }
 
     #[test]
-    fn per_link_fifo_delivers_in_send_order_under_loss() {
+    fn per_link_fifo_concludes_in_send_order_under_loss() {
         let mut net = pair_net();
         net.set_loss(0.4, 33);
         let mut tr = Transport::new(TransportConfig::default());
-        for _ in 0..30 {
-            tr.send(0, 1, notice());
-        }
-        tr.flush(&mut net);
-        let inbox = tr.take_inbox();
-        assert!(!inbox.is_empty());
-        let seqs: Vec<u64> = inbox.iter().map(|m| m.seq).collect();
-        let mut sorted = seqs.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(seqs, sorted, "app plane saw a dup or reorder: {seqs:?}");
-        assert!(tr.take_inbox().is_empty(), "second take drains nothing");
+        let sent: Vec<MsgId> = (0..30).map(|_| tr.send(0, 1, notice())).collect();
+        let concluded: Vec<MsgId> = tr.flush(&mut net).iter().map(|&(id, _)| id).collect();
+        assert_eq!(concluded, sent, "a retransmission leapfrogged a send");
+        assert!(tr.stats.retries > 0, "40% loss must force retries");
     }
 
     #[test]

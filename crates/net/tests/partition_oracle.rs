@@ -11,6 +11,11 @@
 //! same order, with the same members and spares — including every
 //! infeasible case, over stacked random clouds with dead nodes, mixed
 //! sensing radii and targets 1 to 3.
+//!
+//! The oracle finds each point's coverers by range queries on the
+//! network; the partition reads node → point rows, built here from
+//! `Node::covers`. So the comparison also pins the partition's transpose
+//! of those rows against the oracle's coverer lists.
 
 use decor_geom::{Aabb, Point};
 use decor_net::{Network, SleepScheduler};
@@ -262,9 +267,18 @@ impl Case {
     }
 }
 
-/// The incremental partition and the oracle on one network.
+/// The incremental partition and the oracle on one network. The oracle
+/// finds each point's coverers by geometry; the partition gets the same
+/// incidence as rows, one per node, from `Node::covers`.
 fn both(net: &Network, points: &[Point], target: u32) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
-    let got = SleepScheduler::new(target).shifts(net, points);
+    let rows: Vec<Box<[u32]>> = (0..net.len())
+        .map(|id| {
+            (0..points.len() as u32)
+                .filter(|&pi| net.node(id).covers(points[pi as usize]))
+                .collect()
+        })
+        .collect();
+    let got = SleepScheduler::new(target).shifts(&rows, |id| net.is_alive(id), points.len());
     let want = reference::SleepScheduler::new(target).shifts(net, points);
     (got, want)
 }

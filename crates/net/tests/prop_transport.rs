@@ -1,12 +1,14 @@
 //! Property tests for the reliable-transport invariants (tier: invariants).
 //!
 //! Over random loss rates, seeds and traffic patterns, the transport must
-//! uphold its two contracts:
+//! uphold its contracts, each read from what a caller observes — the
+//! outcomes [`Transport::flush`] returns and [`Transport::stats`]:
 //!
-//! 1. the application plane never sees a duplicate or out-of-order notice
-//!    on any directed link ([`Transport::take_inbox`] is the app surface);
+//! 1. per directed link, messages conclude in send order: a
+//!    retransmission never leapfrogs a younger message;
 //! 2. every message handed to [`Transport::send`] reaches a terminal
-//!    [`DeliveryOutcome`] exactly once across flushes.
+//!    [`DeliveryOutcome`] exactly once across flushes;
+//! 3. the statistics agree with the outcomes.
 
 use decor_geom::{Aabb, Point};
 use decor_net::{DeliveryOutcome, Message, MsgId, Network, Transport, TransportConfig};
@@ -32,11 +34,11 @@ fn notice() -> Message {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Invariant 1: per directed link, the app plane receives strictly
-    /// increasing sequence numbers — no duplicates, no reordering — at any
-    /// loss rate, even one high enough to force give-ups mid-stream.
+    /// Invariant 1: per directed link, messages conclude in send order —
+    /// no reordering — at any loss rate, even one high enough to force
+    /// give-ups mid-stream.
     #[test]
-    fn app_plane_is_dup_free_and_in_order(
+    fn links_conclude_in_send_order(
         loss in 0.0..0.85f64,
         seed in any::<u64>(),
         // (sender, receiver) pairs drawn from the quad.
@@ -47,22 +49,25 @@ proptest! {
             max_retries: 4,
             backoff_base: 2,
         });
+        let mut link_of: BTreeMap<MsgId, (usize, usize)> = BTreeMap::new();
         for &(a, b) in &links {
             if a != b {
-                tr.send(a, b, notice());
+                link_of.insert(tr.send(a, b, notice()), (a, b));
             }
         }
-        tr.flush(&mut net);
-        let mut last_seq: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-        for m in tr.take_inbox() {
-            if let Some(&prev) = last_seq.get(&(m.from, m.to)) {
+        let outcomes = tr.flush(&mut net);
+        prop_assert_eq!(outcomes.len(), link_of.len());
+        let mut last: BTreeMap<(usize, usize), MsgId> = BTreeMap::new();
+        for (id, _) in outcomes {
+            let link = link_of[&id];
+            if let Some(&prev) = last.get(&link) {
                 prop_assert!(
-                    m.seq > prev,
-                    "link {:?} delivered seq {} after {}",
-                    (m.from, m.to), m.seq, prev
+                    id > prev,
+                    "link {:?} concluded message {} after {}",
+                    link, id, prev
                 );
             }
-            last_seq.insert((m.from, m.to), m.seq);
+            last.insert(link, id);
         }
     }
 
@@ -104,40 +109,56 @@ proptest! {
         prop_assert_eq!(reported, expected);
     }
 
-    /// Delivered messages appear in the inbox exactly once; gave-up
-    /// messages appear at most once (the data may have arrived with only
-    /// the acks lost). PeerDown never reaches the inbox.
+    /// Invariant 3: the statistics count the outcomes. Every send makes
+    /// one first attempt, so data frames are sends plus retries; on the
+    /// all-alive quad nothing concludes PeerDown, so they are also the
+    /// outcomes' attempts summed; and each ack answers one arrival, so
+    /// the first arrivals (acks less duplicates) number at least the
+    /// delivered messages and at most those plus the give-ups, whose data
+    /// may have arrived with only the acks lost.
     #[test]
-    fn inbox_is_consistent_with_outcomes(
+    fn stats_agree_with_outcomes(
         loss in 0.0..0.85f64,
         seed in any::<u64>(),
-        n in 1usize..40,
+        links in prop::collection::vec((0usize..4, 0usize..4), 1..60),
     ) {
+        let max_retries = 4;
         let mut net = quad_net(loss, seed);
         let mut tr = Transport::new(TransportConfig {
-            max_retries: 4,
+            max_retries,
             backoff_base: 2,
         });
-        let ids: Vec<MsgId> = (0..n).map(|_| tr.send(0, 1, notice())).collect();
-        let outcomes: BTreeMap<MsgId, DeliveryOutcome> = tr.flush(&mut net).into_iter().collect();
-        let inbox = tr.take_inbox();
-        // seq on link (0,1) equals the send index here.
-        let delivered_seqs: Vec<u64> = inbox.iter().map(|m| m.seq).collect();
-        for (i, id) in ids.iter().enumerate() {
-            match outcomes[id] {
-                DeliveryOutcome::Delivered { .. } => prop_assert!(
-                    delivered_seqs.contains(&(i as u64)),
-                    "delivered message {i} missing from inbox"
-                ),
-                DeliveryOutcome::PeerDown => prop_assert!(
-                    !delivered_seqs.contains(&(i as u64)),
-                    "peer-down message {i} cannot have been delivered"
-                ),
-                DeliveryOutcome::GaveUp { .. } => {}
+        for &(a, b) in &links {
+            if a != b {
+                tr.send(a, b, notice());
             }
         }
-        let mut uniq = delivered_seqs.clone();
-        uniq.dedup();
-        prop_assert_eq!(uniq.len(), delivered_seqs.len(), "inbox has duplicates");
+        let (mut delivered, mut gave_up, mut attempts) = (0, 0, 0);
+        for (_, out) in tr.flush(&mut net) {
+            match out {
+                DeliveryOutcome::Delivered { attempts: n } => {
+                    prop_assert!((1..=1 + max_retries).contains(&n));
+                    delivered += 1;
+                    attempts += u64::from(n);
+                }
+                DeliveryOutcome::GaveUp { attempts: n } => {
+                    prop_assert_eq!(n, 1 + max_retries);
+                    gave_up += 1;
+                    attempts += u64::from(n);
+                }
+                DeliveryOutcome::PeerDown => prop_assert!(false, "every quad node is up"),
+            }
+        }
+        let st = tr.stats;
+        prop_assert_eq!((st.delivered, st.gave_up, st.peer_down), (delivered, gave_up, 0));
+        prop_assert_eq!(st.sent, delivered + gave_up);
+        prop_assert_eq!(st.data_transmissions, st.sent + st.retries);
+        prop_assert_eq!(st.data_transmissions, attempts);
+        let first_arrivals = st.acks - st.duplicates_suppressed;
+        prop_assert!(
+            (delivered..=delivered + gave_up).contains(&first_arrivals),
+            "{} first arrivals for {} delivered and {} given up",
+            first_arrivals, delivered, gave_up
+        );
     }
 }

@@ -6,10 +6,11 @@
 //! the receiver's `seen` watermark, the `busy` set and the `waiting`
 //! queues). Its code is kept unchanged as the oracle, leaving out only the
 //! `config`, `flush`, `flush_chaos` and `send_now` wrappers no script
-//! calls. The table must reproduce it bit for bit: the same outcomes,
-//! inbox, statistics and clock after every flush, and the same traffic
-//! counters and trace on the medium, over scripts of repeated sends,
-//! flushes, node failures, chaos plans and a reset.
+//! calls, and the application-plane inbox, which the transport no longer
+//! has. The table must reproduce it bit for bit: the same outcomes,
+//! statistics and clock after every flush, and the same traffic counters
+//! and trace on the medium, over scripts of repeated sends, flushes, node
+//! failures, chaos plans and a reset.
 
 use decor_geom::{Aabb, Point};
 use decor_net::{
@@ -25,7 +26,7 @@ mod heap_queue;
 mod reference {
     use super::heap_queue::EventQueue;
     use decor_net::{
-        ChaosEngine, DeliveryOutcome, Inbound, Message, MsgId, Network, NodeId, SendError, Time,
+        ChaosEngine, DeliveryOutcome, Message, MsgId, Network, NodeId, SendError, Time,
         TransportConfig, TransportStats,
     };
     use decor_trace::TraceEvent;
@@ -132,8 +133,6 @@ mod reference {
         /// Drained entries are kept (an empty queue behaves like an absent
         /// one) so their deque capacity survives for the next burst.
         waiting: LinkMap<VecDeque<MsgId>>,
-        /// Application-plane deliveries at receivers, in arrival order.
-        inbox: Vec<Inbound>,
         finished: Vec<(MsgId, DeliveryOutcome)>,
         /// Aggregate statistics, publicly readable.
         pub stats: TransportStats,
@@ -151,15 +150,14 @@ mod reference {
                 seen: LinkMap::new(),
                 busy: LinkMap::new(),
                 waiting: LinkMap::new(),
-                inbox: Vec::new(),
                 finished: Vec::new(),
                 stats: TransportStats::default(),
             }
         }
 
         /// Returns the transport to the state of `Transport::new(cfg)`,
-        /// keeping the flight vector, event-queue heap, inbox buffers and
-        /// the flat per-link maps allocated. A reset transport behaves
+        /// keeping the flight vector, event-queue heap and the flat
+        /// per-link maps allocated. A reset transport behaves
         /// bit-identically to a freshly constructed one.
         pub fn reset(&mut self, cfg: TransportConfig) {
             cfg.validate();
@@ -170,7 +168,6 @@ mod reference {
             self.seen.clear();
             self.busy.clear();
             self.waiting.clear();
-            self.inbox.clear();
             self.finished.clear();
             self.stats = TransportStats::default();
         }
@@ -240,15 +237,6 @@ mod reference {
             self.clock.now()
         }
 
-        /// Drains the application-plane inbox: every message delivered up at a
-        /// receiver since the last take, in arrival order. Each `(link, seq)`
-        /// appears at most once ever (duplicates are suppressed below this
-        /// surface), and per directed link the sequence numbers are strictly
-        /// increasing — the FIFO discipline forbids reordering.
-        pub fn take_inbox(&mut self) -> Vec<Inbound> {
-            std::mem::take(&mut self.inbox)
-        }
-
         fn conclude(&mut self, id: MsgId, outcome: DeliveryOutcome) {
             self.flights[id].done = true;
             match outcome {
@@ -310,7 +298,7 @@ mod reference {
             }
             match net.unicast(from, to, msg) {
                 Ok(()) => {
-                    // Data arrived: deliver up unless this seq was seen before
+                    // Data arrived: a duplicate when this seq was seen before
                     // (retransmission after a lost ack). Per-link arrivals are
                     // monotone in seq (see the `seen` field doc), so equality
                     // against the watermark is the full dedup test.
@@ -326,9 +314,7 @@ mod reference {
                             true
                         }
                     };
-                    if first_arrival {
-                        self.inbox.push(Inbound { from, to, seq, msg });
-                    } else {
+                    if !first_arrival {
                         self.stats.duplicates_suppressed += 1;
                     }
                     // The receiver acknowledges every arrival, duplicate or
@@ -466,7 +452,6 @@ impl Pair<'_> {
             }
         }
         assert_eq!(got, expected, "outcomes");
-        assert_eq!(self.table.take_inbox(), self.oracle.take_inbox(), "inbox");
         assert_eq!(self.table.stats, self.oracle.stats, "transport stats");
         assert_eq!(self.table.now(), self.oracle.now(), "clock");
         assert_eq!(counters(&self.net), counters(&self.oracle_net), "net stats");

@@ -35,6 +35,23 @@ fn net_of(cloud: &[Point]) -> Network {
     net
 }
 
+/// Each node's covered points by `Node::covers`, one row per node: the
+/// incidence the partition reads.
+fn rows_of(net: &Network, points: &[Point]) -> Vec<Box<[u32]>> {
+    (0..net.len())
+        .map(|id| {
+            (0..points.len() as u32)
+                .filter(|&pi| net.node(id).covers(points[pi as usize]))
+                .collect()
+        })
+        .collect()
+}
+
+/// The canonical partition of `net`'s alive nodes over `points`.
+fn shifts_of(net: &Network, points: &[Point], target: u32) -> Vec<Vec<usize>> {
+    SleepScheduler::new(target).shifts(&rows_of(net, points), |id| net.is_alive(id), points.len())
+}
+
 /// Coverage degree of `p` among `ids`.
 fn degree(net: &Network, ids: &[usize], p: Point) -> u32 {
     ids.iter().filter(|&&id| net.node(id).covers(p)).count() as u32
@@ -52,7 +69,7 @@ proptest! {
     ) {
         let net = net_of(&cloud);
         let points = halton_points(n_pts, &Aabb::square(SIDE));
-        let shifts = SleepScheduler::new(target).shifts(&net, &points);
+        let shifts = shifts_of(&net, &points, target);
         let mut seen = BTreeSet::new();
         for shift in &shifts {
             for &id in shift {
@@ -82,7 +99,7 @@ proptest! {
     ) {
         let net = net_of(&cloud);
         let points = halton_points(30, &Aabb::square(SIDE));
-        let shifts = SleepScheduler::new(target).shifts(&net, &points);
+        let shifts = shifts_of(&net, &points, target);
         prop_assume!(!shifts.is_empty());
         let schedule = ShiftSchedule::new(shifts, period, net.len());
         for &t in &probes {
