@@ -28,10 +28,16 @@ fn bench_fig04(c: &mut Criterion) {
 fn bench_fig05_06(c: &mut Criterion) {
     let p = params();
     c.bench_function("fig05_deployment_render", |b| {
-        b.iter(|| black_box(fig05_06::run_deployment(&p)))
+        b.iter(|| {
+            let (map, out, cfg) = fig05_06::deploy_example(&p);
+            black_box(fig05_06::run_deployment(&map, &out, &cfg))
+        })
     });
     c.bench_function("fig06_disaster_render", |b| {
-        b.iter(|| black_box(fig05_06::run_disaster(&p)))
+        b.iter(|| {
+            let (mut map, _, cfg) = fig05_06::deploy_example(&p);
+            black_box(fig05_06::run_disaster(&p, &mut map, &cfg))
+        })
     });
 }
 

@@ -18,7 +18,7 @@
 //! run is bit-identical across process runs and worker threads.
 
 use crate::config::DeploymentConfig;
-use crate::coverage::CoverageMap;
+use crate::coverage::{CoverageMap, SensorId};
 use crate::rotation::agree_shifts;
 use crate::Placer;
 use decor_geom::Disk;
@@ -140,6 +140,208 @@ fn duty_short(pts_of: &[Box<[u32]>], on_duty: &[bool], target: u32, count: &mut 
     count.iter().any(|&c| c < target)
 }
 
+/// Why a mirror node died; each cause has its own report counter.
+#[derive(Clone, Copy, Debug)]
+enum Death {
+    /// The chaos plan crashed it.
+    Chaos,
+    /// A scripted disaster's disk held it.
+    Disaster,
+    /// Its battery ran out.
+    Battery,
+}
+
+/// One mirror node's bookkeeping. Radio spend lives in `net.stats` and
+/// idle spend here; a node dies when their sum reaches the capacity
+/// `rot.battery` every node starts with.
+#[derive(Clone, Copy, Debug)]
+struct NodeRecord {
+    /// The map sensor the node mirrors.
+    sensor: SensorId,
+    /// Idle drain charged so far.
+    idle_spent: f64,
+    /// Total spend when the node last woke.
+    spent_at_wake: f64,
+    /// On duty last period; every node enters awake.
+    was_awake: bool,
+    /// Its death was detected already.
+    death_handled: bool,
+}
+
+/// The endurance loop's state, but for the detector's watch lists. Node
+/// `id` of `net` mirrors map sensor `nodes[id].sensor` and covers the map
+/// points `pts_of[id]`.
+struct Endurance<'a> {
+    map: &'a mut CoverageMap,
+    placer: &'a dyn Placer,
+    cfg: &'a DeploymentConfig,
+    e: &'a EnduranceConfig,
+    rot: RotationConfig,
+    net: Network,
+    nodes: Vec<NodeRecord>,
+    pts_of: Vec<Box<[u32]>>,
+    schedule: ShiftSchedule,
+    report: EnduranceReport,
+    /// The next agreement's epoch.
+    epoch: u64,
+    /// Membership changed (an emergency or a restoration) since the
+    /// last agreement.
+    changed: bool,
+}
+
+impl<'a> Endurance<'a> {
+    /// Mirrors the map's active sensors into a network, everyone awake,
+    /// and agrees on the first rotation (always-on when `e.rotate` is
+    /// off).
+    fn new(
+        map: &'a mut CoverageMap,
+        placer: &'a dyn Placer,
+        cfg: &'a DeploymentConfig,
+        e: &'a EnduranceConfig,
+    ) -> Self {
+        cfg.validate();
+        let rot = cfg.rotation.unwrap_or_default();
+        rot.validate();
+        assert!(
+            e.timeout_periods >= 2,
+            "timeout must span at least 2 periods"
+        );
+        let sensors = map.active_sensors();
+        let mut net = Network::new(*map.field());
+        cfg.link.apply(&mut net);
+        net.set_trace(cfg.trace.clone());
+        let mut s = Endurance {
+            map,
+            placer,
+            cfg,
+            e,
+            rot,
+            net,
+            nodes: Vec::with_capacity(sensors.len()),
+            pts_of: Vec::with_capacity(sensors.len()),
+            schedule: ShiftSchedule::always_on(rot.period, sensors.len()),
+            report: EnduranceReport::default(),
+            epoch: 0,
+            changed: false,
+        };
+        for &(sid, _) in &sensors {
+            s.enter(sid);
+        }
+        if e.rotate {
+            s.agree();
+        }
+        s.report.shifts = s.schedule.n_shifts();
+        s
+    }
+
+    /// Enters map sensor `sid` into the mirror, awake with a fresh
+    /// battery: a network node at its position, a record and its covered
+    /// points. The initial mirror and every replacement come through here.
+    fn enter(&mut self, sid: SensorId) -> NodeId {
+        let pos = self.map.sensor_pos(sid);
+        let id = self.net.add_node(pos, self.cfg.rs, self.cfg.rc);
+        self.nodes.push(NodeRecord {
+            sensor: sid,
+            idle_spent: 0.0,
+            spent_at_wake: 0.0,
+            was_awake: true,
+            death_handled: false,
+        });
+        self.pts_of.push(covered_points(self.map, pos, self.cfg.rs));
+        id
+    }
+
+    /// Retires node `id`, dead of `cause`: fails it in the network (a
+    /// chaos crash already has), deactivates its sensor, traces the
+    /// failure and counts it.
+    fn retire(&mut self, id: NodeId, cause: Death) {
+        self.net.fail_node(id);
+        self.map.deactivate_sensor(self.nodes[id].sensor);
+        self.cfg
+            .trace
+            .emit(TraceEvent::NodeFailed { node: id as u64 });
+        let r = &mut self.report;
+        *match cause {
+            Death::Chaos => &mut r.chaos_deaths,
+            Death::Disaster => &mut r.disaster_deaths,
+            Death::Battery => &mut r.battery_deaths,
+        } += 1;
+    }
+
+    /// Wakes every node and runs one in-network agreement over the alive
+    /// mirror at the next epoch; its schedule replaces the current one.
+    fn agree(&mut self) {
+        for id in 0..self.net.len() {
+            self.net.set_sleeping(id, false);
+        }
+        let (n, rot, link) = (self.map.n_points(), &self.rot, &self.cfg.link);
+        let agreement = agree_shifts(&mut self.net, &self.pts_of, n, rot, link, self.epoch);
+        self.epoch += 1;
+        self.report.assignments_sent += agreement.assignments_sent;
+        self.schedule = agreement.schedule;
+    }
+
+    /// The emergency wake: the schedule alone under-covers but the alive
+    /// nodes do not, so every alive node is on duty this period and the
+    /// rotation is re-agreed after it.
+    fn wake_all(&mut self, on_duty: &mut Vec<bool>) {
+        self.report.emergency_periods += 1;
+        self.changed = true;
+        on_duty.clear();
+        on_duty.extend((0..self.net.len()).map(|id| self.net.is_alive(id)));
+    }
+
+    /// One restoration episode: heals the map with the placer under the
+    /// remaining spare budget and enters each new sensor into the mirror,
+    /// the least loaded shift and `watch`. Returns whether anything was
+    /// placed.
+    fn restore(&mut self, watch: &mut WatchTable, now: Time) -> bool {
+        let spares_left = self.e.spare_budget.saturating_sub(self.report.extra_nodes);
+        if spares_left == 0 {
+            return false;
+        }
+        let mut rcfg = self.cfg.clone();
+        rcfg.max_new_nodes = spares_left;
+        // The loop applies the chaos plan to its own network on the period
+        // clock. A distributed placer handed the plan would replay it from
+        // t = 0 on its own mirror and retire sensors whose nodes live on.
+        rcfg.chaos = None;
+        // Heal to the deployment's own coverage requirement, not just the
+        // rotation target: a hole patched to bare target coverage caps the
+        // next partition at a single shift and silently collapses the whole
+        // network back to always-on.
+        rcfg.k = self.cfg.k.max(self.rot.target_coverage);
+        let first_new = self.map.n_sensors();
+        let outcome = self.placer.place(self.map, &rcfg);
+        if outcome.placed.is_empty() {
+            return false;
+        }
+        self.report.extra_nodes += outcome.placed.len();
+        self.report.restorations += 1;
+        self.changed = true;
+        // The placer appended its sensors to the map, and every older
+        // active sensor is already mirrored (invariant 6).
+        for sid in first_new..self.map.n_sensors() {
+            if !self.map.sensor_active(sid) {
+                continue;
+            }
+            let id = self.enter(sid);
+            if self.schedule.n_shifts() > 1 {
+                if let Some(si) = self.schedule.least_loaded_shift() {
+                    self.schedule.assign(id, si);
+                }
+            }
+            // Replacement introduces itself; hearers start watching it and
+            // it starts watching them (symmetric hello).
+            watch.introduce(&mut self.net, id, now);
+            self.cfg
+                .trace
+                .emit(TraceEvent::NodeWake { node: id as u64 });
+        }
+        true
+    }
+}
+
 /// Runs the endurance loop. `cfg.rotation` supplies the rotation knobs
 /// (defaults apply when `None`); `e` selects the scenario. The map is
 /// mutated: deaths deactivate sensors, restorations add them.
@@ -149,225 +351,138 @@ pub fn run_endurance(
     cfg: &DeploymentConfig,
     e: &EnduranceConfig,
 ) -> EnduranceReport {
-    cfg.validate();
-    let rot = cfg.rotation.unwrap_or_default();
-    rot.validate();
-    assert!(
-        e.timeout_periods >= 2,
-        "timeout must span at least 2 periods"
-    );
-
-    // Mirror the active sensors into a network; node i <-> sensor_of[i].
-    let sensors = map.active_sensors();
-    let mut net = Network::new(*map.field());
-    cfg.link.apply(&mut net);
-    net.set_trace(cfg.trace.clone());
-    let mut sensor_of: Vec<crate::coverage::SensorId> = Vec::with_capacity(sensors.len());
-    let mut pts_of: Vec<Box<[u32]>> = Vec::with_capacity(sensors.len());
-    for &(sid, pos) in &sensors {
-        net.add_node(pos, cfg.rs, cfg.rc);
-        sensor_of.push(sid);
-        pts_of.push(covered_points(map, pos, cfg.rs));
-    }
-    let mut duty_count = vec![0u32; map.n_points()];
-
-    let mut report = EnduranceReport::default();
-    let mut chaos = cfg.chaos.clone().map(ChaosEngine::new);
-
-    // Initial in-network agreement (or the always-on degenerate).
-    let mut epoch = 0u64;
-    let mut schedule = if e.rotate {
-        let agreement = agree_shifts(&mut net, &pts_of, map.n_points(), &rot, &cfg.link, epoch);
-        report.assignments_sent += agreement.assignments_sent;
-        agreement.schedule
-    } else {
-        ShiftSchedule::always_on(rot.period, net.len())
-    };
-    report.shifts = schedule.n_shifts();
-
-    // Battery book-keeping: radio spend lives in net.stats, idle spend
-    // here; a node dies when their sum reaches the capacity `rot.battery`
-    // every node starts with.
-    let mut idle_spent: Vec<f64> = vec![0.0; net.len()];
-    let mut spent_at_wake: Vec<f64> = vec![0.0; net.len()];
-
+    let mut s = Endurance::new(map, placer, cfg, e);
     // Watch lists from a t=0 hello exchange (everyone awake at deploy).
-    let mut watch = WatchTable::exchange_hellos(&mut net);
-
-    let mut was_awake: Vec<bool> = vec![true; net.len()];
-    let mut handled_death: Vec<bool> = vec![false; net.len()];
-    let mut suspected: BTreeSet<NodeId> = BTreeSet::new();
-    let mut membership_changed = false;
-    let mut prev_shift: Option<usize> = None;
+    let mut watch = WatchTable::exchange_hellos(&mut s.net);
+    let (rot, trace) = (s.rot, &cfg.trace);
+    let target = rot.target_coverage;
+    let mut chaos = cfg.chaos.clone().map(ChaosEngine::new);
     let mut disasters = e.disasters.clone();
     disasters.sort_by_key(|&(p, _)| p);
     let mut next_disaster = 0usize;
+    let mut duty_count = vec![0u32; s.map.n_points()];
+    let mut suspected: BTreeSet<NodeId> = BTreeSet::new();
+    let mut prev_shift: Option<usize> = None;
 
-    let mut period = 0u64;
-    let target = rot.target_coverage;
-    loop {
+    for period in 0.. {
         if period >= e.max_periods {
-            report.ended_by_horizon = true;
-            report.lifetime_periods = e.max_periods;
+            s.report.ended_by_horizon = true;
+            s.report.lifetime_periods = e.max_periods;
             break;
         }
         let now: Time = period * rot.period;
-        cfg.trace.set_time(now);
+        trace.set_time(now);
 
         // (a) Chaos faults due this period.
-        let mut deaths: Vec<(NodeId, &'static str)> = Vec::new();
         if let Some(engine) = chaos.as_mut() {
-            engine.advance_to(&mut net, now);
+            engine.advance_to(&mut s.net, now);
             for id in engine.take_crashed() {
-                deaths.push((id, "chaos"));
+                s.retire(id, Death::Chaos);
             }
         }
         // (b) Scripted disasters.
         while next_disaster < disasters.len() && disasters[next_disaster].0 <= period {
             let disk = disasters[next_disaster].1;
-            for id in net.alive_ids() {
-                if disk.contains(net.node(id).pos) {
-                    net.fail_node(id);
-                    deaths.push((id, "disaster"));
+            for id in s.net.alive_ids() {
+                if disk.contains(s.net.node(id).pos) {
+                    s.retire(id, Death::Disaster);
                 }
             }
             next_disaster += 1;
-        }
-        for &(id, kind) in &deaths {
-            match kind {
-                "chaos" => report.chaos_deaths += 1,
-                _ => report.disaster_deaths += 1,
-            }
-            map.deactivate_sensor(sensor_of[id]);
-            cfg.trace.emit(TraceEvent::NodeFailed { node: id as u64 });
         }
         // Invariant 6: every death deactivated its sensor and every
         // replacement entered both, so the map's counts are the alive
         // nodes' and answer "would waking everyone cover?".
         if cfg.invariants.is_enabled() {
-            for (id, &sid) in sensor_of.iter().enumerate() {
-                let (alive, active) = (net.is_alive(id), map.sensor_active(sid));
-                cfg.invariants.check_cache(
-                    "endurance mirror liveness of node",
-                    id,
-                    &alive,
-                    &active,
-                );
+            for (id, node) in s.nodes.iter().enumerate() {
+                let (alive, active) = (s.net.is_alive(id), s.map.sensor_active(node.sensor));
+                let what = "endurance mirror liveness of node";
+                cfg.invariants.check_cache(what, id, &alive, &active);
             }
         }
 
         // (c) Ground-truth coverage check with escalation. A node is on
         // duty when alive and its shift is scheduled (unscheduled nodes
         // are always on).
-        let mut on_duty: Vec<bool> = (0..net.len())
-            .map(|id| net.is_alive(id) && !schedule.is_scheduled_asleep(id, now))
+        let mut on_duty: Vec<bool> = (0..s.net.len())
+            .map(|id| s.net.is_alive(id) && !s.schedule.is_scheduled_asleep(id, now))
             .collect();
-        let short = duty_short(&pts_of, &on_duty, target, &mut duty_count);
+        let short = duty_short(&s.pts_of, &on_duty, target, &mut duty_count);
         // Invariant 6, duty form: the point lists agree with a recount
         // from `Node::covers`. A per-point range query, so debug only.
         if cfg!(debug_assertions) && cfg.invariants.is_enabled() {
             let mut buf = Vec::new();
-            let fresh = map.points().iter().any(|&p| {
-                net.alive_within_into(p, cfg.rs, &mut buf);
+            let fresh = s.map.points().iter().any(|&p| {
+                s.net.alive_within_into(p, cfg.rs, &mut buf);
                 let on = buf
                     .iter()
-                    .filter(|&&id| on_duty[id] && net.node(id).covers(p));
+                    .filter(|&&id| on_duty[id] && s.net.node(id).covers(p));
                 (on.count() as u32) < target
             });
             let what = "endurance on-duty shortfall of period";
             cfg.invariants
                 .check_cache(what, period as usize, &short, &fresh);
         }
-        let mut emergency = false;
+        let emergency = short;
         if short {
-            if map.count_below(target) == 0 {
-                // The schedule alone fails but the deployment does not:
-                // wake everyone for this period and re-agree after.
-                report.emergency_periods += 1;
-                membership_changed = true;
-                emergency = true;
-                for (id, duty) in on_duty.iter_mut().enumerate() {
-                    *duty = net.is_alive(id);
-                }
-            } else {
-                // Even everyone awake is not enough: heal or die.
-                let healed = try_restore(
-                    map,
-                    placer,
-                    cfg,
-                    &rot,
-                    &mut net,
-                    &mut sensor_of,
-                    &mut idle_spent,
-                    &mut spent_at_wake,
-                    &mut was_awake,
-                    &mut handled_death,
-                    &mut pts_of,
-                    &mut schedule,
-                    &mut watch,
-                    &mut report,
-                    e,
-                    now,
-                );
-                if healed && map.count_below(target) == 0 {
-                    membership_changed = true;
-                    emergency = true;
-                    report.emergency_periods += 1;
-                    on_duty = (0..net.len()).map(|id| net.is_alive(id)).collect();
-                } else {
-                    report.lifetime_periods = period;
-                    break;
-                }
+            // Wake everyone when that covers; when even that is not
+            // enough, heal or die.
+            let covers = |s: &Endurance| s.map.count_below(target) == 0;
+            let coverable = covers(&s) || (s.restore(&mut watch, now) && covers(&s));
+            if !coverable {
+                s.report.lifetime_periods = period;
+                break;
             }
+            s.wake_all(&mut on_duty);
         }
 
         // (d) Shift transitions: trace boundaries, flip radio flags,
         // charge the sleep-entry drain summary.
-        if schedule.n_shifts() > 1 {
-            let cur = schedule.scheduled_shift(now);
+        if s.schedule.n_shifts() > 1 {
+            let cur = s.schedule.scheduled_shift(now);
             if prev_shift != Some(cur) {
                 if let Some(prev) = prev_shift {
-                    cfg.trace.emit(TraceEvent::ShiftEnd { shift: prev as u64 });
+                    trace.emit(TraceEvent::ShiftEnd { shift: prev as u64 });
                 }
                 let awake = on_duty.iter().filter(|&&a| a).count() as u64;
-                cfg.trace.emit(TraceEvent::ShiftBegin {
+                trace.emit(TraceEvent::ShiftBegin {
                     shift: cur as u64,
                     awake,
                 });
                 prev_shift = Some(cur);
             }
         }
-        for id in 0..net.len() {
-            if !net.is_alive(id) {
+        for (id, node) in s.nodes.iter_mut().enumerate() {
+            if !s.net.is_alive(id) {
                 continue;
             }
-            let spent = net.stats.energy_of(id) + idle_spent[id];
-            if on_duty[id] && !was_awake[id] {
-                cfg.trace.emit(TraceEvent::NodeWake { node: id as u64 });
-                spent_at_wake[id] = spent;
-            } else if !on_duty[id] && was_awake[id] {
-                cfg.trace.emit(TraceEvent::NodeSleep { node: id as u64 });
-                cfg.trace.emit(TraceEvent::BatteryDrain {
+            let spent = s.net.stats.energy_of(id) + node.idle_spent;
+            if on_duty[id] && !node.was_awake {
+                trace.emit(TraceEvent::NodeWake { node: id as u64 });
+                node.spent_at_wake = spent;
+            } else if !on_duty[id] && node.was_awake {
+                trace.emit(TraceEvent::NodeSleep { node: id as u64 });
+                trace.emit(TraceEvent::BatteryDrain {
                     node: id as u64,
-                    amount: spent - spent_at_wake[id],
+                    amount: spent - node.spent_at_wake,
                 });
             }
-            was_awake[id] = on_duty[id];
-            net.set_sleeping(id, !on_duty[id]);
+            node.was_awake = on_duty[id];
+            s.net.set_sleeping(id, !on_duty[id]);
         }
 
         // (e) Heartbeats: every on-duty node beats once, in id order.
         for (id, &duty) in on_duty.iter().enumerate() {
-            if net.is_alive(id) && duty {
-                watch.beat(&mut net, id, now);
-                report.heartbeats_sent += 1;
+            if s.net.is_alive(id) && duty {
+                watch.beat(&mut s.net, id, now);
+                s.report.heartbeats_sent += 1;
             }
         }
 
         // (f) Detection: on-duty observers scan their watch lists.
         let mut newly_detected: Vec<(NodeId, NodeId)> = Vec::new();
         for (id, &duty) in on_duty.iter().enumerate() {
-            if !net.is_alive(id) || !duty {
+            if !s.net.is_alive(id) || !duty {
                 continue;
             }
             for slot in watch.row_mut(id) {
@@ -375,14 +490,14 @@ pub fn run_endurance(
                 // Was the neighbor *expected* to beat this period? Dead
                 // nodes stay on their last schedule, so a dead neighbor
                 // whose shift is on duty is expected — and missed.
-                let expected = emergency || !schedule.is_scheduled_asleep(nb, now);
+                let expected = emergency || !s.schedule.is_scheduled_asleep(nb, now);
                 if !expected {
                     // Scheduled asleep: silence is the plan. A naive
                     // detector would suspect here; count the suppression.
                     // Strikes neither accrue nor reset — only on-duty
                     // periods are evidence either way.
                     if silent_too_long(now, last, rot.period, e.timeout_periods) {
-                        report.sleeping_suppressed += 1;
+                        s.report.sleeping_suppressed += 1;
                     }
                     continue;
                 }
@@ -392,166 +507,60 @@ pub fn run_endurance(
                 }
                 slot.strikes += 1;
                 if slot.strikes >= e.timeout_periods {
-                    if net.is_alive(nb) {
+                    if s.net.is_alive(nb) {
                         if suspected.insert(nb) {
-                            report.false_positives += 1;
+                            s.report.false_positives += 1;
                         }
-                    } else if !handled_death[nb] {
-                        handled_death[nb] = true;
+                    } else if !s.nodes[nb].death_handled {
+                        s.nodes[nb].death_handled = true;
                         newly_detected.push((id, nb));
                     }
                 }
             }
         }
         for (observer, nb) in newly_detected {
-            report.detected_deaths += 1;
-            cfg.trace.emit(TraceEvent::HeartbeatMiss {
+            s.report.detected_deaths += 1;
+            trace.emit(TraceEvent::HeartbeatMiss {
                 observer: observer as u64,
                 node: nb as u64,
             });
             // A detected real failure triggers healing when spares allow.
-            let healed = try_restore(
-                map,
-                placer,
-                cfg,
-                &rot,
-                &mut net,
-                &mut sensor_of,
-                &mut idle_spent,
-                &mut spent_at_wake,
-                &mut was_awake,
-                &mut handled_death,
-                &mut pts_of,
-                &mut schedule,
-                &mut watch,
-                &mut report,
-                e,
-                now,
-            );
-            if healed {
-                membership_changed = true;
-            }
+            s.restore(&mut watch, now);
         }
         // Replacements placed by a detection-triggered heal enter awake;
         // they start paying the awake idle cost this very period.
-        on_duty.resize(net.len(), true);
+        on_duty.resize(s.net.len(), true);
 
         // (g) Idle drain and battery deaths. Radio spend already lives in
         // net.stats; batteries die when the sum crosses capacity.
-        for id in 0..net.len() {
-            if !net.is_alive(id) {
+        for (id, &duty) in on_duty.iter().enumerate() {
+            if !s.net.is_alive(id) {
                 continue;
             }
-            let cost = if on_duty[id] {
-                rot.awake_cost
-            } else {
-                rot.sleep_cost
-            };
-            idle_spent[id] += cost;
-            let spent = net.stats.energy_of(id) + idle_spent[id];
+            let node = &mut s.nodes[id];
+            node.idle_spent += if duty { rot.awake_cost } else { rot.sleep_cost };
+            let spent = s.net.stats.energy_of(id) + node.idle_spent;
             if spent >= rot.battery {
-                cfg.trace.emit(TraceEvent::BatteryDrain {
+                trace.emit(TraceEvent::BatteryDrain {
                     node: id as u64,
                     amount: spent,
                 });
-                cfg.trace.emit(TraceEvent::NodeFailed { node: id as u64 });
-                net.fail_node(id);
-                map.deactivate_sensor(sensor_of[id]);
-                report.battery_deaths += 1;
                 // Deliberately NOT a membership change: the network must
                 // *detect* the silence before it reacts.
+                s.retire(id, Death::Battery);
             }
         }
 
         // (h) Re-agreement after membership changed (emergency or
         // restoration): wake everyone, agree afresh, rotate on.
-        if membership_changed && e.rotate {
-            for id in 0..net.len() {
-                net.set_sleeping(id, false);
-            }
-            epoch += 1;
-            let agreement = agree_shifts(&mut net, &pts_of, map.n_points(), &rot, &cfg.link, epoch);
-            report.assignments_sent += agreement.assignments_sent;
-            schedule = agreement.schedule;
-            report.reschedules += 1;
-            membership_changed = false;
+        if s.changed && e.rotate {
+            s.agree();
+            s.report.reschedules += 1;
+            s.changed = false;
             prev_shift = None;
         }
-
-        period += 1;
     }
-    report
-}
-
-/// Attempts one restoration episode: heals the map with `placer` under
-/// the remaining spare budget and folds any new sensors into the network,
-/// the battery tables, the watch lists, and the rotation. Returns whether
-/// anything was placed.
-#[allow(clippy::too_many_arguments)]
-fn try_restore(
-    map: &mut CoverageMap,
-    placer: &dyn Placer,
-    cfg: &DeploymentConfig,
-    rot: &RotationConfig,
-    net: &mut Network,
-    sensor_of: &mut Vec<crate::coverage::SensorId>,
-    idle_spent: &mut Vec<f64>,
-    spent_at_wake: &mut Vec<f64>,
-    was_awake: &mut Vec<bool>,
-    handled_death: &mut Vec<bool>,
-    pts_of: &mut Vec<Box<[u32]>>,
-    schedule: &mut ShiftSchedule,
-    watch: &mut WatchTable,
-    report: &mut EnduranceReport,
-    e: &EnduranceConfig,
-    now: Time,
-) -> bool {
-    let spares_left = e.spare_budget.saturating_sub(report.extra_nodes);
-    if spares_left == 0 {
-        return false;
-    }
-    let mut rcfg = cfg.clone();
-    rcfg.max_new_nodes = spares_left;
-    // The loop applies the chaos plan to its own network on the period
-    // clock. A distributed placer handed the plan would replay it from
-    // t = 0 on its own mirror and retire sensors whose nodes live on.
-    rcfg.chaos = None;
-    // Heal to the deployment's own coverage requirement, not just the
-    // rotation target: a hole patched to bare target coverage caps the
-    // next partition at a single shift and silently collapses the whole
-    // network back to always-on.
-    rcfg.k = cfg.k.max(rot.target_coverage);
-    let first_new = map.n_sensors();
-    let outcome = placer.place(map, &rcfg);
-    if outcome.placed.is_empty() {
-        return false;
-    }
-    report.extra_nodes += outcome.placed.len();
-    report.restorations += 1;
-    // The placer appended its sensors to the map, and every older active
-    // sensor is already mirrored (invariant 6). Mirror each new one into
-    // the network and every bookkeeping table, then fold it into the
-    // least loaded shift so the rotation absorbs the replacement.
-    for sid in (first_new..map.n_sensors()).filter(|&sid| map.sensor_active(sid)) {
-        let pos = map.sensor_pos(sid);
-        let id = net.add_node(pos, cfg.rs, cfg.rc);
-        sensor_of.push(sid);
-        idle_spent.push(0.0);
-        spent_at_wake.push(0.0);
-        was_awake.push(true);
-        handled_death.push(false);
-        pts_of.push(covered_points(map, pos, cfg.rs));
-        if schedule.n_shifts() > 1 {
-            if let Some(si) = schedule.least_loaded_shift() {
-                schedule.assign(id, si);
-            }
-        }
-        // Replacement introduces itself; hearers start watching it and
-        // it starts watching them (symmetric hello).
-        watch.introduce(net, id, now);
-        cfg.trace.emit(TraceEvent::NodeWake { node: id as u64 });
-    }
-    true
+    s.report
 }
 
 #[cfg(test)]

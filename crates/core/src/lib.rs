@@ -16,10 +16,11 @@
 //!
 //! The crate also provides the [`redundancy`] metric of Fig. 9, the
 //! reliability math of §2.1 ([`reliability`]), the failure-restoration
-//! pipeline of §4.2 ([`restore`]), a crossbeam-based parallel replica
-//! runner ([`parallel`]) used to average experiments over seeds, and a
-//! run-time [`invariants`] checker that chaos tests attach to validate
-//! the protocol's safety properties under scripted fault injection.
+//! pipeline of §4.2 ([`restore`]), the per-replica seeds and worker count
+//! ([`parallel`]) that `decor_exp::MatrixRunner` averages experiments
+//! over, and a run-time [`invariants`] checker that chaos tests attach to
+//! validate the protocol's safety properties under scripted fault
+//! injection.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -156,6 +156,7 @@ pub fn agree_shifts(
     }
 
     let mut transport = Transport::new(link.transport());
+    let mut outcomes = Vec::new();
     while !ledger.is_empty() && agreement.rounds < MAX_ROUNDS {
         agreement.rounds += 1;
         let blind: Vec<NodeId> = (0..net.len())
@@ -183,12 +184,13 @@ pub fn agree_shifts(
             in_flight.push((id, transport.send(from, id, msg)));
             agreement.assignments_sent += 1;
         }
-        let outcomes = transport.flush(net);
+        transport.flush_into(net, &mut outcomes);
+        // Message ids are unique, so a sorted slice answers the lookups.
+        outcomes.sort_unstable_by_key(|&(mid, _)| mid);
         for (id, mid) in in_flight {
             let delivered = outcomes
-                .iter()
-                .find(|(m, _)| *m == mid)
-                .is_some_and(|(_, o)| o.is_delivered());
+                .binary_search_by_key(&mid, |&(m, _)| m)
+                .is_ok_and(|ix| outcomes[ix].1.is_delivered());
             if delivered {
                 ledger.reveal(id, epoch_key);
             }

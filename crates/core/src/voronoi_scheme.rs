@@ -1083,6 +1083,52 @@ mod tests {
     }
 
     #[test]
+    fn tile_gather_keeps_a_sensor_rc_beyond_a_tile_corner() {
+        // The tile gather's worst case: a point on a tile's corner, the
+        // tile's centre and a sensor `rc` from the point on one line, so
+        // the sensor sits exactly the gather radius (`rc` plus the
+        // half-diagonal) from the centre. A sweep of small angle offsets
+        // off the diagonal, at both of the paper's `rc`, found these
+        // sensors: within `rc` of the point by the oracle's `dist² <= rc²`
+        // test, yet past the unpadded gather radius from the centre once
+        // rounded. Only `MARGIN` keeps them in the gather; without it the
+        // point's one owner is lost.
+        let field = Aabb::square(40.0);
+        let cfg = DeploymentConfig::with_k(1);
+        let pts: Vec<Point> = (0..=10)
+            .flat_map(|x| (0..=10).map(move |y| Point::new(4.0 * x as f64, 4.0 * y as f64)))
+            .collect();
+        for (rc, corner, sensor) in [
+            (
+                8.0,
+                Point::new(16.0, 16.0),
+                Point::new(10.34314576182133, 10.34314573919391),
+            ),
+            (
+                10.0 * std::f64::consts::SQRT_2,
+                Point::new(32.0, 32.0),
+                Point::new(22.000000120000003, 21.999999879999997),
+            ),
+        ] {
+            let mut map = CoverageMap::new(pts.clone(), &field, &cfg);
+            map.add_sensor(sensor, cfg.rs);
+            let tiles = OwnerTiles::new(&map);
+            let tile = tiles.tile_of(corner);
+            let centre = tiles.center(tile);
+            assert_eq!(tiles.edge, 8.0, "tiles of 2 buckets of edge rs");
+            let to_corner = (centre.x - corner.x).abs();
+            assert_eq!(to_corner, 4.0, "the point is its tile's corner");
+            assert!(corner.dist_sq(sensor) <= rc * rc, "rc {rc}: out of reach");
+            let unpadded = rc + tiles.half_diagonal();
+            assert!(
+                centre.dist_sq(sensor) > unpadded * unpadded,
+                "rc {rc}: rounding must put the sensor past the unpadded gather"
+            );
+            assert_matches_oracle(&map, &cfg, rc, &NeighborKnowledge::new());
+        }
+    }
+
+    #[test]
     fn estimate_ignores_sensors_beyond_rc() {
         let viewer = Point::new(0.0, 0.0);
         let coverers = vec![

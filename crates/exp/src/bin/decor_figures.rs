@@ -27,10 +27,10 @@ fn write_svg(dir: &str, id: &str, svg: &str) {
 
 /// SVG builders for the qualitative figures.
 mod fig_svgs {
-    use decor_exp::common::{deploy, ExpParams};
-    use decor_exp::fig05_06::{apply_disaster, disaster_disk};
+    use decor_core::CoverageMap;
+    use decor_exp::common::ExpParams;
     use decor_exp::svg::{render_svg, Layer};
-    use decor_geom::Point;
+    use decor_geom::{Disk, Point};
     use decor_lds::halton_points;
 
     pub fn field_points(params: &ExpParams) -> String {
@@ -48,70 +48,36 @@ mod fig_svgs {
         )
     }
 
-    pub fn deployment(params: &ExpParams) -> String {
-        let field = params.field();
-        let (map, _, cfg) = deploy(
-            params,
-            decor_core::SchemeKind::GridSmall,
-            1,
-            params.base_seed,
-        );
+    /// The active sensors of `map` as sensing disks of radius `rs` with a
+    /// dot at each centre, over Fig. 6's disaster disc when given one.
+    pub fn deployment(
+        params: &ExpParams,
+        map: &CoverageMap,
+        rs: f64,
+        disaster: Option<Disk>,
+    ) -> String {
         let sensors: Vec<Point> = map.active_sensors().iter().map(|&(_, p)| p).collect();
-        render_svg(
-            &field,
-            &[
-                Layer {
-                    points: &sensors,
-                    radius: cfg.rs,
-                    fill: "steelblue",
-                    opacity: 0.25,
-                },
-                Layer {
-                    points: &sensors,
-                    radius: 0.6,
-                    fill: "navy",
-                    opacity: 1.0,
-                },
-            ],
-            800,
-        )
-    }
-
-    pub fn disaster(params: &ExpParams) -> String {
-        let field = params.field();
-        let (mut map, _, cfg) = deploy(
-            params,
-            decor_core::SchemeKind::GridSmall,
-            1,
-            params.base_seed,
-        );
-        apply_disaster(&mut map, params);
-        let sensors: Vec<Point> = map.active_sensors().iter().map(|&(_, p)| p).collect();
-        let disc_center = vec![disaster_disk(params).center];
-        render_svg(
-            &field,
-            &[
-                Layer {
-                    points: &disc_center,
-                    radius: disaster_disk(params).radius,
-                    fill: "salmon",
-                    opacity: 0.35,
-                },
-                Layer {
-                    points: &sensors,
-                    radius: cfg.rs,
-                    fill: "steelblue",
-                    opacity: 0.25,
-                },
-                Layer {
-                    points: &sensors,
-                    radius: 0.6,
-                    fill: "navy",
-                    opacity: 1.0,
-                },
-            ],
-            800,
-        )
+        let centres: Vec<Point> = disaster.iter().map(|d| d.center).collect();
+        let disc = disaster.map(|d| Layer {
+            points: &centres,
+            radius: d.radius,
+            fill: "salmon",
+            opacity: 0.35,
+        });
+        let sensing = Layer {
+            points: &sensors,
+            radius: rs,
+            fill: "steelblue",
+            opacity: 0.25,
+        };
+        let dots = Layer {
+            points: &sensors,
+            radius: 0.6,
+            fill: "navy",
+            opacity: 1.0,
+        };
+        let layers: Vec<Layer> = disc.into_iter().chain([sensing, dots]).collect();
+        render_svg(&params.field(), &layers, 800)
     }
 }
 
@@ -155,14 +121,19 @@ fn main() {
         write_svg(&out_dir, "fig04", &fig_svgs::field_points(&params));
     }
     if want("fig05") {
-        println!("{}", fig05_06::render_deployment(&params));
-        tables.push(fig05_06::run_deployment(&params));
-        write_svg(&out_dir, "fig05", &fig_svgs::deployment(&params));
+        let (map, out, cfg) = fig05_06::deploy_example(&params);
+        println!("{}", fig05_06::render(&params, &map));
+        tables.push(fig05_06::run_deployment(&map, &out, &cfg));
+        let svg = fig_svgs::deployment(&params, &map, cfg.rs, None);
+        write_svg(&out_dir, "fig05", &svg);
     }
     if want("fig06") {
-        println!("{}", fig05_06::render_disaster(&params));
-        tables.push(fig05_06::run_disaster(&params));
-        write_svg(&out_dir, "fig06", &fig_svgs::disaster(&params));
+        let (mut map, _, cfg) = fig05_06::deploy_example(&params);
+        tables.push(fig05_06::run_disaster(&params, &mut map, &cfg));
+        println!("{}", fig05_06::render(&params, &map));
+        let disk = Some(fig05_06::disaster_disk(&params));
+        let svg = fig_svgs::deployment(&params, &map, cfg.rs, disk);
+        write_svg(&out_dir, "fig06", &svg);
     }
     if want("fig07") {
         tables.push(fig07::run(&params));

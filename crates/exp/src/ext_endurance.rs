@@ -58,21 +58,39 @@ pub fn disaster_center(params: &ExpParams, seed: u64) -> Point {
 /// One replica: runs both arms on identically-built deployments and the
 /// same disaster/chaos script.
 pub fn endurance_pair(params: &ExpParams, seed: u64) -> (EnduranceReport, EnduranceReport) {
+    // One early crash, scripted on the transport tick clock.
+    let chaos = FaultPlan::parse("2000 crash 1\n").expect("literal plan parses");
+    let e = EnduranceConfig {
+        spare_budget: SPARES,
+        max_periods: MAX_PERIODS,
+        disasters: vec![(
+            DISASTER_PERIOD,
+            Disk::new(disaster_center(params, seed), DISASTER_R),
+        )],
+        ..EnduranceConfig::default()
+    };
+    both_arms(params, K, seed, Some(chaos), &e)
+}
+
+/// The two arms of an endurance replica at coverage requirement `k`:
+/// each deploys centralized DECOR afresh with the default rotation knobs
+/// and the chaos plan `chaos`, then runs [`run_endurance`] under `e`,
+/// always-on first, then rotating.
+pub(crate) fn both_arms(
+    params: &ExpParams,
+    k: u32,
+    seed: u64,
+    chaos: Option<FaultPlan>,
+    e: &EnduranceConfig,
+) -> (EnduranceReport, EnduranceReport) {
     let arm = |rotate: bool| {
-        let (mut map, _, cfg) = deploy_with(params, SchemeKind::Centralized, K, seed, |cfg| {
+        let (mut map, _, cfg) = deploy_with(params, SchemeKind::Centralized, k, seed, |cfg| {
             cfg.rotation = Some(RotationConfig::default());
-            // One early crash, scripted on the transport tick clock.
-            cfg.chaos = Some(FaultPlan::parse("2000 crash 1\n").expect("literal plan parses"));
+            cfg.chaos = chaos.clone();
         });
         let e = EnduranceConfig {
             rotate,
-            spare_budget: SPARES,
-            max_periods: MAX_PERIODS,
-            disasters: vec![(
-                DISASTER_PERIOD,
-                Disk::new(disaster_center(params, seed), DISASTER_R),
-            )],
-            ..EnduranceConfig::default()
+            ..e.clone()
         };
         run_endurance(&mut map, &decor_core::CentralizedGreedy, &cfg, &e)
     };

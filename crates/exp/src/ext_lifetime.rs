@@ -11,12 +11,12 @@
 //! loss* against the always-on baseline. Expectation: the extension
 //! factor tracks k (each extra layer of coverage becomes another shift).
 
-use crate::common::{deploy_with, ExpParams};
+use crate::common::ExpParams;
+use crate::ext_endurance::both_arms;
 use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::{run_endurance, EnduranceConfig, SchemeKind};
-use decor_net::RotationConfig;
+use decor_core::EnduranceConfig;
 
 /// The k values swept.
 pub const KS: [u32; 5] = [1, 2, 3, 4, 5];
@@ -28,19 +28,11 @@ pub const MAX_PERIODS: u64 = 5_000;
 /// One replica of the lifetime study at coverage requirement `k`:
 /// returns (shifts, rotating lifetime, always-on lifetime, extension).
 pub fn lifetime_sample(params: &ExpParams, k: u32, seed: u64) -> (f64, f64, f64, f64) {
-    let arm = |rotate: bool| {
-        let (mut map, _, cfg) = deploy_with(params, SchemeKind::Centralized, k, seed, |cfg| {
-            cfg.rotation = Some(RotationConfig::default());
-        });
-        let e = EnduranceConfig {
-            rotate,
-            max_periods: MAX_PERIODS,
-            ..EnduranceConfig::default()
-        };
-        run_endurance(&mut map, &decor_core::CentralizedGreedy, &cfg, &e)
+    let e = EnduranceConfig {
+        max_periods: MAX_PERIODS,
+        ..EnduranceConfig::default()
     };
-    let on = arm(false);
-    let rotated = arm(true);
+    let (on, rotated) = both_arms(params, k, seed, None, &e);
     (
         rotated.shifts as f64,
         rotated.lifetime_periods as f64,

@@ -3,17 +3,24 @@
 //!
 //! Both are qualitative pictures in the paper; we render them as ASCII
 //! (used by `examples/deployment_map.rs`) and report summary numbers.
+//! Each figure deploys once ([`deploy_example`]) and draws its table and
+//! pictures from that one map.
 
 use crate::ascii_plot::scatter2;
 use crate::common::{deploy, ExpParams};
 use crate::table::Table;
-use decor_core::SchemeKind;
+use decor_core::{CoverageMap, DeploymentConfig, PlacementOutcome, SchemeKind};
 use decor_geom::{Disk, Point};
-use decor_net::FailurePlan;
 
-/// Figure 5: a grid-DECOR deployment for `k = 1`. Table columns: k,
+/// The deployment both figures show: grid DECOR with small cells at
+/// `k = 1` on the base seed's field.
+pub fn deploy_example(params: &ExpParams) -> (CoverageMap, PlacementOutcome, DeploymentConfig) {
+    deploy(params, SchemeKind::GridSmall, 1, params.base_seed)
+}
+
+/// Figure 5: the table of [`deploy_example`]'s deployment. Columns: k,
 /// initial sensors, placed sensors, final coverage %.
-pub fn run_deployment(params: &ExpParams) -> Table {
+pub fn run_deployment(map: &CoverageMap, out: &PlacementOutcome, cfg: &DeploymentConfig) -> Table {
     let mut t = Table::new(
         "fig05",
         "Example DECOR deployment (grid, small cell, k=1)",
@@ -24,7 +31,6 @@ pub fn run_deployment(params: &ExpParams) -> Table {
             "coverage_pct".into(),
         ],
     );
-    let (map, out, cfg) = deploy(params, SchemeKind::GridSmall, 1, params.base_seed);
     t.push_row(vec![
         cfg.k as f64,
         out.initial_sensors as f64,
@@ -43,9 +49,10 @@ pub fn disaster_disk(params: &ExpParams) -> Disk {
     )
 }
 
-/// Figure 6: coverage state after an area failure. Table columns: k,
-/// sensors killed, % of points inside the disc, % of points still covered.
-pub fn run_disaster(params: &ExpParams) -> Table {
+/// Figure 6: strikes [`disaster_disk`] on `map`, deactivating every
+/// active sensor inside it, and tabulates the damage. Columns: k, sensors
+/// killed, % of points inside the disc, % of points still covered.
+pub fn run_disaster(params: &ExpParams, map: &mut CoverageMap, cfg: &DeploymentConfig) -> Table {
     let mut t = Table::new(
         "fig06",
         "Uncovered area after a disaster (disc r=0.24·side at center), k=1",
@@ -56,23 +63,17 @@ pub fn run_disaster(params: &ExpParams) -> Table {
             "coverage_after_pct".into(),
         ],
     );
-    let (mut map, _, cfg) = deploy(params, SchemeKind::GridSmall, 1, params.base_seed);
     let disk = disaster_disk(params);
     let in_disc = map.points().iter().filter(|&&p| disk.contains(p)).count() as f64
         / map.n_points() as f64
         * 100.0;
-    let killed = {
-        let sensors = map.active_sensors();
-        let victims: Vec<usize> = sensors
-            .iter()
-            .filter(|&&(_, pos)| disk.contains(pos))
-            .map(|&(sid, _)| sid)
-            .collect();
-        for &sid in &victims {
+    let mut killed = 0;
+    for (sid, pos) in map.active_sensors() {
+        if disk.contains(pos) {
             map.deactivate_sensor(sid);
+            killed += 1;
         }
-        victims.len()
-    };
+    }
     t.push_row(vec![
         cfg.k as f64,
         killed as f64,
@@ -82,25 +83,9 @@ pub fn run_disaster(params: &ExpParams) -> Table {
     t
 }
 
-/// Figure 5 picture: approximation points as dots, sensors as `O`.
-pub fn render_deployment(params: &ExpParams) -> String {
-    let (map, _, _) = deploy(params, SchemeKind::GridSmall, 1, params.base_seed);
-    let sensors: Vec<Point> = map.active_sensors().iter().map(|&(_, p)| p).collect();
-    scatter2(&params.field(), map.points(), '.', &sensors, 'O', 72, 28)
-}
-
-/// Figure 6 picture: surviving sensors after the disaster; the hole is
-/// visible at the center.
-pub fn render_disaster(params: &ExpParams) -> String {
-    let (mut map, _, cfg) = deploy(params, SchemeKind::GridSmall, 1, params.base_seed);
-    let disk = disaster_disk(params);
-    let sensors = map.active_sensors();
-    for &(sid, pos) in &sensors {
-        if disk.contains(pos) {
-            map.deactivate_sensor(sid);
-        }
-    }
-    let _ = cfg;
+/// The ASCII picture of either figure: the points still covered as dots
+/// and the active sensors as `O`, so a disaster's hole shows blank.
+pub fn render(params: &ExpParams, map: &CoverageMap) -> String {
     let alive: Vec<Point> = map.active_sensors().iter().map(|&(_, p)| p).collect();
     let covered: Vec<Point> = (0..map.n_points())
         .filter(|&i| map.coverage(i) >= 1)
@@ -109,53 +94,46 @@ pub fn render_disaster(params: &ExpParams) -> String {
     scatter2(&params.field(), &covered, '.', &alive, 'O', 72, 28)
 }
 
-/// Applies the Fig. 6 disaster to an arbitrary map, returning victims.
-pub fn apply_disaster(
-    map: &mut decor_core::CoverageMap,
-    params: &ExpParams,
-) -> Vec<decor_core::SensorId> {
-    let disk = disaster_disk(params);
-    let _plan = FailurePlan::Area { disk }; // documented linkage to decor-net
-    let sensors = map.active_sensors();
-    let victims: Vec<usize> = sensors
-        .iter()
-        .filter(|&&(_, pos)| disk.contains(pos))
-        .map(|&(sid, _)| sid)
-        .collect();
-    for &sid in &victims {
-        map.deactivate_sensor(sid);
-    }
-    victims
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn deployment_reaches_full_coverage() {
-        let t = run_deployment(&ExpParams::quick());
+        let (map, out, cfg) = deploy_example(&ExpParams::quick());
+        let t = run_deployment(&map, &out, &cfg);
         assert_eq!(t.rows[0][3], 100.0);
         assert!(t.rows[0][2] > 0.0, "some sensors must be placed");
     }
 
     #[test]
     fn disaster_uncovers_roughly_the_disc() {
-        let t = run_disaster(&ExpParams::quick());
+        let p = ExpParams::quick();
+        let (mut map, _, cfg) = deploy_example(&p);
+        let t = run_disaster(&p, &mut map, &cfg);
         let in_disc = t.rows[0][2];
         let after = t.rows[0][3];
         assert!((12.0..=25.0).contains(&in_disc), "disc share {in_disc}");
         assert!(after < 100.0);
         // The hole cannot be larger than the disc plus a sensing-radius rim.
         assert!(after > 100.0 - in_disc - 15.0, "coverage after {after}");
+        assert!(
+            map.active_sensors()
+                .iter()
+                .all(|&(_, pos)| !disaster_disk(&p).contains(pos)),
+            "no sensor survives inside the disc"
+        );
     }
 
     #[test]
     fn renders_contain_sensors_and_points() {
         let p = ExpParams::quick();
-        let dep = render_deployment(&p);
+        let (mut map, _, cfg) = deploy_example(&p);
+        let dep = render(&p, &map);
         assert!(dep.contains('O') && dep.contains('.'));
-        let dis = render_disaster(&p);
+        run_disaster(&p, &mut map, &cfg);
+        let dis = render(&p, &map);
         assert!(dis.contains('O'));
+        assert_ne!(dep, dis, "the hole must show");
     }
 }

@@ -20,7 +20,7 @@
 //! values) is a descriptive `Err`, never a panic.
 
 use crate::arena::{deploy_with_in, WorkerArena};
-use crate::common::{deploy_with, ExpParams};
+use crate::common::ExpParams;
 use crate::jsonio::{num, Json};
 use decor_core::parallel::replica_seed;
 use decor_core::{ConfigError, DeploymentConfig, InvariantChecker, LinkConfig, SchemeKind};
@@ -621,24 +621,16 @@ pub const PROBE_PERIOD: u64 = 1_000;
 /// matrix runner and (through the refactored fig/ext modules) the paper
 /// figures. Deterministic in `(spec, run)`.
 pub fn execute_run(spec: &ScenarioSpec, run: &RunSpec) -> RunResult {
-    execute_run_inner(spec, run, None)
+    execute_run_in(spec, run, &mut WorkerArena::new())
 }
 
 /// [`execute_run`] against a pooled [`WorkerArena`]: the map, the benefit
 /// engine, the simulated radio and the transport come from the arena
 /// instead of the allocator, and go back to it when the run ends. The
-/// result is bit-identical to [`execute_run`] — the `pool_reuse` proptest
-/// (`crates/exp/tests/pool_reuse.rs`) pins that across interleaved
-/// scenario shapes.
+/// result is bit-identical to a run in a fresh arena — the `pool_reuse`
+/// proptest (`crates/exp/tests/pool_reuse.rs`) pins that across
+/// interleaved scenario shapes.
 pub fn execute_run_in(spec: &ScenarioSpec, run: &RunSpec, arena: &mut WorkerArena) -> RunResult {
-    execute_run_inner(spec, run, Some(arena))
-}
-
-fn execute_run_inner(
-    spec: &ScenarioSpec,
-    run: &RunSpec,
-    arena: Option<&mut WorkerArena>,
-) -> RunResult {
     let t0 = std::time::Instant::now();
     let mut result = match spec.workload {
         Workload::Deploy => execute_deploy(spec, run, arena),
@@ -670,32 +662,18 @@ fn customize(spec: &ScenarioSpec, run: &RunSpec) -> impl FnOnce(&mut DeploymentC
     }
 }
 
-fn execute_deploy(
-    spec: &ScenarioSpec,
-    run: &RunSpec,
-    arena: Option<&mut WorkerArena>,
-) -> RunResult {
+fn execute_deploy(spec: &ScenarioSpec, run: &RunSpec, arena: &mut WorkerArena) -> RunResult {
     let params = spec.params();
-    let (coverage, out, cfg) = match arena {
-        Some(arena) => {
-            let (map, out, cfg) = deploy_with_in(
-                &params,
-                spec.scheme,
-                spec.k,
-                run.seed,
-                customize(spec, run),
-                arena,
-            );
-            let coverage = map.fraction_k_covered(cfg.k);
-            arena.recycle(map);
-            (coverage, out, cfg)
-        }
-        None => {
-            let (map, out, cfg) =
-                deploy_with(&params, spec.scheme, spec.k, run.seed, customize(spec, run));
-            (map.fraction_k_covered(cfg.k), out, cfg)
-        }
-    };
+    let (map, out, cfg) = deploy_with_in(
+        &params,
+        spec.scheme,
+        spec.k,
+        run.seed,
+        customize(spec, run),
+        arena,
+    );
+    let coverage = map.fraction_k_covered(cfg.k);
+    arena.recycle(map);
     RunResult {
         cell: run.cell,
         replica: run.replica,
@@ -720,36 +698,23 @@ fn execute_deploy(
 /// the spec's scheme over the same medium. Seed mixing (`^ 0xF0`,
 /// `^ 0x0F`, `^ 0xBEA7`, `^ 0x7A`) matches the legacy module exactly —
 /// the differential tier depends on it.
-fn execute_failure_probe(
-    spec: &ScenarioSpec,
-    run: &RunSpec,
-    mut arena: Option<&mut WorkerArena>,
-) -> RunResult {
+fn execute_failure_probe(spec: &ScenarioSpec, run: &RunSpec, arena: &mut WorkerArena) -> RunResult {
     let params = spec.params();
     let loss = spec.loss_pct;
     let seed = run.seed;
-    let (mut map, _, mut cfg) = match arena.as_deref_mut() {
-        Some(arena) => deploy_with_in(
-            &params,
-            SchemeKind::Centralized,
-            spec.k,
-            seed,
-            customize(spec, run),
-            arena,
-        ),
-        None => deploy_with(
-            &params,
-            SchemeKind::Centralized,
-            spec.k,
-            seed,
-            customize(spec, run),
-        ),
-    };
+    let (mut map, _, mut cfg) = deploy_with_in(
+        &params,
+        SchemeKind::Centralized,
+        spec.k,
+        seed,
+        customize(spec, run),
+        arena,
+    );
     let sensors = map.active_sensors();
     // The probe borrows the arena's pooled radio before the restore
     // placer needs it, and returns it below — `Network::reset` makes the
     // reused instance indistinguishable from a fresh one.
-    let mut net = match arena.as_deref_mut().and_then(|a| a.scratch.net.take()) {
+    let mut net = match arena.scratch.net.take() {
         Some(mut pooled) => {
             pooled.reset(*map.field());
             pooled
@@ -788,19 +753,12 @@ fn execute_failure_probe(
         cfg.link = LinkConfig::lossy(loss as f64 / 100.0, seed ^ 0x7A);
     }
     let placer = params.placer(spec.scheme, seed ^ 0x9E37);
-    let restore = match arena.as_deref_mut() {
-        Some(arena) => {
-            // Hand the probe radio back first so the restore placer
-            // reuses it instead of building a fresh network.
-            arena.scratch.net = Some(net);
-            placer.place_in(&mut map, &cfg, &mut arena.scratch)
-        }
-        None => placer.place(&mut map, &cfg),
-    };
+    // Hand the probe radio back first so the restore placer reuses it
+    // instead of building a fresh network.
+    arena.scratch.net = Some(net);
+    let restore = placer.place_in(&mut map, &cfg, &mut arena.scratch);
     let coverage = map.fraction_k_covered(cfg.k);
-    if let Some(arena) = arena {
-        arena.recycle(map);
-    }
+    arena.recycle(map);
     RunResult {
         cell: run.cell,
         replica: run.replica,

@@ -3,8 +3,9 @@
 //! The paper evaluates DECOR "in simulation" without naming a simulator, so
 //! this crate builds the substrate its evaluation needs:
 //!
-//! - [`event`] — a deterministic discrete-event engine (integer tick clock,
-//!   binary-heap queue with stable FIFO tie-breaking);
+//! - [`event`] — a deterministic discrete-event queue (integer tick clock,
+//!   a binary heap plus a FIFO of events due at the current instant, ties
+//!   popped in scheduling order);
 //! - [`node`] — sensor node state: position, sensing radius `rs`,
 //!   communication radius `rc`, alive/failed flag;
 //! - [`network`] — the network fabric: spatial-indexed neighbor lookup,
@@ -35,7 +36,7 @@
 //!   node lifecycle that `decor_core::endurance`'s detector distinguishes.
 //!
 //! Everything is deterministic given explicit seeds; nothing here spawns
-//! threads (parallelism lives in `decor-core::parallel`, across replicas).
+//! threads (parallelism lives in `decor_exp::MatrixRunner`, across runs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

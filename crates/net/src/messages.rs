@@ -31,13 +31,6 @@ pub enum Message {
         /// Where the new sensor was placed.
         pos: Point,
     },
-    /// Result of a leader election round within a cell.
-    LeaderAnnounce {
-        /// The elected node.
-        leader: NodeId,
-        /// Election round (rotation counter).
-        round: u64,
-    },
     /// A leader forwards its placement decisions towards the base station.
     Report {
         /// Number of placements carried in this report.
@@ -74,7 +67,6 @@ impl Message {
             Message::Heartbeat { .. } | Message::Hello { .. } | Message::PlacementNotice { .. } => {
                 1 + 16
             }
-            Message::LeaderAnnounce { .. } => 1 + 4 + 8,
             Message::Report { .. } => 1 + 4,
             Message::ShiftAssign { .. } => 1 + 4 + 4,
             Message::Ack { .. } => 1 + 4,
@@ -88,7 +80,6 @@ impl Message {
             Message::Heartbeat { .. } => "heartbeat",
             Message::Hello { .. } => "hello",
             Message::PlacementNotice { .. } => "notice",
-            Message::LeaderAnnounce { .. } => "leader",
             Message::Report { .. } => "report",
             Message::ShiftAssign { .. } => "shift",
             Message::Ack { .. } => "ack",
@@ -115,10 +106,6 @@ mod tests {
             Message::Heartbeat { pos: Point::ORIGIN },
             Message::Hello { pos: Point::ORIGIN },
             Message::PlacementNotice { pos: Point::ORIGIN },
-            Message::LeaderAnnounce {
-                leader: 3,
-                round: 9,
-            },
             Message::Report { placements: 5 },
             Message::ShiftAssign { node: 4, shift: 1 },
             Message::Ack { seq: 17 },
@@ -138,11 +125,6 @@ mod tests {
         assert!(Message::Heartbeat { pos: Point::ORIGIN }.is_maintenance());
         assert!(Message::Hello { pos: Point::ORIGIN }.is_maintenance());
         assert!(!Message::PlacementNotice { pos: Point::ORIGIN }.is_maintenance());
-        assert!(!Message::LeaderAnnounce {
-            leader: 0,
-            round: 0
-        }
-        .is_maintenance());
         assert!(!Message::Report { placements: 0 }.is_maintenance());
         assert!(!Message::ShiftAssign { node: 0, shift: 0 }.is_maintenance());
         assert!(!Message::Ack { seq: 0 }.is_maintenance());

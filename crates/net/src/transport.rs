@@ -21,9 +21,9 @@
 //!   the retry budget, or peer down/unreachable.
 //!
 //! There is no application plane: a caller learns what arrived from the
-//! outcomes [`Transport::flush`] returns. The placers write each notice's
-//! outcome into their knowledge ledger, and the shift agreement does the
-//! same for its assignments.
+//! outcomes [`Transport::flush_into`] reports. The placers write each
+//! notice's outcome into their knowledge ledger, and the shift agreement
+//! does the same for its assignments.
 //!
 //! Every physical transmission (first attempt, retry, ack) goes through
 //! [`Network::unicast`], so it is charged energy and counted in
@@ -43,7 +43,8 @@
 //! net.set_loss(0.3, 7);
 //! let mut tr = Transport::new(TransportConfig::default());
 //! let id = tr.send(a, b, Message::PlacementNotice { pos: Point::ORIGIN });
-//! let outcomes = tr.flush(&mut net);
+//! let mut outcomes = Vec::new();
+//! tr.flush_into(&mut net, &mut outcomes);
 //! assert_eq!(outcomes.len(), 1);
 //! assert_eq!(outcomes[0].0, id);
 //! assert!(matches!(outcomes[0].1, DeliveryOutcome::Delivered { .. }));
@@ -140,7 +141,7 @@ pub struct TransportStats {
 }
 
 /// Handle identifying a message passed to [`Transport::send`], echoed back
-/// with its [`DeliveryOutcome`] by [`Transport::flush`].
+/// with its [`DeliveryOutcome`] by [`Transport::flush_into`].
 pub type MsgId = usize;
 
 /// One in-flight (or finished) reliable message.
@@ -216,8 +217,8 @@ impl Transport {
     }
 
     /// Enqueues `msg` for reliable delivery `from → to`. Nothing hits the
-    /// air until [`Transport::flush`] drives the event clock. Returns the
-    /// handle under which `flush` will report the outcome.
+    /// air until [`Transport::flush_into`] drives the event clock. Returns
+    /// the handle under which the flush will report the outcome.
     ///
     /// Sends on one directed link are strictly FIFO: a message waits until
     /// every earlier message on the same link has reached its terminal
@@ -256,18 +257,10 @@ impl Transport {
     }
 
     /// Runs the event clock until every enqueued message reaches a terminal
-    /// state, then returns the `(handle, outcome)` pairs concluded since
-    /// the last flush, in conclusion order.
-    pub fn flush(&mut self, net: &mut Network) -> Vec<(MsgId, DeliveryOutcome)> {
-        let mut out = Vec::new();
-        self.flush_into(net, &mut out);
-        out
-    }
-
-    /// [`Transport::flush`] into a caller-owned buffer (cleared first),
-    /// preserving both the buffer's and the internal conclusion list's
-    /// capacity — round loops flush every round, and `mem::take` would
-    /// regrow both from scratch each time.
+    /// state, then fills `out` (cleared first) with the `(handle, outcome)`
+    /// pairs concluded since the last flush, in conclusion order. Both the
+    /// buffer's and the internal conclusion list's capacity survive, since
+    /// round loops flush every round.
     pub fn flush_into(&mut self, net: &mut Network, out: &mut Vec<(MsgId, DeliveryOutcome)>) {
         while let Some((_, id)) = self.clock.pop() {
             self.attempt(net, id);
@@ -419,6 +412,12 @@ mod tests {
         Message::PlacementNotice { pos: Point::ORIGIN }
     }
 
+    fn flush(tr: &mut Transport, net: &mut Network) -> Vec<(MsgId, DeliveryOutcome)> {
+        let mut out = Vec::new();
+        tr.flush_into(net, &mut out);
+        out
+    }
+
     /// Sends one message and drives it to its terminal outcome.
     fn send_now(
         tr: &mut Transport,
@@ -428,7 +427,7 @@ mod tests {
         msg: Message,
     ) -> DeliveryOutcome {
         let id = tr.send(from, to, msg);
-        let outcomes = tr.flush(net);
+        let outcomes = flush(tr, net);
         outcomes
             .into_iter()
             .find(|&(mid, _)| mid == id)
@@ -575,7 +574,7 @@ mod tests {
         assert_eq!(tr.flights[1].seq, 0, "distinct link starts at 0");
         assert_eq!(tr.flights[2].seq, 1);
         assert_eq!(tr.flights[3].seq, 0, "reverse direction is its own link");
-        let outcomes = tr.flush(&mut net);
+        let outcomes = flush(&mut tr, &mut net);
         assert!(outcomes.iter().all(|(_, o)| o.is_delivered()));
     }
 
@@ -585,12 +584,12 @@ mod tests {
         net.set_loss(0.3, 9);
         let mut tr = Transport::new(TransportConfig::default());
         let ids: Vec<MsgId> = (0..20).map(|_| tr.send(0, 1, notice())).collect();
-        let outcomes = tr.flush(&mut net);
+        let outcomes = flush(&mut tr, &mut net);
         let mut reported: Vec<MsgId> = outcomes.iter().map(|&(id, _)| id).collect();
         reported.sort_unstable();
         assert_eq!(reported, ids);
         assert!(
-            tr.flush(&mut net).is_empty(),
+            flush(&mut tr, &mut net).is_empty(),
             "second flush reports nothing"
         );
     }
@@ -636,7 +635,7 @@ mod tests {
         net.set_loss(0.4, 33);
         let mut tr = Transport::new(TransportConfig::default());
         let sent: Vec<MsgId> = (0..30).map(|_| tr.send(0, 1, notice())).collect();
-        let concluded: Vec<MsgId> = tr.flush(&mut net).iter().map(|&(id, _)| id).collect();
+        let concluded: Vec<MsgId> = flush(&mut tr, &mut net).iter().map(|&(id, _)| id).collect();
         assert_eq!(concluded, sent, "a retransmission leapfrogged a send");
         assert!(tr.stats.retries > 0, "40% loss must force retries");
     }
@@ -653,7 +652,7 @@ mod tests {
         assert_eq!(tr.clock.len(), 1, "second message waits for the link");
         tr.send(1, 0, notice());
         assert_eq!(tr.clock.len(), 2, "the reverse link is independent");
-        let outcomes = tr.flush(&mut net);
+        let outcomes = flush(&mut tr, &mut net);
         assert_eq!(outcomes.len(), 3);
     }
 
@@ -716,7 +715,7 @@ mod tests {
         // Nominal give-up path visits backoffs 4 + 8 = 12 ticks.
         let mut tr = Transport::new(cfg);
         tr.send(0, 1, notice());
-        tr.flush(&mut net);
+        flush(&mut tr, &mut net);
         assert_eq!(tr.now(), 12);
         // A +10 spike from t=0 makes it (4+10) + (8+10) = 32.
         let mut net = pair_net();
@@ -745,7 +744,7 @@ mod tests {
                 if use_chaos {
                     outs.extend(flush_chaos(&mut tr, &mut net, &mut chaos));
                 } else {
-                    outs.extend(tr.flush(&mut net));
+                    outs.extend(flush(&mut tr, &mut net));
                 }
             }
             (outs, tr.stats, net.stats.total_sent)
@@ -771,7 +770,7 @@ mod tests {
                 let from = (batch + i) % 2;
                 sent.push(tr.send(from, 1 - from, notice()));
             }
-            concluded.extend(tr.flush(&mut net).into_iter().map(|(id, _)| id));
+            concluded.extend(flush(&mut tr, &mut net).into_iter().map(|(id, _)| id));
             assert!(tr.now() >= now, "clock went back: {} -> {}", now, tr.now());
             now = tr.now();
         }

@@ -2,7 +2,7 @@
 //!
 //! Over random loss rates, seeds and traffic patterns, the transport must
 //! uphold its contracts, each read from what a caller observes — the
-//! outcomes [`Transport::flush`] returns and [`Transport::stats`]:
+//! outcomes [`Transport::flush_into`] reports and [`Transport::stats`]:
 //!
 //! 1. per directed link, messages conclude in send order: a
 //!    retransmission never leapfrogs a younger message;
@@ -31,6 +31,13 @@ fn notice() -> Message {
     Message::PlacementNotice { pos: Point::ORIGIN }
 }
 
+/// Drives every enqueued message to its outcome and returns the outcomes.
+fn flush(tr: &mut Transport, net: &mut Network) -> Vec<(MsgId, DeliveryOutcome)> {
+    let mut out = Vec::new();
+    tr.flush_into(net, &mut out);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -55,7 +62,7 @@ proptest! {
                 link_of.insert(tr.send(a, b, notice()), (a, b));
             }
         }
-        let outcomes = tr.flush(&mut net);
+        let outcomes = flush(&mut tr, &mut net);
         prop_assert_eq!(outcomes.len(), link_of.len());
         let mut last: BTreeMap<(usize, usize), MsgId> = BTreeMap::new();
         for (id, _) in outcomes {
@@ -94,14 +101,14 @@ proptest! {
                 let b = (a + 1 + j % 3) % 4;
                 sent.push(tr.send(a, b, notice()));
             }
-            for (id, out) in tr.flush(&mut net) {
+            for (id, out) in flush(&mut tr, &mut net) {
                 prop_assert!(
                     concluded.insert(id, out).is_none(),
                     "message {id} concluded twice"
                 );
             }
         }
-        prop_assert!(tr.flush(&mut net).is_empty(), "extra flush must be empty");
+        prop_assert!(flush(&mut tr, &mut net).is_empty(), "extra flush must be empty");
         let mut reported: Vec<MsgId> = concluded.keys().copied().collect();
         reported.sort_unstable();
         let mut expected = sent.clone();
@@ -134,7 +141,7 @@ proptest! {
             }
         }
         let (mut delivered, mut gave_up, mut attempts) = (0, 0, 0);
-        for (_, out) in tr.flush(&mut net) {
+        for (_, out) in flush(&mut tr, &mut net) {
             match out {
                 DeliveryOutcome::Delivered { attempts: n } => {
                     prop_assert!((1..=1 + max_retries).contains(&n));

@@ -11,11 +11,13 @@ fn main() {
     let params = ExpParams::paper();
     println!("Fig. 5 — resulting DECOR deployment (grid, small cell, k=1):");
     println!("('O' = sensor, '.' = approximation point)\n");
-    println!("{}", fig05_06::render_deployment(&params));
-    println!("{}", fig05_06::run_deployment(&params).to_ascii());
+    let (mut map, out, cfg) = fig05_06::deploy_example(&params);
+    println!("{}", fig05_06::render(&params, &map));
+    println!("{}", fig05_06::run_deployment(&map, &out, &cfg).to_ascii());
 
     println!("\nFig. 6 — after a disaster (disc radius 24 at the center):");
     println!("('O' = surviving sensor, '.' = still-covered point; the hole is blank)\n");
-    println!("{}", fig05_06::render_disaster(&params));
-    println!("{}", fig05_06::run_disaster(&params).to_ascii());
+    let table = fig05_06::run_disaster(&params, &mut map, &cfg);
+    println!("{}", fig05_06::render(&params, &map));
+    println!("{}", table.to_ascii());
 }

@@ -13,13 +13,16 @@ fn fig04_table_matches_the_committed_csv() {
 
 #[test]
 fn fig05_table_matches_the_committed_csv() {
-    let csv = fig05_06::run_deployment(&ExpParams::paper()).to_csv();
+    let (map, out, cfg) = fig05_06::deploy_example(&ExpParams::paper());
+    let csv = fig05_06::run_deployment(&map, &out, &cfg).to_csv();
     assert_eq!(csv, include_str!("../results/fig05.csv"));
 }
 
 #[test]
 fn fig06_table_matches_the_committed_csv() {
-    let csv = fig05_06::run_disaster(&ExpParams::paper()).to_csv();
+    let params = ExpParams::paper();
+    let (mut map, _, cfg) = fig05_06::deploy_example(&params);
+    let csv = fig05_06::run_disaster(&params, &mut map, &cfg).to_csv();
     assert_eq!(csv, include_str!("../results/fig06.csv"));
 }
 

@@ -223,9 +223,11 @@ fn endurance_rotation_disaster_matches_golden() {
     let mut map = CoverageMap::new(halton_points(60, &field), &field, &cfg);
     CentralizedGreedy.place(&mut map, &cfg);
     assert_eq!(map.count_below(3), 0, "scenario must start 3-covered");
-    // Trace only the endurance loop, not the deployment placement.
+    // Trace only the endurance loop, not the deployment placement, and
+    // check invariant 6 (the mirror against the map) every period.
     cfg.rotation = Some(RotationConfig::default());
     cfg.trace = TraceHandle::jsonl_writer();
+    cfg.invariants = InvariantChecker::enabled();
     let e = EnduranceConfig {
         rotate: true,
         max_periods: 4,
@@ -239,6 +241,7 @@ fn endurance_rotation_disaster_matches_golden() {
     assert!(report.detected_deaths > 0, "the death must be detected");
     assert!(report.ended_by_horizon, "the run must survive the disaster");
     assert_eq!(report.false_positives, 0);
+    cfg.invariants.assert_green();
     let trace = cfg.trace.jsonl().expect("JSONL sink attached");
     assert_matches_fixture("endurance_rotation.jsonl", &trace);
 }
